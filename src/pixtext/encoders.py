@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .nn import Linear, MultiHeadAttention, TransformerBlock
-from .tensor import ContractError, ShapeError, Tensor, concat, mean_rows, narrow, take
+from .nn import Linear, MultiHeadAttention, TransformerBlock, block_offsets, init_uniform
+from .tensor import ContractError, ShapeError, Tensor, concat, gather_flat, mean_rows, take
 
 __all__ = [
     "FeatureMap",
@@ -37,42 +38,69 @@ __all__ = [
 
 @dataclass
 class FeatureMap:
-    """Stage-4 visual features flattened row-major: row i is cell (i // w4, i % w4)."""
+    """Stage-4 visual features of n images, stacked: image i owns rows
+    i*h4*w4 to (i+1)*h4*w4, and its row j is cell (j // w4, j % w4)."""
 
     h4: int
     w4: int
     c: int
     values: Tensor
+    n: int = 1
 
     def __post_init__(self):
-        if self.h4 * self.w4 < 1:
-            raise ShapeError("feature map needs at least one cell")
-        if self.values.shape != (self.h4 * self.w4, self.c):
+        if self.h4 * self.w4 < 1 or self.n < 1:
+            raise ShapeError("feature map needs at least one image and one cell")
+        if self.values.shape != (self.n * self.h4 * self.w4, self.c):
             raise ShapeError(
-                f"feature map values {self.values.shape} != ({self.h4 * self.w4}, {self.c})"
+                f"feature map values {self.values.shape} != "
+                f"({self.n * self.h4 * self.w4}, {self.c})"
             )
 
 
 @dataclass
 class PooledFeatures:
-    """Attention-pool outputs: the global row and the dense rows."""
+    """Attention-pool outputs of n images: segment i of `memory` is image
+    i's [global; dense] sequence, the decoder memory of the prompting modes."""
 
-    global_feat: Tensor  # (1, c)
-    dense: Tensor  # (h4*w4, c)
+    memory: Tensor  # (n * (1 + cells), c)
+    n: int = 1
 
-    def memory(self) -> Tensor:
-        """Concatenated [global, dense] sequence used as decoder memory."""
-        return concat([self.global_feat, self.dense], axis=0)
+    def __post_init__(self):
+        if self.memory.shape[0] % self.n or self.memory.shape[0] // self.n < 2:
+            raise ShapeError(f"pooled memory {self.memory.shape} is not {self.n} segments")
+
+    @property
+    def offsets(self) -> np.ndarray:
+        return block_offsets(self.n, self.memory.shape[0] // self.n)
+
+    @cached_property
+    def global_feat(self) -> Tensor:
+        """(n, c): each image's global row."""
+        return take(self.memory, self.offsets[:-1])
+
+    @cached_property
+    def dense(self) -> Tensor:
+        """(n * cells, c): each image's dense rows, stacked."""
+        rows = np.ones(self.memory.shape[0], dtype=bool)
+        rows[self.offsets[:-1]] = False
+        return take(self.memory, np.flatnonzero(rows))
 
 
 @dataclass
 class TextEmbeddings:
-    t: Tensor  # (K, d)
+    """Class embeddings: K rows shared by every image, or n*K rows where
+    rows i*K to (i+1)*K belong to image i."""
+
+    t: Tensor  # (K, d) or (n*K, d)
     class_count: int
 
     def __post_init__(self):
-        if self.t.shape[0] != self.class_count:
-            raise ShapeError("text embedding row count != class count")
+        if self.class_count < 1 or self.t.shape[0] % self.class_count:
+            raise ShapeError("text embedding row count is not a multiple of the class count")
+
+    @property
+    def n(self) -> int:
+        return self.t.shape[0] // self.class_count
 
 
 # ---------------------------------------------------------------------------
@@ -140,15 +168,15 @@ class ImageEncoderConfig:
 
 
 def attention_pool(pool: MultiHeadAttention, x4: FeatureMap) -> PooledFeatures:
-    """Mean-pool x4, prepend, self-attend, split back into (global, dense)."""
-    bar = mean_rows(x4.values)
-    seq = concat([bar, x4.values], axis=0)
-    out = pool(seq)
-    n = x4.h4 * x4.w4
-    return PooledFeatures(
-        global_feat=narrow(out, 0, 0, 1),
-        dense=narrow(out, 0, 1, n + 1),
-    )
+    """Per image: mean-pool its cells, prepend the mean, self-attend."""
+    n, cells = x4.n, x4.h4 * x4.w4
+    bar = mean_rows(x4.values, n)
+    # Row order of image i's segment: its mean (row i of the concat), then its cells.
+    order = np.empty((n, cells + 1), dtype=np.intp)
+    order[:, 0] = np.arange(n)
+    order[:, 1:] = n + np.arange(n * cells).reshape(n, cells)
+    seq = take(concat([bar, x4.values], axis=0), order.reshape(-1))
+    return PooledFeatures(memory=pool(seq, q_offsets=block_offsets(n, cells + 1)), n=n)
 
 
 class ToyImageEncoder:
@@ -186,28 +214,28 @@ class ToyImageEncoder:
         self._patch_index_cache[key] = idx
         return idx
 
-    def encode(self, image: Tensor) -> tuple[FeatureMap, PooledFeatures]:
-        h, w, ch = image.shape
+    def encode(self, images: Tensor) -> tuple[FeatureMap, PooledFeatures]:
+        """Encode one H x W x 3 image or an (N, H, W, 3) batch; every
+        image is a segment of the stacked rows."""
+        if images.data.ndim not in (3, 4) or images.shape[-1] != 3:
+            raise ShapeError(f"expected H x W x 3 image or N x H x W x 3 batch, got {images.shape}")
+        n = images.shape[0] if images.data.ndim == 4 else 1
+        h, w = images.shape[-3:-1]
         f = self.cfg.patch
-        if ch != 3:
-            raise ShapeError(f"expected H x W x 3 image, got {image.shape}")
         if h % f or w % f:
             raise ShapeError(f"image {h}x{w} not divisible by patch {f}")
-        from .tensor import gather_flat
-
-        patches = gather_flat(image, self._patch_indices(h, w))
+        per_image = self._patch_indices(h, w)
+        starts = np.arange(n)[:, None, None] * (h * w * 3)
+        patches = gather_flat(images, (per_image[None] + starts).reshape(-1, per_image.shape[1]))
         x = self.patch_embed(patches)
-        for block in self.blocks:
-            x = block(x)
         h4, w4 = h // f, w // f
-        raw = FeatureMap(h4=h4, w4=w4, c=self.cfg.width, values=x)
-        pooled_raw = attention_pool(self.pool, raw)
-        fm = FeatureMap(h4=h4, w4=w4, c=self.cfg.out_dim, values=self.proj(x))
-        pooled = PooledFeatures(
-            global_feat=self.proj(pooled_raw.global_feat),
-            dense=self.proj(pooled_raw.dense),
-        )
-        return fm, pooled
+        offsets = block_offsets(n, h4 * w4)
+        for block in self.blocks:
+            x = block(x, offsets)
+        pooled_raw = attention_pool(self.pool, FeatureMap(h4=h4, w4=w4, c=self.cfg.width,
+                                                          values=x, n=n))
+        fm = FeatureMap(h4=h4, w4=w4, c=self.cfg.out_dim, values=self.proj(x), n=n)
+        return fm, PooledFeatures(memory=self.proj(pooled_raw.memory), n=n)
 
     def parameters(self):
         for name, p in self.patch_embed.parameters():
@@ -243,18 +271,16 @@ class ToyTextEncoder:
     """Per-class transformer over [contexts; class token embeddings].
 
     Row k of the output is the projected final-token state of class k's
-    sequence; classes never attend to each other, so batched encoding
-    equals per-class encoding exactly. `sequences_encoded` counts every
-    class sequence pushed through, which is the cost unit for the
-    pre/post prompting comparison.
+    sequence. All sequences run as segments of one stacked pass; classes
+    never attend to each other, so batched encoding equals per-class
+    encoding. `sequences_encoded` counts every class sequence pushed
+    through, which is the cost unit for the pre/post prompting comparison.
     """
 
     def __init__(self, cfg: TextEncoderConfig, rng: np.random.Generator, frozen: bool = True):
         if cfg.vocab_size < 1:
             raise ShapeError("text encoder needs a positive vocab size")
         self.cfg = cfg
-        from .nn import init_uniform
-
         self.table = Tensor(
             init_uniform(rng, (cfg.vocab_size, cfg.width), cfg.width), requires_grad=True
         )
@@ -283,27 +309,39 @@ class ToyTextEncoder:
                 raise ContractError(f"token id {tid} outside vocabulary")
         return take(self.table, np.asarray(ids, dtype=np.intp))
 
-    def encode(self, contexts: Tensor | None, class_token_lists) -> TextEmbeddings:
-        if contexts is not None and contexts.shape[0] > 0 and contexts.shape[1] != self.cfg.width:
+    def encode(self, contexts: Tensor | None, class_token_lists, n: int = 1) -> TextEmbeddings:
+        """Encode every class behind each of n context sets.
+
+        `contexts` holds n stacked blocks of context rows (or is None or
+        empty for bare class tokens); the result has n*K rows, row i*K + k
+        for class k behind context block i.
+        """
+        lists = [list(ids) for ids in class_token_lists]
+        if any(len(ids) == 0 for ids in lists):
+            raise ContractError("every class needs at least one token")
+        c = 0 if contexts is None else contexts.shape[0]
+        if c and contexts.shape[1] != self.cfg.width:
             raise ShapeError(
                 f"contexts width {contexts.shape[1]} != encoder width {self.cfg.width}"
             )
-        rows = []
-        for ids in class_token_lists:
-            if len(ids) == 0:
-                raise ContractError("every class needs at least one token")
-            tok = self.embed_tokens(ids)
-            if contexts is not None and contexts.shape[0] > 0:
-                seq = concat([contexts, tok], axis=0)
-            else:
-                seq = tok
-            for block in self.blocks:
-                seq = block(seq)
-            last = narrow(seq, 0, seq.shape[0] - 1, seq.shape[0])
-            rows.append(self.proj(last))
-            self.sequences_encoded += 1
-        t = rows[0] if len(rows) == 1 else concat(rows, axis=0)
-        return TextEmbeddings(t=t, class_count=len(rows))
+        if n < 1 or c % n:
+            raise ShapeError(f"{c} context rows do not split into {n} blocks")
+        c //= n
+        tok = self.embed_tokens([t for ids in lists for t in ids])
+        lens = np.array([len(ids) for ids in lists], dtype=np.intp)
+        # Segment (i, k) is context block i followed by class k's tokens;
+        # `first` indexes the segments of context block 0.
+        tok_start = n * c + np.concatenate([[0], np.cumsum(lens)[:-1]])
+        first = np.concatenate([np.concatenate([np.arange(c), s + np.arange(m)])
+                                for s, m in zip(tok_start, lens)])
+        is_ctx = np.concatenate([np.repeat([1, 0], [c, m]) for m in lens])
+        index = (first + np.arange(n)[:, None] * c * is_ctx).reshape(-1)
+        seq = take(concat([contexts, tok], axis=0) if c else tok, index)
+        offsets = np.concatenate([[0], np.cumsum(np.tile(c + lens, n))])
+        for block in self.blocks:
+            seq = block(seq, offsets)
+        self.sequences_encoded += n * len(lists)
+        return TextEmbeddings(t=self.proj(take(seq, offsets[1:] - 1)), class_count=len(lists))
 
     def parameters(self):
         yield "table", self.table

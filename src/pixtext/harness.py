@@ -18,7 +18,7 @@ import numpy as np
 
 from .datagen import SyntheticSample
 from .pipeline import DensePredPipeline, PipelineConfig, TaskMode, build_pipeline, toy_config
-from .tensor import ContractError, Tensor, add, backward, mul, reset_tape
+from .tensor import ContractError, Tensor, backward, reset_tape
 
 __all__ = [
     "OptimConfig",
@@ -191,9 +191,17 @@ def miou_from_pairs(pairs, k: int) -> tuple[list, float]:
     return ious, mean
 
 
+EVAL_BATCH = 32  # images per forward pass in evaluate_miou
+
+
 def evaluate_miou(pipe: DensePredPipeline, samples) -> tuple[list, float]:
-    """Per-class IoU over the pooled pixels of all samples."""
-    pairs = [(s.mask, pipe.predict(s.image)) for s in samples]
+    """Per-class IoU over the pooled pixels of all samples, predicted
+    EVAL_BATCH images at a time."""
+    pairs = []
+    for start in range(0, len(samples), EVAL_BATCH):
+        batch = samples[start : start + EVAL_BATCH]
+        pred = np.argmax(pipe.logits([s.image for s in batch]).data, axis=1)
+        pairs += zip((s.mask for s in batch), pred.reshape(len(batch), -1))
     return miou_from_pairs(pairs, pipe.k)
 
 
@@ -206,7 +214,8 @@ def _target_for(pipe: DensePredPipeline, sample: SyntheticSample):
 def train(pipe: DensePredPipeline, dataset, cfg: OptimConfig) -> RunReport:
     """Run the step budget on (train, eval) samples and report.
 
-    Batching is full-dataset up to 64 samples, seeded minibatches above.
+    Batching is full-dataset up to 64 samples, seeded minibatches above;
+    each step is one batched `forward` call on one tape.
     Aborts with TrainingDiverged the moment the loss stops being finite.
     """
     train_samples, eval_samples = dataset
@@ -228,23 +237,14 @@ def train(pipe: DensePredPipeline, dataset, cfg: OptimConfig) -> RunReport:
             order = np.arange(n)
         else:
             order = rng.permutation(n)[: cfg.batch_size]
-        base_t = pipe.base_text_embeddings()
-        total = None
-        main_sum = 0.0
-        aux_sum = 0.0
-        for idx in order:
-            s = train_samples[idx]
-            out = pipe.forward(s.image, _target_for(pipe, s), base_text=base_t)
-            total = out.loss if total is None else add(total, out.loss)
-            main_sum += out.breakdown["main"]
-            aux_sum += out.breakdown["aux"]
-        batch_loss = mul(total, 1.0 / len(order))
-        value = batch_loss.item()
+        batch = [train_samples[idx] for idx in order]
+        out = pipe.forward([s.image for s in batch], [_target_for(pipe, s) for s in batch])
+        value = out.loss.item()
         if not math.isfinite(value):
             raise TrainingDiverged(step, value, {
                 "loss_series": loss_series, "config": cfg.__dict__.copy(),
             })
-        backward(batch_loss)
+        backward(out.loss)
         if cfg.clip_norm is not None:
             clip_gradients([p for _, p, _ in opt.params], cfg.clip_norm)
         opt.step()
@@ -255,8 +255,8 @@ def train(pipe: DensePredPipeline, dataset, cfg: OptimConfig) -> RunReport:
                     "config": cfg.__dict__.copy(),
                 })
         loss_series.append(value)
-        main_series.append(main_sum / len(order))
-        aux_series.append(aux_sum / len(order))
+        main_series.append(out.breakdown["main"])
+        aux_series.append(out.breakdown["aux"])
     reset_tape()
 
     text_fwd_train = pipe.text_sequence_count() - text_before

@@ -15,13 +15,13 @@ from .tensor import (
     ShapeError,
     Tensor,
     bce_with_logits,
+    block_matmul_t,
     clamp,
     concat,
     cross_entropy,
     l2_normalize,
-    matmul,
     mul,
-    transpose,
+    take,
     write_dct1,
 )
 
@@ -42,16 +42,19 @@ __all__ = [
 
 @dataclass
 class ScoreMap:
-    """Per-cell cosine similarity against each class embedding; entries in [-1, 1]."""
+    """Per-cell cosine similarity against each class embedding; entries in
+    [-1, 1]. Rows are the cells of n images, stacked as in FeatureMap."""
 
-    s: Tensor  # (h4*w4, K)
+    s: Tensor  # (n*h4*w4, K)
     h4: int
     w4: int
     k: int
+    n: int = 1
 
     def __post_init__(self):
-        if self.s.shape != (self.h4 * self.w4, self.k):
-            raise ShapeError(f"score map {self.s.shape} != ({self.h4 * self.w4}, {self.k})")
+        rows = self.n * self.h4 * self.w4
+        if self.s.shape != (rows, self.k):
+            raise ShapeError(f"score map {self.s.shape} != ({rows}, {self.k})")
         if self.k and not (
             np.all(self.s.data >= -1.0) and np.all(self.s.data <= 1.0)
         ):
@@ -115,35 +118,44 @@ class LossConfig:
 
 
 def compute_score_map(z: Tensor, t: TextEmbeddings, h4: int, w4: int) -> ScoreMap:
-    """Cosine similarities between every dense feature row and every class row.
+    """Cosine similarities between every dense feature row of each image and
+    that image's class rows (or the shared ones), as one batched product.
 
     Both sides are unit-normalized along channels, so the result is scale
     invariant in each row; the clamp only trims float ulp overshoot.
     """
     if z.shape[1] != t.t.shape[1]:
         raise ShapeError(f"feature dim {z.shape[1]} != text dim {t.t.shape[1]}")
+    if z.shape[0] % (h4 * w4):
+        raise ShapeError(f"{z.shape[0]} feature rows are not whole {h4}x{w4} maps")
+    n = z.shape[0] // (h4 * w4)
+    if t.n not in (1, n):
+        raise ShapeError(f"text embeddings for {t.n} images, features of {n}")
     zh = l2_normalize(z, axis=1)
     th = l2_normalize(t.t, axis=1)
-    s = clamp(matmul(zh, transpose(th)), -1.0, 1.0)
-    return ScoreMap(s=s, h4=h4, w4=w4, k=t.class_count)
+    if t.n != n:
+        th = take(th, np.tile(np.arange(t.class_count), n))
+    s = clamp(block_matmul_t(zh, th, n), -1.0, 1.0)
+    return ScoreMap(s=s, h4=h4, w4=w4, k=t.class_count, n=n)
 
 
 def fuse_features(x4: FeatureMap, score: ScoreMap) -> FeatureMap:
     """Channel-concatenate the score map onto the feature map (features first)."""
-    if x4.h4 * x4.w4 != score.h4 * score.w4:
+    if (x4.n, x4.h4 * x4.w4) != (score.n, score.h4 * score.w4):
         raise ShapeError(
-            f"spatial mismatch: features {x4.h4}x{x4.w4} vs scores {score.h4}x{score.w4}"
+            f"spatial mismatch: features {x4.n}x{x4.h4}x{x4.w4} "
+            f"vs scores {score.n}x{score.h4}x{score.w4}"
         )
     if score.k == 0:
         fused = x4.values
     else:
         fused = concat([x4.values, score.s], axis=1)
-    return FeatureMap(h4=x4.h4, w4=x4.w4, c=x4.c + score.k, values=fused)
+    return FeatureMap(h4=x4.h4, w4=x4.w4, c=x4.c + score.k, values=fused, n=x4.n)
 
 
 def seg_aux_loss(score: ScoreMap, target: SegTarget, cfg: LossConfig) -> Tensor:
     """Cross-entropy of the temperature-scaled scores against coarse labels."""
-    if target.y.shape[0] != score.h4 * score.w4:
+    if target.y.shape[0] != score.s.shape[0]:
         raise ShapeError("segmentation target length != score map cells")
     if target.y.size and (target.y.min() < 0 or target.y.max() >= score.k):
         raise IndexError(f"label outside [0, {score.k})")
@@ -179,7 +191,9 @@ def det_aux_loss(score: ScoreMap, target: DetTarget, cfg: LossConfig) -> Tensor:
 
 
 def export_score_map(score: ScoreMap, class_names, path_prefix):
-    """Write `<prefix>.dct1` plus a `<prefix>.json` sidecar for offline rendering."""
+    """Write `<prefix>.dct1` plus a `<prefix>.json` sidecar for offline
+    rendering. The sidecar has an image count `n` only when the map stacks
+    more than one image; without it the map is one image's."""
     write_dct1(f"{path_prefix}.dct1", score.s)
     sidecar = {
         "h4": score.h4,
@@ -187,5 +201,7 @@ def export_score_map(score: ScoreMap, class_names, path_prefix):
         "k": score.k,
         "class_names": list(class_names),
     }
+    if score.n > 1:
+        sidecar["n"] = score.n
     with open(f"{path_prefix}.json", "w") as fh:
         json.dump(sidecar, fh, indent=1, sort_keys=True)

@@ -26,6 +26,7 @@ __all__ = [
     "LayerNorm",
     "layer_norm",
     "attention_heads",
+    "block_offsets",
     "MultiHeadAttention",
     "mhsa_forward",
     "TransformerBlock",
@@ -105,46 +106,124 @@ class LayerNorm:
         yield "shift", self.shift
 
 
-def attention_heads(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
-    """Fused per-head scaled dot-product attention over projected q/k/v.
+def block_offsets(n: int, length: int) -> np.ndarray:
+    """Offsets of n consecutive segments of `length` rows each."""
+    return np.arange(n + 1, dtype=np.intp) * length
 
-    Column blocks of width dim/heads are independent heads: each computes
-    softmax(q_h k_h^T / sqrt(head_dim)) v_h; outputs re-occupy the same
-    columns. One tape node; the backward rule walks the heads again using
-    the attention weights saved from the forward pass.
+
+def _segment_lengths(offsets, rows: int, what: str) -> np.ndarray:
+    if offsets is None:
+        return np.array([rows])
+    off = np.asarray(offsets, dtype=np.intp)
+    if off.ndim == 1 and off.size >= 2 and off[0] == 0 and off[-1] == rows:
+        lengths = np.diff(off)
+        if lengths.min() >= 1:
+            return lengths
+    raise ShapeError(f"{what} offsets must rise from 0 to {rows} in non-empty segments")
+
+
+# Segments are processed in chunks whose attention weights take about this
+# many bytes: whole-batch score arrays spill out of the CPU caches, and the
+# elementwise softmax passes then run at memory speed.
+_CHUNK_BYTES = 1 << 19
+
+
+def _segment_chunks(lq: np.ndarray, lk: np.ndarray, heads: int):
+    """Split the (query, key/value) segment pairs into chunks of equal lengths.
+
+    Each chunk is (q_rows, kv_rows, count, lq, lk): the rows of its
+    segments in segment order (a slice when they are contiguous, else an
+    index array) and their shared lengths.
+    """
+    if lq.size != lk.size:
+        raise ShapeError(f"{lq.size} query segments but {lk.size} key/value segments")
+    if lq.size == 1:
+        return [(slice(None), slice(None), 1, int(lq[0]), int(lk[0]))]
+    q_off = np.concatenate([[0], np.cumsum(lq)])
+    kv_off = np.concatenate([[0], np.cumsum(lk)])
+    if np.all(lq == lq[0]) and np.all(lk == lk[0]):
+        groups = [(None, int(lq[0]), int(lk[0]))]
+    else:
+        keys = lq * (int(lk.max()) + 1) + lk
+        groups = [(segs, int(lq[segs[0]]), int(lk[segs[0]]))
+                  for segs in (np.flatnonzero(keys == key) for key in np.unique(keys))]
+    chunks = []
+    for segs, a, b in groups:
+        total = lq.size if segs is None else segs.size
+        step = max(1, _CHUNK_BYTES // (8 * heads * a * b))
+        for c0 in range(0, total, step):
+            count = min(step, total - c0)
+            if segs is None:
+                q_rows = slice(c0 * a, (c0 + count) * a)
+                kv_rows = slice(c0 * b, (c0 + count) * b)
+            else:
+                part = segs[c0 : c0 + count]
+                q_rows = (q_off[part][:, None] + np.arange(a)).reshape(-1)
+                kv_rows = (kv_off[part][:, None] + np.arange(b)).reshape(-1)
+            chunks.append((q_rows, kv_rows, count, a, b))
+    return chunks
+
+
+def attention_heads(q: Tensor, k: Tensor, v: Tensor, heads: int,
+                    q_offsets=None, kv_offsets=None) -> Tensor:
+    """Fused multi-head scaled dot-product attention over projected q/k/v.
+
+    Rows are stacked segments: query segment s (rows q_offsets[s] to
+    q_offsets[s+1]) attends only to key/value segment s. Without offsets
+    all rows form one segment; kv_offsets default to q_offsets
+    (self-attention). Column blocks of width dim/heads are independent
+    heads, each computing softmax(q_h k_h^T / sqrt(head_dim)) v_h.
+
+    Segments with equal lengths run together, a cache-sized chunk at a
+    time, in a (segments, heads, L, head_dim) layout; no score matrix spans
+    two segments. One tape node; the backward rule reuses the attention
+    weights saved by the forward.
     """
     if q.shape[1] != k.shape[1] or k.shape != v.shape:
         raise ShapeError(f"attention shapes: q {q.shape}, k {k.shape}, v {v.shape}")
     dim = q.shape[1]
     if dim % heads != 0:
         raise ShapeError(f"model dim {dim} not divisible by {heads} heads")
+    if kv_offsets is None:
+        kv_offsets = q_offsets
+    chunks = _segment_chunks(_segment_lengths(q_offsets, q.shape[0], "query"),
+                             _segment_lengths(kv_offsets, k.shape[0], "key/value"), heads)
     hd = dim // heads
     scale = 1.0 / math.sqrt(hd)
     qd, kd, vd = q.data, k.data, v.data
+
+    def split(x, rows, count, length):
+        # (count, heads, length, hd) view of the chunk's rows
+        return x[rows].reshape(count, length, heads, hd).transpose(0, 2, 1, 3)
+
+    def merge(dst, rows, x):
+        dst[rows] = x.transpose(0, 2, 1, 3).reshape(-1, dim)
+
     out = np.empty((q.shape[0], dim))
     attn_saved = []
-    for h in range(heads):
-        lo, hi = h * hd, (h + 1) * hd
-        s = (qd[:, lo:hi] @ kd[:, lo:hi].T) * scale
-        s -= s.max(axis=1, keepdims=True)
-        e = np.exp(s)
-        a = e / e.sum(axis=1, keepdims=True)
+    for q_rows, kv_rows, count, lq, lk in chunks:
+        s = np.matmul(split(qd, q_rows, count, lq),
+                      split(kd, kv_rows, count, lk).transpose(0, 1, 3, 2))
+        s *= scale
+        s -= s.max(axis=-1, keepdims=True)
+        a = np.exp(s, out=s)
+        a /= a.sum(axis=-1, keepdims=True)
         attn_saved.append(a)
-        out[:, lo:hi] = a @ vd[:, lo:hi]
+        merge(out, q_rows, np.matmul(a, split(vd, kv_rows, count, lk)))
 
     def grad_fn(g):
         gq = np.empty_like(qd)
         gk = np.empty_like(kd)
         gv = np.empty_like(vd)
-        for h in range(heads):
-            lo, hi = h * hd, (h + 1) * hd
-            a = attn_saved[h]
-            gh = g[:, lo:hi]
-            gv[:, lo:hi] = a.T @ gh
-            ga = gh @ vd[:, lo:hi].T
-            gs = (ga - (ga * a).sum(axis=1, keepdims=True)) * a * scale
-            gq[:, lo:hi] = gs @ kd[:, lo:hi]
-            gk[:, lo:hi] = gs.T @ qd[:, lo:hi]
+        for (q_rows, kv_rows, count, lq, lk), a in zip(chunks, attn_saved):
+            gh = split(g, q_rows, count, lq)
+            merge(gv, kv_rows, np.matmul(a.transpose(0, 1, 3, 2), gh))
+            gs = np.matmul(gh, split(vd, kv_rows, count, lk).transpose(0, 1, 3, 2))
+            gs -= (gs * a).sum(axis=-1, keepdims=True)
+            gs *= a
+            gs *= scale
+            merge(gq, q_rows, np.matmul(gs, split(kd, kv_rows, count, lk)))
+            merge(gk, kv_rows, np.matmul(gs.transpose(0, 1, 3, 2), split(qd, q_rows, count, lq)))
         return [gq, gk, gv]
 
     return record([q, k, v], out, grad_fn)
@@ -164,7 +243,10 @@ class MultiHeadAttention:
         self.v_proj = Linear(dim, dim, rng)
         self.out_proj = Linear(dim, dim, rng)
 
-    def __call__(self, queries: Tensor, memory: Tensor | None = None) -> Tensor:
+    def __call__(self, queries: Tensor, memory: Tensor | None = None,
+                 q_offsets=None, kv_offsets=None) -> Tensor:
+        """Self-attention, or cross-attention over `memory`; the offsets
+        split the rows into segments as in `attention_heads`."""
         kv = queries if memory is None else memory
         if queries.shape[1] != self.dim or kv.shape[1] != self.dim:
             raise ShapeError(
@@ -173,7 +255,7 @@ class MultiHeadAttention:
         q = self.q_proj(queries)
         k = self.k_proj(kv)
         v = self.v_proj(kv)
-        return self.out_proj(attention_heads(q, k, v, self.heads))
+        return self.out_proj(attention_heads(q, k, v, self.heads, q_offsets, kv_offsets))
 
     def parameters(self):
         for tag, layer in (
@@ -214,8 +296,8 @@ class TransformerBlock:
         self.ln1 = LayerNorm(dim)
         self.ln2 = LayerNorm(dim)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        x = add(x, self.attn(self.ln1(x)))
+    def __call__(self, x: Tensor, offsets=None) -> Tensor:
+        x = add(x, self.attn(self.ln1(x), q_offsets=offsets))
         return add(x, self.ffn(self.ln2(x)))
 
     def parameters(self):
@@ -236,11 +318,11 @@ class TransformerDecoderLayer:
         self.ln2 = LayerNorm(dim)
         self.ln3 = LayerNorm(dim)
 
-    def __call__(self, queries: Tensor, memory: Tensor) -> Tensor:
+    def __call__(self, queries: Tensor, memory: Tensor, q_offsets=None, kv_offsets=None) -> Tensor:
         if queries.shape[1] != memory.shape[1]:
             raise ShapeError(f"decoder dims differ: {queries.shape} vs {memory.shape}")
-        q = add(queries, self.self_attn(self.ln1(queries)))
-        q = add(q, self.cross_attn(self.ln2(q), memory))
+        q = add(queries, self.self_attn(self.ln1(queries), q_offsets=q_offsets))
+        q = add(q, self.cross_attn(self.ln2(q), memory, q_offsets, kv_offsets))
         return add(q, self.ffn(self.ln3(q)))
 
     def parameters(self):
@@ -257,10 +339,12 @@ class TransformerDecoderLayer:
                 yield f"{tag}.{name}", p
 
 
-def decoder_forward(layers, queries: Tensor, memory: Tensor) -> Tensor:
+def decoder_forward(layers, queries: Tensor, memory: Tensor,
+                    q_offsets=None, kv_offsets=None) -> Tensor:
+    """Run the decoder stack; query segment s reads memory segment s."""
     if not layers:
         raise ShapeError("decoder needs at least one layer")
     out = queries
     for layer in layers:
-        out = layer(out, memory)
+        out = layer(out, memory, q_offsets, kv_offsets)
     return out

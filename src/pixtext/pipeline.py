@@ -1,11 +1,15 @@
 """End-to-end dense prediction pipeline.
 
-image -> feature map + pooled features -> class embeddings (per prompt
-mode) -> cosine score map -> [features, scores] fusion -> per-cell decode
+images -> feature maps + pooled features -> class embeddings (per prompt
+mode) -> cosine score maps -> [features, scores] fusion -> per-cell decode
 head -> nearest-upsampled per-pixel logits. Total loss is the main
 cross-entropy plus `aux_weight` times the auxiliary score-map loss; the
 detection variant trains on the auxiliary objective alone and never runs
 the decode head.
+
+A minibatch runs as one pass on one tape: the images' cells are stacked
+row blocks, and attention, pooling, prompting and scoring work per image
+segment. A single image is the batch of one.
 """
 
 from __future__ import annotations
@@ -23,13 +27,13 @@ from .encoders import (
     ImageEncoderConfig,
     PooledFeatures,
     TextEncoderConfig,
-    TextEmbeddings,
     ToyImageEncoder,
     ToyTextEncoder,
     Vocabulary,
     build_vocab,
 )
 from .matching import (
+    DetTarget,
     LossConfig,
     ScoreMap,
     SegTarget,
@@ -53,12 +57,15 @@ from .tensor import (
     ShapeError,
     Tensor,
     add,
+    concat,
     cross_entropy,
     gelu,
     mul,
     no_grad,
     read_dct1,
+    stack,
     take,
+    tensor,
     write_dct1,
 )
 
@@ -69,6 +76,7 @@ __all__ = [
     "DensePredPipeline",
     "PipelineOutput",
     "build_pipeline",
+    "stack_images",
     "swap_backbone",
     "predict_segmentation",
     "rng_for",
@@ -78,6 +86,27 @@ __all__ = [
     "toy_config",
     "micro_config",
 ]
+
+
+def stack_images(images) -> Tensor:
+    """Check a batch where it enters and stack it into one (N, H, W, 3) tensor.
+
+    Every image must be a finite H x W x 3 array, and all images of the
+    batch must share one shape; errors name the offending image's index.
+    """
+    images = [tensor(img) for img in images]
+    if not images:
+        raise ContractError("a batch needs at least one image")
+    first = images[0].shape
+    for i, img in enumerate(images):
+        if img.data.ndim != 3 or img.shape[2] != 3:
+            raise ShapeError(f"image {i}: expected H x W x 3, got {img.shape}")
+        if img.shape != first:
+            raise ShapeError(f"image {i} has shape {img.shape}, image 0 {first}: "
+                             "a batch shares one shape")
+        if not np.all(np.isfinite(img.data)):
+            raise ContractError(f"image {i} has non-finite pixel values")
+    return stack(images)
 
 
 def rng_for(seed: int, name: str) -> np.random.Generator:
@@ -168,10 +197,8 @@ class DecodeHead:
         self.k = k
         self.fc1 = Linear(in_dim, hidden, rng)
         self.fc2 = Linear(hidden, k, rng)
-        self.forward_count = 0
 
     def __call__(self, fused: Tensor, fine_to_coarse: np.ndarray) -> Tensor:
-        self.forward_count += 1
         coarse = self.fc2(gelu(self.fc1(fused)))
         return take(coarse, fine_to_coarse)
 
@@ -234,37 +261,61 @@ class DensePredPipeline:
 
     # -- encoding -----------------------------------------------------------
 
-    def encode_image(self, image: Tensor) -> tuple[FeatureMap, PooledFeatures]:
-        fm, pooled = self.image_encoder.encode(image)
+    def encode_image(self, images: Tensor) -> tuple[FeatureMap, PooledFeatures]:
+        """Encode one H x W x 3 image or a stacked (N, H, W, 3) batch."""
+        fm, pooled = self.image_encoder.encode(images)
         if self.backbone_adapter is not None:
             fm = FeatureMap(
                 h4=fm.h4, w4=fm.w4, c=self.cfg.shared_dim,
-                values=self.backbone_adapter(fm.values),
+                values=self.backbone_adapter(fm.values), n=fm.n,
             )
-            pooled = PooledFeatures(
-                global_feat=self.backbone_adapter(pooled.global_feat),
-                dense=self.backbone_adapter(pooled.dense),
-            )
+            pooled = PooledFeatures(memory=self.backbone_adapter(pooled.memory), n=pooled.n)
         return fm, pooled
-
-    def base_text_embeddings(self) -> TextEmbeddings | None:
-        if self.text_path is None or self.text_path.mode == PromptMode.PRE_MODEL:
-            return None
-        return self.text_path.base_embeddings()
 
     # -- forward ------------------------------------------------------------
 
-    def forward(self, image: Tensor, target, base_text: TextEmbeddings | None = None) -> PipelineOutput:
-        fm, pooled = self.encode_image(image)
+    def _run(self, batch: Tensor) -> tuple[ScoreMap | None, Tensor | None]:
+        """The one forward path of forward, logits and predict: the score
+        maps of a stacked batch (None without a language path) and its
+        stacked per-pixel logits (None in detection-aux mode)."""
+        fm, pooled = self.encode_image(batch)
         score = None
-        aux = None
         if self.text_path is not None:
-            t = self.text_path.embeddings_for_image(pooled, base=base_text)
+            t = self.text_path.embeddings(pooled)
             score = compute_score_map(pooled.dense, t, fm.h4, fm.w4)
+        if self.head is None:
+            return score, None
+        if score is not None:
+            fused = fuse_features(fm, score).values
+        else:
+            fused = concat([fm.values, Tensor(np.zeros((fm.values.shape[0], self.k)))], axis=1)
+        n, h, w, _ = batch.shape
+        fine_to_coarse, _ = self._maps_for(h, w)
+        per_image = (np.arange(n)[:, None] * (fm.h4 * fm.w4) + fine_to_coarse).reshape(-1)
+        return score, self.head(fused, per_image)
+
+    def forward(self, images, targets) -> PipelineOutput:
+        """Loss over a minibatch: the mean of the per-image losses.
+
+        `images` is a list of H x W x 3 images of one shape (or a single
+        image, the batch of one); `targets` holds one flat H*W mask per
+        image in segmentation mode, one box list per image in
+        detection-aux mode. Logits and score maps come back stacked.
+        """
+        if isinstance(images, Tensor):
+            images, targets = [images], [targets]
+        batch = stack_images(images)
+        n, h, w, _ = batch.shape
+        targets = list(targets)
+        if len(targets) != n:
+            raise ContractError(f"{n} images but {len(targets)} targets")
 
         if self.task_mode == TaskMode.DETECTION_AUX:
-            det_target = rasterize_boxes(target, fm.h4, fm.w4, self.k)
-            aux = det_aux_loss(score, det_target, self.loss_cfg)
+            score, _ = self._run(batch)
+            det_y = np.concatenate(
+                [rasterize_boxes(boxes, score.h4, score.w4, self.k).y for boxes in targets]
+            )
+            aux = det_aux_loss(score, DetTarget(y=det_y), self.loss_cfg)
             return PipelineOutput(
                 main_logits=None,
                 score=score,
@@ -272,31 +323,22 @@ class DensePredPipeline:
                 breakdown={"main": 0.0, "aux": aux.item(), "total": aux.item()},
             )
 
-        h, w, _ = image.shape
-        fine_to_coarse, coarse_centers = self._maps_for(h, w)
-        mask = np.asarray(target, dtype=np.intp)
-        if mask.shape != (h * w,):
-            raise ContractError(f"mask shape {mask.shape} != ({h * w},)")
-
+        masks = []
+        for i, target in enumerate(targets):
+            mask = np.asarray(target, dtype=np.intp)
+            if mask.shape != (h * w,):
+                raise ContractError(f"mask {i} has shape {mask.shape}, expected ({h * w},)")
+            masks.append(mask)
+        masks = np.stack(masks)
+        score, logits = self._run(batch)
+        main = cross_entropy(logits, masks.reshape(-1))
+        aux = None
+        total = main
         if score is not None:
-            fused = fuse_features(fm, score)
-            coarse_y = SegTarget(y=mask[coarse_centers])
-            aux = seg_aux_loss(score, coarse_y, self.loss_cfg)
-        else:
-            zeros = Tensor(np.zeros((fm.h4 * fm.w4, self.k)))
-            from .tensor import concat
-
-            fused = FeatureMap(
-                h4=fm.h4, w4=fm.w4, c=fm.c + self.k,
-                values=concat([fm.values, zeros], axis=1),
-            )
-
-        logits = self.head(fused.values, fine_to_coarse)
-        main = cross_entropy(logits, mask)
-        if aux is not None:
+            _, coarse_centers = self._maps_for(h, w)
+            aux = seg_aux_loss(score, SegTarget(y=masks[:, coarse_centers].reshape(-1)),
+                               self.loss_cfg)
             total = add(main, mul(aux, self.loss_cfg.aux_weight))
-        else:
-            total = main
         return PipelineOutput(
             main_logits=logits,
             score=score,
@@ -308,28 +350,17 @@ class DensePredPipeline:
             },
         )
 
-    def predict(self, image: Tensor) -> np.ndarray:
-        """Per-pixel argmax; ties resolve to the lowest class id."""
+    def logits(self, images) -> Tensor:
+        """Stacked per-pixel logits of a list of images, (N*H*W, K), without
+        recording."""
         if self.task_mode != TaskMode.SEGMENTATION:
             raise ContractError("prediction requires segmentation mode")
         with no_grad():
-            fm, pooled = self.encode_image(image)
-            if self.text_path is not None:
-                t = self.text_path.embeddings_for_image(pooled)
-                score = compute_score_map(pooled.dense, t, fm.h4, fm.w4)
-                fused = fuse_features(fm, score)
-            else:
-                from .tensor import concat
+            return self._run(stack_images(images))[1]
 
-                zeros = Tensor(np.zeros((fm.h4 * fm.w4, self.k)))
-                fused = FeatureMap(
-                    h4=fm.h4, w4=fm.w4, c=fm.c + self.k,
-                    values=concat([fm.values, zeros], axis=1),
-                )
-            h, w, _ = image.shape
-            fine_to_coarse, _ = self._maps_for(h, w)
-            logits = self.head(fused.values, fine_to_coarse)
-        return np.argmax(logits.data, axis=1)
+    def predict(self, image: Tensor) -> np.ndarray:
+        """Per-pixel argmax; ties resolve to the lowest class id."""
+        return np.argmax(self.logits([image]).data, axis=1)
 
     # -- bookkeeping ----------------------------------------------------------
 
@@ -493,6 +524,9 @@ def load_checkpoint(ckpt_dir) -> DensePredPipeline:
     if manifest.get("has_backbone_adapter"):
         raise ContractError("checkpoints of adapter-swapped pipelines are not restorable")
     params = {name: p for name, p, _ in pipe.parameters()}
+    for name in params:
+        if name not in manifest["params"]:
+            raise KeyError(f"checkpoint lacks parameter {name}")
     for name, entry in manifest["params"].items():
         if name not in params:
             raise KeyError(f"checkpoint parameter {name} not in rebuilt pipeline")

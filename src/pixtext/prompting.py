@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoders import PooledFeatures, TextEmbeddings, ToyTextEncoder, Vocabulary
-from .nn import Linear, decoder_forward, init_uniform
+from .nn import Linear, block_offsets, decoder_forward, init_uniform
 from .tensor import ContractError, ShapeError, Tensor, add, mul_rowvec, take
 
 __all__ = [
@@ -126,6 +126,13 @@ def language_prompt(
     return enc.encode(contexts.p, class_token_lists)
 
 
+def _per_image(rows: Tensor, n: int) -> Tensor:
+    """One copy of `rows` per image, stacked."""
+    if n == 1:
+        return rows
+    return take(rows, np.tile(np.arange(rows.shape[0]), n))
+
+
 def pre_model_prompt(
     queries: LearnableQueries,
     pooled: PooledFeatures,
@@ -134,14 +141,16 @@ def pre_model_prompt(
     enc: ToyTextEncoder,
     class_token_lists,
 ) -> TextEmbeddings:
-    """Extract visual contexts from [global, dense] memory and feed them into
-    the text encoder in place of the learnable contexts."""
-    if queries.q.shape[1] != pooled.dense.shape[1]:
+    """Per image, extract visual contexts from its [global, dense] memory and
+    feed them into the text encoder in place of the learnable contexts."""
+    if queries.q.shape[1] != pooled.memory.shape[1]:
         raise ShapeError(
-            f"query dim {queries.q.shape[1]} != memory dim {pooled.dense.shape[1]}"
+            f"query dim {queries.q.shape[1]} != memory dim {pooled.memory.shape[1]}"
         )
-    visual_ctx = decoder_forward(decoder_layers, queries.q, pooled.memory())
-    return enc.encode(adapter(visual_ctx), class_token_lists)
+    c = queries.q.shape[0]
+    visual_ctx = decoder_forward(decoder_layers, _per_image(queries.q, pooled.n),
+                                 pooled.memory, block_offsets(pooled.n, c), pooled.offsets)
+    return enc.encode(adapter(visual_ctx), class_token_lists, n=pooled.n)
 
 
 def post_model_prompt(
@@ -150,12 +159,17 @@ def post_model_prompt(
     decoder_layers,
     gate: ResidualGate,
 ) -> TextEmbeddings:
-    """Refine existing class embeddings with visual memory through the gated
-    residual: t + gamma * decoder(t, [global, dense])."""
-    if t.t.shape[1] != pooled.dense.shape[1]:
-        raise ShapeError(f"text dim {t.t.shape[1]} != memory dim {pooled.dense.shape[1]}")
-    v_post = decoder_forward(decoder_layers, t.t, pooled.memory())
-    refined = add(t.t, mul_rowvec(v_post, gate.gamma))
+    """Refine the class embeddings with each image's visual memory through
+    the gated residual: t + gamma * decoder(t, [global, dense]). Shared
+    embeddings (K rows) are refined once per image."""
+    if t.t.shape[1] != pooled.memory.shape[1]:
+        raise ShapeError(f"text dim {t.t.shape[1]} != memory dim {pooled.memory.shape[1]}")
+    if t.n not in (1, pooled.n):
+        raise ShapeError(f"embeddings for {t.n} images, memory of {pooled.n}")
+    base = _per_image(t.t, pooled.n // t.n)
+    v_post = decoder_forward(decoder_layers, base, pooled.memory,
+                             block_offsets(pooled.n, t.class_count), pooled.offsets)
+    refined = add(base, mul_rowvec(v_post, gate.gamma))
     return TextEmbeddings(t=refined, class_count=t.class_count)
 
 
@@ -214,17 +228,15 @@ class TextPath:
             return TextEmbeddings(t=self._template_cache, class_count=self.k)
         return language_prompt(self.contexts, self.encoder, self.class_tokens)
 
-    def embeddings_for_image(
-        self, pooled: PooledFeatures, base: TextEmbeddings | None = None
-    ) -> TextEmbeddings:
-        """Final class embeddings used against one image's features."""
+    def embeddings(self, pooled: PooledFeatures) -> TextEmbeddings:
+        """Final class embeddings used against the batch's features: K rows
+        shared by every image, or n*K rows in the image-conditioned modes."""
         if self.mode == PromptMode.PRE_MODEL:
             return pre_model_prompt(
                 self.queries, pooled, self.decoder_layers, self.adapter,
                 self.encoder, self.class_tokens,
             )
-        if base is None:
-            base = self.base_embeddings()
+        base = self.base_embeddings()
         if self.mode == PromptMode.POST_MODEL:
             return post_model_prompt(base, pooled, self.decoder_layers, self.gate)
         return base

@@ -10,6 +10,8 @@ stays auditable.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 import threading
 from contextlib import contextmanager
@@ -32,9 +34,11 @@ __all__ = [
     "div",
     "neg",
     "matmul",
+    "block_matmul_t",
     "linear",
     "transpose",
     "concat",
+    "stack",
     "narrow",
     "take",
     "gather_flat",
@@ -288,6 +292,30 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     )
 
 
+def block_matmul_t(a: Tensor, b: Tensor, n: int) -> Tensor:
+    """Blockwise a_i b_i^T over n equal row blocks; one tape node.
+
+    a is (n*m, d) and b is (n*k, d); block i of the (n*m, k) output is
+    a_i @ b_i^T. With n == 1 this is matmul(a, transpose(b)).
+    """
+    a, b = tensor(a), tensor(b)
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[1]:
+        raise ShapeError(f"block_matmul_t: {a.shape} x {b.shape}^T")
+    if n < 1 or a.shape[0] % n or b.shape[0] % n:
+        raise ShapeError(f"block_matmul_t: {a.shape[0]} and {b.shape[0]} rows in {n} blocks")
+    m, k, d = a.shape[0] // n, b.shape[0] // n, a.shape[1]
+    a3, b3 = a.data.reshape(n, m, d), b.data.reshape(n, k, d)
+
+    def grad_fn(g):
+        g3 = g.reshape(n, m, k)
+        return [
+            np.matmul(g3, b3).reshape(n * m, d),
+            np.matmul(g3.transpose(0, 2, 1), a3).reshape(n * k, d),
+        ]
+
+    return record([a, b], np.matmul(a3, b3.transpose(0, 2, 1)).reshape(n * m, k), grad_fn)
+
+
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Fused x W^T + b; one tape node instead of three.
 
@@ -326,6 +354,17 @@ def concat(parts, axis: int = 0) -> Tensor:
         ]
 
     return record(parts, out, grad_fn)
+
+
+def stack(parts) -> Tensor:
+    """Stack equal-shape tensors along a new leading axis; one tape node."""
+    parts = [tensor(p) for p in parts]
+    if not parts:
+        raise ShapeError("stack of empty list")
+    for i, p in enumerate(parts):
+        if p.shape != parts[0].shape:
+            raise ShapeError(f"stack: part {i} has shape {p.shape}, part 0 {parts[0].shape}")
+    return record(parts, np.stack([p.data for p in parts]), lambda g: list(g))
 
 
 def narrow(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
@@ -396,11 +435,16 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return record([a], out, grad_fn)
 
 
-def mean_rows(a: Tensor) -> Tensor:
-    """Mean over rows of a 2-d tensor, kept as shape (1, C)."""
+def mean_rows(a: Tensor, blocks: int = 1) -> Tensor:
+    """Mean over the rows of each of `blocks` equal row blocks of a 2-d
+    tensor: (blocks * m, C) -> (blocks, C); one tape node."""
     a = tensor(a)
-    n = a.shape[0]
-    return mul(tsum(a, axis=0, keepdims=True), 1.0 / n)
+    if a.data.ndim != 2 or blocks < 1 or a.shape[0] % blocks or a.shape[0] == 0:
+        raise ShapeError(f"mean_rows: {a.shape} in {blocks} blocks")
+    m = a.shape[0] // blocks
+    inv = 1.0 / m
+    out = a.data.reshape(blocks, m, a.shape[1]).sum(axis=1) * inv
+    return record([a], out, lambda g: [np.repeat(g * inv, m, axis=0)])
 
 
 def exp(a: Tensor) -> Tensor:
@@ -438,14 +482,35 @@ def gelu(a: Tensor) -> Tensor:
     """Smooth Gaussian-error-style activation (tanh form)."""
     a = tensor(a)
     x = a.data
-    inner = _GELU_C * (x + _GELU_A * x * x * x)
-    t = np.tanh(inner)
-    out = 0.5 * x * (1.0 + t)
+    # In-place steps keep one temporary per output: batched activations are
+    # large. The values equal those of the textbook expressions:
+    # t = tanh(C (x + A x^3)), out = 0.5 x (1 + t),
+    # d/dx = 0.5 (1 + t) + 0.5 x (1 - t^2) C (1 + 3 A x^2).
+    t = _GELU_A * x
+    t *= x
+    t *= x
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    out = t + 1.0
+    out *= x
+    out *= 0.5
 
     def grad_fn(g):
-        sech2 = 1.0 - t * t
-        d = 0.5 * (1.0 + t) + 0.5 * x * sech2 * _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
-        return [g * d]
+        d = t * t
+        np.subtract(1.0, d, out=d)
+        d *= x
+        d *= 0.5
+        d *= _GELU_C
+        poly = x * (3.0 * _GELU_A)
+        poly *= x
+        poly += 1.0
+        d *= poly
+        np.add(t, 1.0, out=poly)
+        poly *= 0.5
+        d += poly
+        d *= g
+        return [d]
 
     return record([a], out, grad_fn)
 
@@ -527,13 +592,18 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
         raise IndexError(f"label out of range [0, {k})")
     x = logits.data
     m = x.max(axis=1, keepdims=True)
-    logz = m + np.log(np.exp(x - m).sum(axis=1, keepdims=True))
+    e = x - m
+    logz = m + np.log(np.exp(e, out=e).sum(axis=1, keepdims=True))
     loss = float((logz[:, 0] - x[np.arange(n), y]).mean())
 
     def grad_fn(g):
-        p = np.exp(x - logz)
+        # in place: a batch's logits are the largest arrays of a step
+        p = x - logz
+        np.exp(p, out=p)
         p[np.arange(n), y] -= 1.0
-        return [g * p / n]
+        p *= g
+        p /= n
+        return [p]
 
     return record([logits], np.float64(loss), grad_fn)
 
@@ -683,15 +753,25 @@ def write_dct1(path, arr):
 
 
 def read_dct1(path) -> np.ndarray:
+    """Read a DCT1 dump; the header must account for every byte of the file."""
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         magic = fh.read(4)
         if magic != b"DCT1":
             raise ValueError(f"bad magic {magic!r}, expected DCT1")
+        if size < 8:
+            raise ValueError(f"truncated DCT1 header: {size} bytes, no rank")
         (rank,) = struct.unpack("<I", fh.read(4))
-        dims = [struct.unpack("<I", fh.read(4))[0] for _ in range(rank)]
-        count = int(np.prod(dims)) if dims else 1
-        payload = fh.read(8 * count)
-        if len(payload) != 8 * count:
-            raise ValueError("truncated DCT1 payload")
-        arr = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+        if 8 + 4 * rank > size:
+            raise ValueError(f"truncated DCT1 header: rank {rank} needs {8 + 4 * rank} bytes, "
+                             f"file has {size}")
+        dims = list(struct.unpack(f"<{rank}I", fh.read(4 * rank)))
+        expected = 8 + 4 * rank + 8 * math.prod(dims)
+        if expected > size:
+            raise ValueError(f"truncated DCT1 payload: dims {dims} need {expected} bytes, "
+                             f"file has {size}")
+        if expected < size:
+            raise ValueError(f"{size - expected} trailing bytes after the DCT1 payload "
+                             f"of dims {dims}")
+        arr = np.frombuffer(fh.read(expected - 8 - 4 * rank), dtype="<f8").astype(np.float64)
     return arr.reshape(dims)

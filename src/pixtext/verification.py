@@ -114,14 +114,18 @@ def run_gradient_suite(op_tol: float = 1e-5, e2e_tol: float = 1e-4,
     flat_idx = rng.integers(0, 24, size=(3, 4))
     check("gather_flat", _probe_loss(lambda x: T.gather_flat(x, flat_idx)),
           [T.Tensor(rng.standard_normal((2, 4, 3)))])
+    check("stack", _probe_loss(lambda x, y: T.stack([x, y])), [rand((2, 3)), rand((2, 3))])
+    check("block_matmul_t", _probe_loss(lambda a, b: T.block_matmul_t(a, b, 2)),
+          [rand((4, 3)), rand((6, 3))])
+    check("mean_rows_blocks", _probe_loss(lambda x: T.mean_rows(x, 3)), [rand((6, 4))])
 
     # -- blocks --------------------------------------------------------------
     brng = np.random.default_rng(77)
     lin = nn.Linear(4, 3, brng)
     check("linear.x", _probe_loss(lin), [rand((5, 4))])
     xw = rand((5, 4))
-    check("linear.weight", _probe_loss(lambda w: T.add_rowvec(T.matmul(xw, T.transpose(w)), lin.bias)),
-          [T.Tensor(lin.weight.data.copy())])
+    check("linear.weight", _probe_loss(lambda _w: lin(xw)), [lin.weight])
+    check("linear.bias", _probe_loss(lambda _b: lin(xw)), [lin.bias])
 
     ln = nn.LayerNorm(6)
     ln.scale.data = brng.uniform(0.5, 1.5, 6)
@@ -134,6 +138,18 @@ def run_gradient_suite(op_tol: float = 1e-5, e2e_tol: float = 1e-4,
 
     check("attention_heads.qkv", _probe_loss(lambda q, k, v: nn.attention_heads(q, k, v, 2)),
           [rand((3, 8)), rand((5, 8)), rand((5, 8))])
+    # Segmented: self-attention over segments of 2, 3 and 1 rows; cross-
+    # attention with query segments of 1, 3, 2 rows against key/value
+    # segments of 3, 2, 4 rows; and equal-length segments (2 vs 3 rows).
+    check("attention_heads.segments_self",
+          _probe_loss(lambda q, k, v: nn.attention_heads(q, k, v, 2, [0, 2, 5, 6])),
+          [rand((6, 8)), rand((6, 8)), rand((6, 8))])
+    check("attention_heads.segments_cross",
+          _probe_loss(lambda q, k, v: nn.attention_heads(q, k, v, 2, [0, 1, 4, 6], [0, 3, 5, 9])),
+          [rand((6, 8)), rand((9, 8)), rand((9, 8))])
+    check("attention_heads.segments_equal",
+          _probe_loss(lambda q, k, v: nn.attention_heads(q, k, v, 2, [0, 2, 4], [0, 3, 6])),
+          [rand((4, 8)), rand((6, 8)), rand((6, 8))])
 
     mhsa = nn.MultiHeadAttention(8, 2, brng)
     check("mhsa.seq", _probe_loss(mhsa), [rand((3, 8))])
@@ -191,7 +207,7 @@ def run_gradient_suite(op_tol: float = 1e-5, e2e_tol: float = 1e-4,
         pipe = build_pipeline(micro_config(mode), spec.class_names, seed=11)
 
         def seg_forward(img):
-            return pipe.forward(img, sample.mask).loss
+            return pipe.forward([img], [sample.mask]).loss
 
         check(f"pipeline[{mode}].image", seg_forward,
               [T.Tensor(sample.image.data.copy())], tol=e2e_tol)
@@ -204,12 +220,27 @@ def run_gradient_suite(op_tol: float = 1e-5, e2e_tol: float = 1e-4,
             check("pipeline[post].gamma", _pipeline_param_loss(pipe, sample),
                   [pipe.text_path.gate.gamma], tol=e2e_tol)
 
+    # A batch of two: each image's gradient flows through its own segments.
+    pair = datagen.generate(spec, 2, seed=4)
+    masks = [s.mask for s in pair]
+    for mode, wrt in (("post", "gamma"), ("pre", "queries")):
+        pipe = build_pipeline(micro_config(mode), spec.class_names, seed=13)
+
+        def batch_forward(img_a, img_b):
+            return pipe.forward([img_a, img_b], masks).loss
+
+        check(f"pipeline[{mode}].batch2.images", batch_forward,
+              [T.Tensor(s.image.data.copy()) for s in pair], tol=e2e_tol)
+        param = pipe.text_path.gate.gamma if mode == "post" else pipe.text_path.queries.q
+        check(f"pipeline[{mode}].batch2.{wrt}", lambda _p: batch_forward(pair[0].image, pair[1].image),
+              [param], tol=e2e_tol)
+
     det_cfg = micro_config("coop")
     det_cfg.task_mode = "detection"
     det_pipe = build_pipeline(det_cfg, spec.class_names, seed=12)
 
     def det_forward(img):
-        return det_pipe.forward(img, sample.boxes).loss
+        return det_pipe.forward([img], [sample.boxes]).loss
 
     check("pipeline[det].image", det_forward, [T.Tensor(sample.image.data.copy())], tol=e2e_tol)
 
@@ -230,7 +261,7 @@ def _pipeline_param_loss(pipe, sample):
     def f(_param):
         # The parameter tensor is perturbed in place by grad_check; the
         # forward pass reads it straight from the pipeline.
-        return pipe.forward(sample.image, sample.mask).loss
+        return pipe.forward([sample.image], [sample.mask]).loss
 
     return f
 

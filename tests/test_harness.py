@@ -12,6 +12,7 @@ from pixtext.harness import (
     OptimConfig,
     TrainingDiverged,
     clip_gradients,
+    evaluate_miou,
     miou_from_pairs,
     run_ablation,
     train,
@@ -248,6 +249,28 @@ class TestTrain:
         assert echo["temperature"] == 0.07
         assert echo["aux_weight"] == 0.4
         assert report.config["optim"]["multipliers"]["image_encoder"] == 0.1
+
+    def test_one_forward_per_step(self, tiny_task, monkeypatch):
+        spec, dataset = tiny_task
+        pipe = build_pipeline(micro_config("pre"), spec.class_names, seed=4)
+        batch_sizes = []
+        forward = pipe.forward
+
+        def counting_forward(images, targets):
+            batch_sizes.append(len(images))
+            return forward(images, targets)
+
+        monkeypatch.setattr(pipe, "forward", counting_forward)
+        train(pipe, dataset, OptimConfig(steps=3, seed=4))
+        assert batch_sizes == [len(dataset[0])] * 3
+
+    def test_evaluate_in_batches_matches_predict(self):
+        spec = TaskSpec(k=3, height=8, width=8, min_shapes=1, max_shapes=1,
+                        shape_min_px=3, shape_max_px=4, seed=6)
+        samples = generate(spec, 40, seed=6)  # a full batch of 32 and a partial one
+        pipe = build_pipeline(micro_config("pre"), spec.class_names, seed=4)
+        pairs = [(s.mask, pipe.predict(s.image)) for s in samples]
+        assert evaluate_miou(pipe, samples) == miou_from_pairs(pairs, pipe.k)
 
     def test_minibatch_mode_above_threshold(self):
         spec = TaskSpec(k=2, height=8, width=8, min_shapes=1, max_shapes=1,

@@ -256,6 +256,15 @@ class TestScoreMapExport:
         sidecar = json.loads((tmp_path / "score.json").read_text())
         assert sidecar == {"h4": 2, "w4": 2, "k": 2, "class_names": ["bg", "thing"]}
 
+    def test_export_of_stacked_maps_records_image_count(self, tmp_path):
+        import json
+
+        from pixtext.matching import export_score_map
+
+        score = ScoreMap(s=T.Tensor(np.zeros((8, 2))), h4=2, w4=2, k=2, n=2)
+        export_score_map(score, ["bg", "thing"], tmp_path / "score")
+        assert json.loads((tmp_path / "score.json").read_text())["n"] == 2
+
 
 class TestInvariants:
     def test_score_map_constructor_enforces_bounds(self):

@@ -172,3 +172,60 @@ class TestDecoderLayer:
         a = nn.decoder_forward(layers, q, m).data
         b = nn.decoder_forward(layers, q, m).data
         assert np.array_equal(a, b)
+
+
+class TestSegmentedAttention:
+    @staticmethod
+    def per_segment(q, k, v, heads, q_off, kv_off):
+        return np.concatenate([
+            nn.attention_heads(T.Tensor(q[a:b]), T.Tensor(k[c:d]), T.Tensor(v[c:d]), heads).data
+            for a, b, c, d in zip(q_off[:-1], q_off[1:], kv_off[:-1], kv_off[1:])
+        ])
+
+    @pytest.mark.parametrize("q_off,kv_off", [
+        ([0, 2, 5, 6], None),  # self-attention, unequal segments
+        ([0, 1, 4, 6], [0, 3, 5, 9]),  # cross-attention, unequal query and key lengths
+        ([0, 2, 4, 6], [0, 3, 6, 9]),  # equal lengths: the reshape path
+    ])
+    def test_matches_one_call_per_segment(self, rng, q_off, kv_off):
+        nk = (kv_off or q_off)[-1]
+        q = rng.standard_normal((q_off[-1], 8))
+        k, v = rng.standard_normal((nk, 8)), rng.standard_normal((nk, 8))
+        out = nn.attention_heads(T.Tensor(q), T.Tensor(k), T.Tensor(v), 2, q_off, kv_off).data
+        expected = self.per_segment(q, k, v, 2, q_off, kv_off or q_off)
+        assert np.array_equal(out, expected)
+
+    def test_many_segments_span_several_chunks(self, rng):
+        # 40 segments of 64 rows are more than one cache-sized chunk
+        n, length = 40, 64
+        x = rng.standard_normal((n * length, 8))
+        off = nn.block_offsets(n, length)
+        out = nn.attention_heads(T.Tensor(x), T.Tensor(x), T.Tensor(x), 2, off).data
+        assert np.array_equal(out, self.per_segment(x, x, x, 2, off, off))
+
+    def test_one_tape_node_per_call(self, rng):
+        q = T.Tensor(rng.standard_normal((6, 8)), requires_grad=True)
+        with T.fresh_tape() as tape:
+            nn.attention_heads(q, q, q, 2, [0, 2, 5, 6])
+            assert len(tape) == 1
+
+    def test_segments_do_not_mix(self, rng):
+        # changing segment 1's keys leaves segment 0's outputs bitwise unchanged
+        q = rng.standard_normal((5, 8))
+        k = rng.standard_normal((5, 8))
+        a = nn.attention_heads(T.Tensor(q), T.Tensor(k), T.Tensor(k), 2, [0, 2, 5]).data
+        k[2:] += 10.0
+        b = nn.attention_heads(T.Tensor(q), T.Tensor(k), T.Tensor(k), 2, [0, 2, 5]).data
+        assert np.array_equal(a[:2], b[:2])
+        assert not np.allclose(a[2:], b[2:])
+
+    @pytest.mark.parametrize("q_off,kv_off", [
+        ([0, 2, 4], [0, 3]),  # segment counts differ
+        ([0, 2, 2, 4], None),  # empty segment
+        ([0, 3], None),  # does not cover every row
+        ([1, 4], None),  # does not start at 0
+    ])
+    def test_bad_offsets_rejected(self, rng, q_off, kv_off):
+        x = T.Tensor(rng.standard_normal((4, 8)))
+        with pytest.raises(T.ShapeError):
+            nn.attention_heads(x, x, x, 2, q_off, kv_off)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pixtext import tensor as T
+from pixtext.datagen import generate
 from pixtext.encoders import ImageEncoderConfig, ToyImageEncoder
 from pixtext.matching import SegTarget, compute_score_map, fuse_features, seg_aux_loss
 from pixtext.pipeline import (
@@ -23,7 +24,7 @@ from pixtext.tensor import ContractError, cross_entropy
 class TestForwardShapes:
     def test_toy_segmentation_shapes(self, toy_spec, toy_samples):
         pipe = build_pipeline(toy_config("coop"), toy_spec.class_names, seed=0)
-        out = pipe.forward(toy_samples[0].image, toy_samples[0].mask)
+        out = pipe.forward([toy_samples[0].image], [toy_samples[0].mask])
         assert out.score.s.shape == (64, 8)
         assert out.main_logits.shape == (1024, 8)
         fm, _ = pipe.encode_image(toy_samples[0].image)
@@ -32,14 +33,14 @@ class TestForwardShapes:
 
     def test_breakdown_identity(self, toy_spec, toy_samples):
         pipe = build_pipeline(toy_config("coop"), toy_spec.class_names, seed=0)
-        out = pipe.forward(toy_samples[0].image, toy_samples[0].mask)
+        out = pipe.forward([toy_samples[0].image], [toy_samples[0].mask])
         b = out.breakdown
         assert abs(b["total"] - (b["main"] + 0.4 * b["aux"])) < 1e-12
         assert abs(out.loss.item() - b["total"]) < 1e-15
 
     def test_baseline_has_no_score_map_but_same_head_width(self, toy_spec, toy_samples):
         pipe = build_pipeline(toy_config(None), toy_spec.class_names, seed=0)
-        out = pipe.forward(toy_samples[0].image, toy_samples[0].mask)
+        out = pipe.forward([toy_samples[0].image], [toy_samples[0].mask])
         assert out.score is None
         assert out.breakdown["aux"] == 0.0
         assert out.breakdown["total"] == out.breakdown["main"]
@@ -48,7 +49,7 @@ class TestForwardShapes:
     def test_mode_target_mismatch_rejected(self, micro_spec, micro_sample):
         pipe = build_pipeline(micro_config("coop"), micro_spec.class_names, seed=1)
         with pytest.raises(ContractError):
-            pipe.forward(micro_sample.image, np.zeros(3, dtype=int))
+            pipe.forward([micro_sample.image], [np.zeros(3, dtype=int)])
 
 
 class TestDetectionAux:
@@ -56,7 +57,7 @@ class TestDetectionAux:
         cfg = micro_config("coop")
         cfg.task_mode = "detection"
         pipe = build_pipeline(cfg, micro_spec.class_names, seed=1)
-        out = pipe.forward(micro_sample.image, micro_sample.boxes)
+        out = pipe.forward([micro_sample.image], [micro_sample.boxes])
         assert out.main_logits is None
         assert pipe.head is None
         assert out.breakdown["total"] == out.breakdown["aux"]
@@ -76,7 +77,7 @@ class TestSharedScorePath:
         fine_to_coarse, coarse_centers = pipe._maps_for(8, 8)
 
         def build_losses():
-            t = path.embeddings_for_image(pooled)
+            t = path.embeddings(pooled)
             score = compute_score_map(pooled.dense, t, fm.h4, fm.w4)
             fused = fuse_features(fm, score)
             logits = pipe.head(fused.values, fine_to_coarse)
@@ -105,11 +106,22 @@ class TestAblationIdentity:
         post = build_pipeline(toy_config("post"), toy_spec.class_names, seed=3)
         post.text_path.gate.gamma.data = np.zeros_like(post.text_path.gate.gamma.data)
         for s in toy_samples[:3]:
-            a = coop.forward(s.image, s.mask)
-            b = post.forward(s.image, s.mask)
+            a = coop.forward([s.image], [s.mask])
+            b = post.forward([s.image], [s.mask])
             assert a.loss.item() == b.loss.item()
             assert np.array_equal(a.main_logits.data, b.main_logits.data)
             assert np.array_equal(a.score.s.data, b.score.s.data)
+
+    def test_post_with_zero_gate_matches_coop_bitwise_on_a_batch(self, toy_spec, toy_samples):
+        # coop shares K text rows across the batch; post refines one copy per image
+        coop = build_pipeline(toy_config("coop"), toy_spec.class_names, seed=3)
+        post = build_pipeline(toy_config("post"), toy_spec.class_names, seed=3)
+        post.text_path.gate.gamma.data = np.zeros_like(post.text_path.gate.gamma.data)
+        images, masks = [s.image for s in toy_samples[:4]], [s.mask for s in toy_samples[:4]]
+        a, b = coop.forward(images, masks), post.forward(images, masks)
+        assert a.loss.item() == b.loss.item()
+        assert np.array_equal(a.main_logits.data, b.main_logits.data)
+        assert np.array_equal(a.score.s.data, b.score.s.data)
 
 
 class TestPredict:
@@ -156,7 +168,7 @@ class TestSwapBackbone:
         )
         swapped = swap_backbone(pipe, new_enc)
         assert swapped.backbone_adapter is not None
-        out = swapped.forward(micro_sample.image, micro_sample.mask)
+        out = swapped.forward([micro_sample.image], [micro_sample.mask])
         fm, _ = swapped.encode_image(micro_sample.image)
         fused = fuse_features(fm, out.score)
         assert fused.c == 8 + 2  # shared dim + classes, independent of backbone width
@@ -186,8 +198,8 @@ class TestSeedStreams:
     def test_same_seed_same_pipeline(self, toy_spec, toy_samples):
         a = build_pipeline(toy_config("post"), toy_spec.class_names, seed=5)
         b = build_pipeline(toy_config("post"), toy_spec.class_names, seed=5)
-        la = a.forward(toy_samples[0].image, toy_samples[0].mask).loss.item()
-        lb = b.forward(toy_samples[0].image, toy_samples[0].mask).loss.item()
+        la = a.forward([toy_samples[0].image], [toy_samples[0].mask]).loss.item()
+        lb = b.forward([toy_samples[0].image], [toy_samples[0].mask]).loss.item()
         assert la == lb
 
 
@@ -225,3 +237,150 @@ class TestPredictionExport:
         assert lines[1] == "2 2"
         assert lines[2] == "2"
         assert lines[3:] == ["0 1", "2 1"]
+
+
+def _batch_and_singles(pipe, samples, target):
+    """Batched forward and backward, then the same per image (N=1)."""
+    def grads():
+        return {n: None if p.grad is None else p.grad.copy() for n, p, _ in pipe.parameters()}
+
+    def run(batch):
+        T.reset_tape()
+        for _, p, _ in pipe.parameters():
+            p.grad = None
+        out = pipe.forward([s.image for s in batch], [target(s) for s in batch])
+        T.backward(out.loss)
+        return out, grads()
+
+    batched = run(samples)
+    singles = [run([s]) for s in samples]
+    T.reset_tape()
+    return batched, singles
+
+
+def _rel(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+class TestBatchEquivalence:
+    """A batch of N equals the composition of N single-image calls: loss is
+    the mean, logits and score maps stack, gradients average. Only float
+    rounding differs (weight gradients are summed over stacked rows)."""
+
+    CASES = {
+        "none": dict(mode=None),
+        "template": dict(mode="template"),
+        "coop": dict(mode="coop"),
+        "pre": dict(mode="pre"),
+        "post": dict(mode="post"),
+        "detection": dict(mode="coop", detection=True),
+        "swapped_adapter": dict(mode="post", swap=True),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_batched_matches_per_image_calls(self, micro_spec, case):
+        spec = self.CASES[case]
+        cfg = micro_config(spec["mode"])
+        if spec.get("detection"):
+            cfg.task_mode = "detection"
+        pipe = build_pipeline(cfg, micro_spec.class_names, seed=5)
+        if spec.get("swap"):
+            pipe = swap_backbone(pipe, ToyImageEncoder(
+                ImageEncoderConfig(patch=4, width=12, blocks=1, heads=2, out_dim=12),
+                rng_for(99, "swapped"),
+            ))
+        samples = generate(micro_spec, 3, seed=4)
+        target = (lambda s: s.boxes) if spec.get("detection") else (lambda s: s.mask)
+        (out, g_batch), singles = _batch_and_singles(pipe, samples, target)
+
+        losses = [o.loss.item() for o, _ in singles]
+        assert _rel(np.array(out.loss.item()), np.array(np.mean(losses))) <= 1e-12
+        if out.main_logits is not None:
+            stacked = np.concatenate([o.main_logits.data for o, _ in singles])
+            assert _rel(out.main_logits.data, stacked) <= 1e-12
+        if out.score is not None:
+            stacked = np.concatenate([o.score.s.data for o, _ in singles])
+            assert out.score.n == len(samples)
+            assert _rel(out.score.s.data, stacked) <= 1e-12
+        mean_grads = {
+            name: None if g is None else sum(gs[name] for _, gs in singles) / len(samples)
+            for name, g in singles[0][1].items()
+        }
+        # Gradients are compared at 1e-12 of the model's largest gradient
+        # entry. Per parameter the bound is 1e-9: behind the post gate
+        # (1e-4) the decoder's gradients are ~1e-12 of the rest, and key
+        # biases have zero gradient in exact arithmetic, so their own ratios
+        # measure rounding in the large terms.
+        scale = max(np.max(np.abs(g)) for g in mean_grads.values() if g is not None)
+        for name, g in g_batch.items():
+            ref = mean_grads[name]
+            if ref is None:
+                assert g is None, name
+                continue
+            err = np.max(np.abs(g - ref))
+            assert err <= 1e-12 * scale, name
+            if not name.endswith("k_proj.bias"):
+                assert err <= 1e-9 * np.max(np.abs(ref)), name
+
+        if pipe.head is not None:
+            batched = np.argmax(pipe.logits([s.image for s in samples]).data, axis=1)
+            for i, s in enumerate(samples):
+                assert np.array_equal(batched.reshape(len(samples), -1)[i], pipe.predict(s.image))
+
+    def test_tape_length_does_not_grow_with_the_batch(self, micro_spec):
+        pipe = build_pipeline(micro_config("post"), micro_spec.class_names, seed=5)
+        samples = generate(micro_spec, 6, seed=4)
+        lengths = []
+        for n in (2, 6):
+            T.reset_tape()
+            pipe.forward([s.image for s in samples[:n]], [s.mask for s in samples[:n]])
+            lengths.append(len(T.active_tape()))
+        T.reset_tape()
+        assert lengths[0] == lengths[1]
+
+
+class TestInputChecks:
+    def pipe(self, micro_spec):
+        return build_pipeline(micro_config("coop"), micro_spec.class_names, seed=1)
+
+    def test_non_finite_pixel_named_by_index(self, micro_spec):
+        samples = generate(micro_spec, 2, seed=4)
+        bad = T.Tensor(samples[1].image.data.copy())
+        bad.data[3, 4, 1] = np.nan
+        with pytest.raises(ContractError, match="image 1 has non-finite"):
+            self.pipe(micro_spec).forward([samples[0].image, bad], [s.mask for s in samples])
+        with pytest.raises(ContractError, match="image 0 has non-finite"):
+            self.pipe(micro_spec).predict(bad)
+
+    def test_wrong_channel_count_named_by_index(self, micro_spec, micro_sample):
+        four = T.Tensor(np.zeros((8, 8, 4)))
+        with pytest.raises(T.ShapeError, match="image 1: expected H x W x 3"):
+            self.pipe(micro_spec).forward([micro_sample.image, four], [micro_sample.mask] * 2)
+
+    def test_mixed_shapes_named_by_index(self, micro_spec, micro_sample):
+        big = T.Tensor(np.zeros((16, 8, 3)))
+        with pytest.raises(T.ShapeError, match="image 2 has shape"):
+            self.pipe(micro_spec).logits([micro_sample.image, micro_sample.image, big])
+
+    def test_target_count_and_mask_shape(self, micro_spec, micro_sample):
+        pipe = self.pipe(micro_spec)
+        with pytest.raises(ContractError, match="2 images but 1 targets"):
+            pipe.forward([micro_sample.image] * 2, [micro_sample.mask])
+        with pytest.raises(ContractError, match="mask 1 has shape"):
+            pipe.forward([micro_sample.image] * 2, [micro_sample.mask, micro_sample.mask[:5]])
+
+    def test_empty_batch_rejected(self, micro_spec):
+        with pytest.raises(ContractError):
+            self.pipe(micro_spec).forward([], [])
+
+
+class TestCheckpointMissingParameter:
+    def test_missing_parameter_named(self, tmp_path, micro_spec):
+        pipe = build_pipeline(micro_config("coop"), micro_spec.class_names, seed=2)
+        save_checkpoint(pipe, tmp_path / "ckpt")
+        manifest_path = tmp_path / "ckpt" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        del manifest["params"]["head.fc1.bias"]
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(KeyError, match="head.fc1.bias"):
+            load_checkpoint(tmp_path / "ckpt")

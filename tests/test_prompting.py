@@ -38,7 +38,7 @@ class TestPromptMode:
         for mode in ("template", "coop", "pre", "post"):
             pipe = micro_pipe(mode, micro_spec)
             _, pooled = pipe.encode_image(micro_sample.image)
-            t = pipe.text_path.embeddings_for_image(pooled)
+            t = pipe.text_path.embeddings(pooled)
             shapes.add(t.t.shape)
         assert shapes == {(2, 8)}
 
@@ -98,9 +98,9 @@ class TestPreModel:
         samples = generate(micro_spec, 2, seed=9)
         _, pooled_a = pipe.encode_image(samples[0].image)
         _, pooled_b = pipe.encode_image(samples[1].image)
-        t_a1 = pipe.text_path.embeddings_for_image(pooled_a).t.data
-        t_a2 = pipe.text_path.embeddings_for_image(pooled_a).t.data
-        t_b = pipe.text_path.embeddings_for_image(pooled_b).t.data
+        t_a1 = pipe.text_path.embeddings(pooled_a).t.data
+        t_a2 = pipe.text_path.embeddings(pooled_a).t.data
+        t_b = pipe.text_path.embeddings(pooled_b).t.data
         assert np.array_equal(t_a1, t_a2)
         assert np.max(np.abs(t_a1 - t_b)) > 1e-8
 
@@ -112,7 +112,7 @@ class TestPreModel:
                 if "ln" not in name:
                     p.data = np.zeros_like(p.data)
         _, pooled = pipe.encode_image(micro_sample.image)
-        t = path.embeddings_for_image(pooled).t.data
+        t = path.embeddings(pooled).t.data
         # oracle: contexts equal to adapter(q), encoded by the language path
         from pixtext.prompting import PromptContexts
 
@@ -126,7 +126,7 @@ class TestPreModel:
         before = pipe.text_path.encoder.sequences_encoded
         for s in samples:
             _, pooled = pipe.encode_image(s.image)
-            pipe.text_path.embeddings_for_image(pooled)
+            pipe.text_path.embeddings(pooled)
         assert pipe.text_path.encoder.sequences_encoded - before == 3 * pipe.k
 
 
@@ -155,13 +155,13 @@ class TestPostModel:
         _, pooled = pipe.encode_image(micro_sample.image)
         base = path.base_embeddings()
         refined = post_model_prompt(base, pooled, path.decoder_layers, path.gate).t.data
-        v = decoder_forward(path.decoder_layers, base.t, pooled.memory()).data
+        v = decoder_forward(path.decoder_layers, base.t, pooled.memory).data
         expected = base.t.data + path.gate.gamma.data[None, :] * v
         assert np.max(np.abs(refined - expected)) < 1e-12
 
     def test_gate_gradient_flows(self, micro_spec, micro_sample):
         pipe = micro_pipe("post", micro_spec)
-        out = pipe.forward(micro_sample.image, micro_sample.mask)
+        out = pipe.forward([micro_sample.image], [micro_sample.mask])
         T.backward(out.loss)
         gamma = pipe.text_path.gate.gamma
         assert gamma.grad is not None and np.any(gamma.grad != 0)
@@ -170,12 +170,9 @@ class TestPostModel:
 class TestCaching:
     def test_cached_matches_uncached(self, micro_spec, micro_sample):
         pipe = micro_pipe("post", micro_spec)
-        uncached = pipe.forward(micro_sample.image, micro_sample.mask).loss.item()
+        uncached = pipe.forward([micro_sample.image], [micro_sample.mask]).loss.item()
         pipe.cache_text()
-        cached = pipe.forward(
-            micro_sample.image, micro_sample.mask,
-            base_text=cached_text_embeddings(pipe.text_path),
-        ).loss.item()
+        cached = pipe.forward([micro_sample.image], [micro_sample.mask]).loss.item()
         assert abs(cached - uncached) < 1e-12
 
     def test_cached_inference_needs_no_text_encoder(self, micro_spec, micro_sample):

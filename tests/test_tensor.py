@@ -320,3 +320,53 @@ class TestDct1:
         path.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(ValueError):
             T.read_dct1(path)
+
+    @pytest.mark.parametrize("cut,cause", [
+        (6, "no rank"), (10, "truncated DCT1 header"), (20, "truncated DCT1 payload"),
+    ])
+    def test_truncation_rejected(self, tmp_path, cut, cause):
+        path = tmp_path / "dump.dct1"
+        T.write_dct1(path, np.arange(6.0).reshape(2, 3))
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(ValueError, match=cause):
+            T.read_dct1(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "dump.dct1"
+        T.write_dct1(path, np.array([0.0, 1.0, 2.0]))
+        path.write_bytes(path.read_bytes() + b"junk")
+        with pytest.raises(ValueError, match="4 trailing bytes"):
+            T.read_dct1(path)
+
+    def test_dims_checked_against_file_size_before_reading(self, tmp_path):
+        # a header claiming 2^32-1 x 2^32-1 values in a 16-byte file
+        path = tmp_path / "huge.dct1"
+        path.write_bytes(b"DCT1" + (2).to_bytes(4, "little") + b"\xff" * 8)
+        with pytest.raises(ValueError, match="truncated DCT1 payload"):
+            T.read_dct1(path)
+
+
+class TestBatchOps:
+    def test_stack_and_its_gradient(self, rng):
+        parts = [T.Tensor(rng.standard_normal((2, 3))) for _ in range(3)]
+        assert np.array_equal(T.stack(parts).data, np.stack([p.data for p in parts]))
+        probe = T.Tensor(rng.standard_normal((3, 2, 3)))
+        report = T.grad_check(lambda a, b, c: T.tsum(T.mul(T.stack([a, b, c]), probe)), parts)
+        assert report.passed
+
+    def test_stack_rejects_mixed_shapes(self):
+        with pytest.raises(T.ShapeError):
+            T.stack([T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((3, 2)))])
+
+    def test_block_matmul_t_matches_per_block_products(self, rng):
+        a, b = rng.standard_normal((6, 4)), rng.standard_normal((9, 4))
+        out = T.block_matmul_t(T.Tensor(a), T.Tensor(b), 3).data
+        expected = np.concatenate([a[2 * i : 2 * i + 2] @ b[3 * i : 3 * i + 3].T for i in range(3)])
+        assert np.allclose(out, expected, rtol=0, atol=1e-14)
+
+    def test_mean_rows_per_block(self, rng):
+        x = rng.standard_normal((6, 4))
+        out = T.mean_rows(T.Tensor(x), 3).data
+        assert np.allclose(out, x.reshape(3, 2, 4).mean(axis=1), rtol=0, atol=1e-15)
+        with pytest.raises(T.ShapeError):
+            T.mean_rows(T.Tensor(x), 4)
