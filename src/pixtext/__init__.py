@@ -15,8 +15,6 @@ from .encoders import (
     ToyTextEncoder,
     attention_pool,
     build_vocab,
-    encode_image,
-    encode_text,
     freeze,
 )
 from .harness import (
@@ -47,7 +45,6 @@ from .pipeline import (
     build_pipeline,
     load_checkpoint,
     micro_config,
-    predict_segmentation,
     save_checkpoint,
     swap_backbone,
     toy_config,
@@ -55,7 +52,6 @@ from .pipeline import (
 from .prompting import (
     PromptMode,
     ResidualGate,
-    cached_text_embeddings,
     language_prompt,
     post_model_prompt,
     pre_model_prompt,

@@ -30,8 +30,6 @@ __all__ = [
     "ToyImageEncoder",
     "ToyTextEncoder",
     "attention_pool",
-    "encode_image",
-    "encode_text",
     "freeze",
 ]
 
@@ -249,10 +247,6 @@ class ToyImageEncoder:
             yield f"proj.{name}", p
 
 
-def encode_image(enc: ToyImageEncoder, image: Tensor):
-    return enc.encode(image)
-
-
 # ---------------------------------------------------------------------------
 # Text encoder
 
@@ -350,10 +344,6 @@ class ToyTextEncoder:
                 yield f"blocks.{i}.{name}", p
         for name, p in self.proj.parameters():
             yield f"proj.{name}", p
-
-
-def encode_text(enc: ToyTextEncoder, contexts: Tensor | None, class_token_lists) -> TextEmbeddings:
-    return enc.encode(contexts, class_token_lists)
 
 
 def freeze(enc: ToyTextEncoder):

@@ -173,9 +173,14 @@ def miou_from_pairs(pairs, k: int) -> tuple[list, float]:
     Classes absent from both prediction and target are excluded from the
     mean (their IoU reports as None).
     """
-    conf = np.zeros((k, k), dtype=np.int64)
+    conf = np.zeros(k * k, dtype=np.int64)
     for target, pred in pairs:
-        np.add.at(conf, (np.asarray(target), np.asarray(pred)), 1)
+        target, pred = np.asarray(target, dtype=np.intp), np.asarray(pred, dtype=np.intp)
+        for ids in (target, pred):
+            if ids.size and (ids.min() < 0 or ids.max() >= k):
+                raise IndexError(f"class id out of range [0, {k})")
+        conf += np.bincount(target * k + pred, minlength=k * k)
+    conf = conf.reshape(k, k)
     inter = np.diag(conf).astype(np.float64)
     union = conf.sum(axis=0) + conf.sum(axis=1) - np.diag(conf)
     ious: list = []
@@ -200,8 +205,7 @@ def evaluate_miou(pipe: DensePredPipeline, samples) -> tuple[list, float]:
     pairs = []
     for start in range(0, len(samples), EVAL_BATCH):
         batch = samples[start : start + EVAL_BATCH]
-        pred = np.argmax(pipe.logits([s.image for s in batch]).data, axis=1)
-        pairs += zip((s.mask for s in batch), pred.reshape(len(batch), -1))
+        pairs += zip((s.mask for s in batch), pipe.predict([s.image for s in batch]))
     return miou_from_pairs(pairs, pipe.k)
 
 

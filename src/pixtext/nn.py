@@ -28,7 +28,6 @@ __all__ = [
     "attention_heads",
     "block_offsets",
     "MultiHeadAttention",
-    "mhsa_forward",
     "TransformerBlock",
     "TransformerDecoderLayer",
     "decoder_forward",
@@ -266,10 +265,6 @@ class MultiHeadAttention:
         ):
             for name, p in layer.parameters():
                 yield f"{tag}.{name}", p
-
-
-def mhsa_forward(layer: MultiHeadAttention, seq: Tensor) -> Tensor:
-    return layer(seq)
 
 
 class FeedForward:

@@ -2,10 +2,16 @@
 
 images -> feature maps + pooled features -> class embeddings (per prompt
 mode) -> cosine score maps -> [features, scores] fusion -> per-cell decode
-head -> nearest-upsampled per-pixel logits. Total loss is the main
+head -> cell logits, nearest-upsampled to pixels. Total loss is the main
 cross-entropy plus `aux_weight` times the auxiliary score-map loss; the
 detection variant trains on the auxiliary objective alone and never runs
 the decode head.
+
+Nearest upsampling copies a cell's logits to each of its pixels, so the
+per-pixel mean cross-entropy equals a cell-level cross-entropy weighted
+by each cell's pixel label counts. The main loss is computed that way,
+and pixel-level arrays never enter the tape: per-pixel logits and class
+ids are expanded from the cells by plain indexing.
 
 A minibatch runs as one pass on one tape: the images' cells are stacked
 row blocks, and attention, pooling, prompting and scoring work per image
@@ -19,6 +25,7 @@ import json
 import os
 import zlib
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -58,13 +65,12 @@ from .tensor import (
     Tensor,
     add,
     concat,
-    cross_entropy,
+    count_cross_entropy,
     gelu,
     mul,
     no_grad,
     read_dct1,
     stack,
-    take,
     tensor,
     write_dct1,
 )
@@ -78,7 +84,6 @@ __all__ = [
     "build_pipeline",
     "stack_images",
     "swap_backbone",
-    "predict_segmentation",
     "rng_for",
     "save_checkpoint",
     "load_checkpoint",
@@ -190,7 +195,7 @@ def micro_config(prompt_mode: str | None = "coop") -> PipelineConfig:
 
 
 class DecodeHead:
-    """Two-stage per-cell channel mixer plus nearest-neighbor upsampling."""
+    """Two-stage per-cell channel mixer: fused (cells, C) -> (cells, K) logits."""
 
     def __init__(self, in_dim: int, hidden: int, k: int, rng: np.random.Generator):
         self.in_dim = in_dim
@@ -198,9 +203,8 @@ class DecodeHead:
         self.fc1 = Linear(in_dim, hidden, rng)
         self.fc2 = Linear(hidden, k, rng)
 
-    def __call__(self, fused: Tensor, fine_to_coarse: np.ndarray) -> Tensor:
-        coarse = self.fc2(gelu(self.fc1(fused)))
-        return take(coarse, fine_to_coarse)
+    def __call__(self, fused: Tensor) -> Tensor:
+        return self.fc2(gelu(self.fc1(fused)))
 
     def parameters(self):
         for name, p in self.fc1.parameters():
@@ -211,10 +215,23 @@ class DecodeHead:
 
 @dataclass
 class PipelineOutput:
-    main_logits: Tensor | None
+    """`cell_logits` are the decode head's stacked (N*h4*w4, K) logits (None
+    in detection-aux mode); `pixel_index` gives each of the N*H*W pixels
+    its cell row."""
+
+    cell_logits: Tensor | None
     score: ScoreMap | None
     loss: Tensor
     breakdown: dict
+    pixel_index: np.ndarray | None = None
+
+    @cached_property
+    def main_logits(self) -> Tensor | None:
+        """Per-pixel logits (N*H*W, K), expanded from the cells on first
+        read; not on the tape."""
+        if self.cell_logits is None:
+            return None
+        return Tensor(self.cell_logits.data[self.pixel_index])
 
 
 class DensePredPipeline:
@@ -259,6 +276,13 @@ class DensePredPipeline:
         self._index_cache[key] = (fine_to_coarse, coarse_centers)
         return self._index_cache[key]
 
+    def _pixel_index(self, n: int, h: int, w: int) -> np.ndarray:
+        """Row of the stacked cell logits that each of the N*H*W pixels of a
+        batch reads under nearest upsampling."""
+        fine_to_coarse, _ = self._maps_for(h, w)
+        f = self.image_encoder.cfg.patch
+        return (np.arange(n)[:, None] * ((h // f) * (w // f)) + fine_to_coarse).reshape(-1)
+
     # -- encoding -----------------------------------------------------------
 
     def encode_image(self, images: Tensor) -> tuple[FeatureMap, PooledFeatures]:
@@ -277,7 +301,7 @@ class DensePredPipeline:
     def _run(self, batch: Tensor) -> tuple[ScoreMap | None, Tensor | None]:
         """The one forward path of forward, logits and predict: the score
         maps of a stacked batch (None without a language path) and its
-        stacked per-pixel logits (None in detection-aux mode)."""
+        stacked cell logits (None in detection-aux mode)."""
         fm, pooled = self.encode_image(batch)
         score = None
         if self.text_path is not None:
@@ -289,10 +313,7 @@ class DensePredPipeline:
             fused = fuse_features(fm, score).values
         else:
             fused = concat([fm.values, Tensor(np.zeros((fm.values.shape[0], self.k)))], axis=1)
-        n, h, w, _ = batch.shape
-        fine_to_coarse, _ = self._maps_for(h, w)
-        per_image = (np.arange(n)[:, None] * (fm.h4 * fm.w4) + fine_to_coarse).reshape(-1)
-        return score, self.head(fused, per_image)
+        return score, self.head(fused)
 
     def forward(self, images, targets) -> PipelineOutput:
         """Loss over a minibatch: the mean of the per-image losses.
@@ -301,6 +322,8 @@ class DensePredPipeline:
         image, the batch of one); `targets` holds one flat H*W mask per
         image in segmentation mode, one box list per image in
         detection-aux mode. Logits and score maps come back stacked.
+        The main loss is the count-weighted cross-entropy of the cell
+        logits, `counts[c, k]` being the pixels of cell c labelled k.
         """
         if isinstance(images, Tensor):
             images, targets = [images], [targets]
@@ -317,7 +340,7 @@ class DensePredPipeline:
             )
             aux = det_aux_loss(score, DetTarget(y=det_y), self.loss_cfg)
             return PipelineOutput(
-                main_logits=None,
+                cell_logits=None,
                 score=score,
                 loss=aux,
                 breakdown={"main": 0.0, "aux": aux.item(), "total": aux.item()},
@@ -330,8 +353,15 @@ class DensePredPipeline:
                 raise ContractError(f"mask {i} has shape {mask.shape}, expected ({h * w},)")
             masks.append(mask)
         masks = np.stack(masks)
-        score, logits = self._run(batch)
-        main = cross_entropy(logits, masks.reshape(-1))
+        # checked before the bincount, where a bad label would land in a
+        # neighbouring cell
+        if masks.min() < 0 or masks.max() >= self.k:
+            raise IndexError(f"label out of range [0, {self.k})")
+        score, cells = self._run(batch)
+        pixel_index = self._pixel_index(n, h, w)
+        counts = np.bincount(pixel_index * self.k + masks.reshape(-1),
+                             minlength=cells.shape[0] * self.k)
+        main = count_cross_entropy(cells, counts.reshape(-1, self.k))
         aux = None
         total = main
         if score is not None:
@@ -340,7 +370,7 @@ class DensePredPipeline:
                                self.loss_cfg)
             total = add(main, mul(aux, self.loss_cfg.aux_weight))
         return PipelineOutput(
-            main_logits=logits,
+            cell_logits=cells,
             score=score,
             loss=total,
             breakdown={
@@ -348,19 +378,35 @@ class DensePredPipeline:
                 "aux": aux.item() if aux is not None else 0.0,
                 "total": total.item(),
             },
+            pixel_index=pixel_index,
         )
+
+    def _cells(self, images) -> tuple[np.ndarray, np.ndarray]:
+        """Stacked cell logits of a list of images, without recording, and
+        each pixel's row in them."""
+        if self.task_mode != TaskMode.SEGMENTATION:
+            raise ContractError("prediction requires segmentation mode")
+        batch = stack_images(images)
+        with no_grad():
+            cells = self._run(batch)[1].data
+        n, h, w, _ = batch.shape
+        return cells, self._pixel_index(n, h, w)
 
     def logits(self, images) -> Tensor:
         """Stacked per-pixel logits of a list of images, (N*H*W, K), without
         recording."""
-        if self.task_mode != TaskMode.SEGMENTATION:
-            raise ContractError("prediction requires segmentation mode")
-        with no_grad():
-            return self._run(stack_images(images))[1]
+        cells, pixel_index = self._cells(images)
+        return Tensor(cells[pixel_index])
 
-    def predict(self, image: Tensor) -> np.ndarray:
-        """Per-pixel argmax; ties resolve to the lowest class id."""
-        return np.argmax(self.logits([image]).data, axis=1)
+    def predict(self, images) -> np.ndarray:
+        """Per-pixel class ids of one image, (H*W,), or of a list of images,
+        (N, H*W). Each cell's argmax (ties resolve to the lowest class id)
+        is expanded to its pixels, bitwise the argmax of `logits`."""
+        single = not isinstance(images, (list, tuple))
+        batch = [images] if single else images
+        cells, pixel_index = self._cells(batch)
+        pred = np.argmax(cells, axis=1)[pixel_index].reshape(len(batch), -1)
+        return pred[0] if single else pred
 
     # -- bookkeeping ----------------------------------------------------------
 
@@ -488,10 +534,6 @@ def swap_backbone(pipe: DensePredPipeline, new_encoder: ToyImageEncoder) -> Dens
         backbone_adapter=adapter,
     )
     return swapped
-
-
-def predict_segmentation(pipe: DensePredPipeline, image: Tensor) -> np.ndarray:
-    return pipe.predict(image)
 
 
 # ---------------------------------------------------------------------------

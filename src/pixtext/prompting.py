@@ -35,7 +35,6 @@ __all__ = [
     "pre_model_prompt",
     "post_model_prompt",
     "TextPath",
-    "cached_text_embeddings",
     "export_cached_embeddings",
 ]
 
@@ -273,23 +272,14 @@ class TextPath:
                 yield f"gate.{name}", p
 
 
-def cached_text_embeddings(path: "TextPath") -> TextEmbeddings:
-    """Return the frozen post-training embeddings; errors in pre mode."""
-    if path.mode == PromptMode.PRE_MODEL:
-        raise ContractError("cannot cache pre-model embeddings: input is image-dependent")
-    if path.cached is None:
-        path.cache()
-    return TextEmbeddings(t=path.cached, class_count=path.k)
-
-
 def export_cached_embeddings(path: "TextPath", path_prefix):
     """Write `<prefix>.dct1` plus a `<prefix>.json` class-name sidecar."""
     import json
 
     from .tensor import write_dct1
 
-    t = cached_text_embeddings(path)
-    write_dct1(f"{path_prefix}.dct1", t.t)
+    t = path.cached if path.cached is not None else path.cache()
+    write_dct1(f"{path_prefix}.dct1", t)
     with open(f"{path_prefix}.json", "w") as fh:
         json.dump({"class_names": path.class_names, "mode": path.mode.value}, fh,
                   indent=1, sort_keys=True)

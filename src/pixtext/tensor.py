@@ -55,6 +55,7 @@ __all__ = [
     "softmax",
     "l2_normalize",
     "cross_entropy",
+    "count_cross_entropy",
     "bce_with_logits",
     "backward",
     "grad_check",
@@ -394,13 +395,17 @@ def take(a: Tensor, indices, axis: int = 0) -> Tensor:
         raise ShapeError("take supports axis 0 of 2-d tensors")
     if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
         raise IndexError(f"take index out of range for {a.shape[0]} rows")
+    rows, cols = a.shape
 
     def grad_fn(g):
-        full = np.zeros_like(a.data)
-        np.add.at(full, idx, g)
+        # One bincount per column adds in index order, as np.add.at does,
+        # so the sums are bitwise the same.
+        full = np.empty_like(a.data)
+        for j in range(cols):
+            full[:, j] = np.bincount(idx, weights=g[:, j], minlength=rows)
         return [full]
 
-    return record([a], a.data[idx].copy(), grad_fn)
+    return record([a], a.data[idx], grad_fn)
 
 
 def gather_flat(a: Tensor, indices) -> Tensor:
@@ -415,11 +420,11 @@ def gather_flat(a: Tensor, indices) -> Tensor:
         raise IndexError("gather_flat index out of range")
 
     def grad_fn(g):
-        full = np.zeros(flat.size, dtype=np.float64)
-        np.add.at(full, idx.reshape(-1), g.reshape(-1))
+        full = np.bincount(idx.reshape(-1), weights=g.reshape(-1),
+                           minlength=flat.size)
         return [full.reshape(a.data.shape)]
 
-    return record([a], flat[idx].copy(), grad_fn)
+    return record([a], flat[idx], grad_fn)
 
 
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -603,6 +608,46 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
         p[np.arange(n), y] -= 1.0
         p *= g
         p /= n
+        return [p]
+
+    return record([logits], np.float64(loss), grad_fn)
+
+
+def count_cross_entropy(logits: Tensor, counts) -> Tensor:
+    """Mean cross-entropy of items grouped by row: `counts[c, k]` items of
+    row c carry label k. With n_c = sum_k counts[c, k] and N = sum_c n_c,
+
+        loss = sum_c (n_c logZ_c - sum_k counts[c, k] x[c, k]) / N,
+        dloss/dx[c] = (n_c softmax(x[c]) - counts[c]) / N,
+
+    which is `cross_entropy` over the items with row c repeated once per
+    item. The pipeline's main loss uses it on decode-head cells with
+    per-cell pixel label counts: nearest upsampling copies a cell's logits
+    to each of its pixels, so this equals the per-pixel mean.
+    """
+    logits = tensor(logits)
+    w = np.asarray(counts, dtype=np.float64)
+    if logits.data.ndim != 2 or w.shape != logits.shape:
+        raise ShapeError(f"count_cross_entropy: logits {logits.shape}, counts {w.shape}")
+    if np.any(w < 0):
+        raise ContractError("count_cross_entropy counts must be non-negative")
+    total = float(w.sum())
+    if total <= 0:
+        raise ContractError("count_cross_entropy needs at least one counted item")
+    x = logits.data
+    m = x.max(axis=1, keepdims=True)
+    e = x - m
+    logz = m + np.log(np.exp(e, out=e).sum(axis=1, keepdims=True))
+    # summed as counts * -log p: every term is non-negative, so nothing cancels
+    loss = float((w * (logz - x)).sum() / total)
+    n = w.sum(axis=1, keepdims=True)
+
+    def grad_fn(g):
+        p = x - logz
+        np.exp(p, out=p)
+        p *= n
+        p -= w
+        p *= g / total
         return [p]
 
     return record([logits], np.float64(loss), grad_fn)

@@ -119,6 +119,18 @@ def run_gradient_suite(op_tol: float = 1e-5, e2e_tol: float = 1e-4,
           [rand((4, 3)), rand((6, 3))])
     check("mean_rows_blocks", _probe_loss(lambda x: T.mean_rows(x, 3)), [rand((6, 4))])
 
+    # Cell losses from label counts: one label per row, a row with no
+    # items, and rows that mix labels. Own stream, so the checks above and
+    # below see the same data as without these.
+    crng = np.random.default_rng(56)
+    for name, counts in (
+        ("integer", np.array([[16, 0, 0], [0, 0, 16]])),
+        ("zero_row", np.array([[3, 0, 1, 0], [0, 0, 0, 0], [0, 2, 0, 5]])),
+        ("mixed", crng.integers(0, 5, size=(4, 3))),
+    ):
+        check(f"count_cross_entropy.{name}", lambda x, c=counts: T.count_cross_entropy(x, c),
+              [T.Tensor(crng.standard_normal(counts.shape))])
+
     # -- blocks --------------------------------------------------------------
     brng = np.random.default_rng(77)
     lin = nn.Linear(4, 3, brng)

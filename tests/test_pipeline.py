@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pixtext import tensor as T
-from pixtext.datagen import generate
+from pixtext.datagen import TaskSpec, generate
 from pixtext.encoders import ImageEncoderConfig, ToyImageEncoder
 from pixtext.matching import SegTarget, compute_score_map, fuse_features, seg_aux_loss
 from pixtext.pipeline import (
@@ -12,7 +12,6 @@ from pixtext.pipeline import (
     export_prediction,
     load_checkpoint,
     micro_config,
-    predict_segmentation,
     rng_for,
     save_checkpoint,
     swap_backbone,
@@ -80,7 +79,7 @@ class TestSharedScorePath:
             t = path.embeddings(pooled)
             score = compute_score_map(pooled.dense, t, fm.h4, fm.w4)
             fused = fuse_features(fm, score)
-            logits = pipe.head(fused.values, fine_to_coarse)
+            logits = T.take(pipe.head(fused.values), fine_to_coarse)
             main = cross_entropy(logits, micro_sample.mask)
             aux = seg_aux_loss(score, SegTarget(y=micro_sample.mask[coarse_centers]),
                                pipe.loss_cfg)
@@ -128,7 +127,7 @@ class TestPredict:
     def test_deterministic(self, micro_spec, micro_sample):
         pipe = build_pipeline(micro_config("coop"), micro_spec.class_names, seed=1)
         a = pipe.predict(micro_sample.image)
-        b = predict_segmentation(pipe, micro_sample.image)
+        b = pipe.predict(micro_sample.image)
         assert np.array_equal(a, b)
 
     def test_tie_breaks_to_lowest_class(self, micro_spec, micro_sample):
@@ -384,3 +383,76 @@ class TestCheckpointMissingParameter:
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(KeyError, match="head.fc1.bias"):
             load_checkpoint(tmp_path / "ckpt")
+
+
+def _nearest_index(n, h, w, f=4):
+    """Each pixel's row in n stacked (h/f x w/f) cell grids, built by hand."""
+    r, c = np.meshgrid(np.arange(h) // f, np.arange(w) // f, indexing="ij")
+    per_image = (r * (w // f) + c).reshape(-1)
+    return (np.arange(n)[:, None] * ((h // f) * (w // f)) + per_image).reshape(-1)
+
+
+class TestCellLoss:
+    """The main loss runs on cells with per-cell label counts; it equals the
+    per-pixel cross-entropy of the nearest-upsampled logits."""
+
+    @pytest.mark.parametrize("config", ["micro", "toy"])
+    def test_matches_pixel_cross_entropy(self, micro_spec, toy_spec, config):
+        spec = micro_spec if config == "micro" else toy_spec
+        make = micro_config if config == "micro" else toy_config
+        pipe = build_pipeline(make("coop"), spec.class_names, seed=5)
+        samples = generate(spec, 3, seed=4)
+        with T.fresh_tape():
+            out = pipe.forward([s.image for s in samples], [s.mask for s in samples])
+        cells = out.cell_logits.data
+        index = _nearest_index(3, spec.height, spec.width)
+        labels = np.concatenate([s.mask for s in samples])
+        counts = np.zeros(cells.shape, dtype=np.int64)
+        np.add.at(counts, (index, labels), 1)
+        assert np.any((counts > 0).sum(axis=1) > 1)  # some cells mix labels
+        assert np.array_equal(out.pixel_index, index)
+
+        x_pixel = T.Tensor(cells.copy(), requires_grad=True)
+        x_cell = T.Tensor(cells.copy(), requires_grad=True)
+        with T.fresh_tape():
+            ref = T.cross_entropy(T.take(x_pixel, index), labels)
+            T.backward(ref)
+            cell = T.count_cross_entropy(x_cell, counts)
+            T.backward(cell)
+        assert abs(cell.item() - ref.item()) <= 1e-12 * abs(ref.item())
+        assert abs(out.breakdown["main"] - ref.item()) <= 1e-12 * abs(ref.item())
+        assert _rel(x_cell.grad, x_pixel.grad) <= 1e-12
+        assert np.array_equal(out.main_logits.data, cells[index])
+
+    @pytest.mark.parametrize("size", [32, 64])
+    def test_predict_is_the_argmax_of_logits(self, size):
+        spec = TaskSpec(height=size, width=size)
+        images = [s.image for s in generate(spec, 2, seed=6)]
+        pipe = build_pipeline(toy_config("coop"), spec.class_names, seed=5)
+        tied = build_pipeline(toy_config("coop"), spec.class_names, seed=5)
+        tied.head.fc2.weight.data[:] = 0.0
+        tied.head.fc2.bias.data[:] = 0.0
+        tied.head.fc2.bias.data[[2, 5]] = 1.0  # every pixel ties between classes 2 and 5
+        for p in (pipe, tied):
+            ref = np.argmax(p.logits(images).data, axis=1).reshape(2, -1)
+            pred = p.predict(images)
+            assert pred.dtype == ref.dtype and pred.tobytes() == ref.tobytes()
+            assert p.predict(images[1]).tobytes() == ref[1].tobytes()
+        assert np.all(tied.predict(images) == 2)
+
+    @pytest.mark.parametrize("bad", [2, -1])
+    def test_out_of_range_label_raises(self, micro_spec, micro_sample, bad):
+        pipe = build_pipeline(micro_config("coop"), micro_spec.class_names, seed=1)
+        mask = micro_sample.mask.copy()
+        mask[5] = bad
+        with pytest.raises(IndexError, match="label out of range"):
+            pipe.forward([micro_sample.image, micro_sample.image], [micro_sample.mask, mask])
+
+    def test_no_pixel_rows_on_the_tape(self, toy_spec, toy_samples):
+        # pixel-level arrays (N*H*W rows) stay off the tape
+        pipe = build_pipeline(toy_config("post"), toy_spec.class_names, seed=5)
+        batch = toy_samples[:4]
+        with T.fresh_tape() as tape:
+            pipe.forward([s.image for s in batch], [s.mask for s in batch])
+        rows = {node.output.shape[0] for node in tape.nodes if node.output.data.ndim}
+        assert rows and 4 * toy_spec.height * toy_spec.width not in rows

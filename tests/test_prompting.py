@@ -8,7 +8,6 @@ from pixtext.pipeline import build_pipeline, micro_config
 from pixtext.prompting import (
     GATE_PRESETS,
     PromptMode,
-    cached_text_embeddings,
     export_cached_embeddings,
     language_prompt,
     post_model_prompt,
@@ -186,16 +185,14 @@ class TestCaching:
     def test_pre_model_cache_is_contract_error(self, micro_spec):
         pipe = micro_pipe("pre", micro_spec)
         with pytest.raises(ContractError):
-            cached_text_embeddings(pipe.text_path)
-        with pytest.raises(ContractError):
             pipe.text_path.cache()
 
     def test_cache_snapshot_is_constant(self, micro_spec):
         pipe = micro_pipe("coop", micro_spec)
         snap = pipe.text_path.cache()
         assert not snap.requires_grad
-        t = cached_text_embeddings(pipe.text_path)
-        assert np.array_equal(t.t.data, snap.data)
+        t = pipe.text_path.cache()
+        assert np.array_equal(t.data, snap.data)
 
     def test_export_cached_embeddings(self, micro_spec, tmp_path):
         import json

@@ -370,3 +370,61 @@ class TestBatchOps:
         assert np.allclose(out, x.reshape(3, 2, 4).mean(axis=1), rtol=0, atol=1e-15)
         with pytest.raises(T.ShapeError):
             T.mean_rows(T.Tensor(x), 4)
+
+
+def _add_at(shape, idx, g):
+    ref = np.zeros(shape)
+    np.add.at(ref, idx, g)
+    return ref
+
+
+class TestScatterGradients:
+    """take and gather_flat gradients equal the np.add.at sums bitwise."""
+
+    @pytest.mark.parametrize("repeated", [False, True])
+    def test_take_backward_matches_add_at(self, rng, repeated):
+        idx = rng.integers(0, 5, size=200) if repeated else rng.permutation(5)[:4]
+        x = T.Tensor(rng.standard_normal((5, 3)), requires_grad=True)
+        g = rng.standard_normal((idx.size, 3))
+        g[0] = -0.0  # add.at writes +0.0 for it
+        with T.fresh_tape():
+            T.backward(T.tsum(T.mul(T.take(x, idx), T.Tensor(g))))
+        assert x.grad.tobytes() == _add_at((5, 3), idx, g).tobytes()
+
+    @pytest.mark.parametrize("repeated", [False, True])
+    def test_gather_flat_backward_matches_add_at(self, rng, repeated):
+        idx = (rng.integers(0, 24, size=(30, 4)) if repeated
+               else rng.permutation(24)[:12].reshape(3, 4))
+        x = T.Tensor(rng.standard_normal((2, 4, 3)), requires_grad=True)
+        g = rng.standard_normal(idx.shape)
+        g[0, 0] = -0.0
+        with T.fresh_tape():
+            T.backward(T.tsum(T.mul(T.gather_flat(x, idx), T.Tensor(g))))
+        ref = _add_at(24, idx.reshape(-1), g.reshape(-1)).reshape(2, 4, 3)
+        assert x.grad.tobytes() == ref.tobytes()
+
+
+class TestCountCrossEntropy:
+    def test_matches_cross_entropy_over_repeated_rows(self, rng):
+        counts = np.array([[2, 0, 1], [0, 0, 0], [1, 3, 0]])
+        rows, labels = np.nonzero(counts)
+        rows, labels = np.repeat(rows, counts[rows, labels]), np.repeat(labels, counts[rows, labels])
+        x_cell = T.Tensor(rng.standard_normal((3, 3)), requires_grad=True)
+        x_item = T.Tensor(x_cell.data.copy(), requires_grad=True)
+        with T.fresh_tape():
+            cell = T.count_cross_entropy(x_cell, counts)
+            T.backward(cell)
+            item = T.cross_entropy(T.take(x_item, rows), labels)
+            T.backward(item)
+        assert abs(cell.item() - item.item()) <= 4e-15 * abs(item.item())
+        assert np.max(np.abs(x_cell.grad - x_item.grad)) <= 1e-15
+        assert np.all(x_cell.grad[1] == 0.0)
+
+    def test_rejects_bad_counts(self, rng):
+        x = T.Tensor(rng.standard_normal((2, 3)))
+        with pytest.raises(T.ShapeError):
+            T.count_cross_entropy(x, np.ones((2, 2)))
+        with pytest.raises(T.ContractError, match="non-negative"):
+            T.count_cross_entropy(x, [[1, -1, 0], [0, 0, 1]])
+        with pytest.raises(T.ContractError, match="at least one"):
+            T.count_cross_entropy(x, np.zeros((2, 3)))
