@@ -49,14 +49,7 @@ from .pipeline import (
     swap_backbone,
     toy_config,
 )
-from .prompting import (
-    PromptMode,
-    ResidualGate,
-    language_prompt,
-    post_model_prompt,
-    pre_model_prompt,
-    template_embed,
-)
+from .prompting import PromptMode, post_model_prompt, pre_model_prompt
 from .tensor import Tensor, backward, grad_check, read_dct1, reset_tape, write_dct1
 
 __version__ = "0.1.0"

@@ -10,7 +10,6 @@ the last position is our stand-in for an end-of-text readout.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -118,25 +117,6 @@ class Vocabulary:
                 raise KeyError(f"unknown class name {name!r}")
             out.append(self.class_tokens[name])
         return out
-
-    def save(self, path):
-        payload = {
-            "template": self.template_ids,
-            "classes": self.class_tokens,
-            "size": self.size,
-        }
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
-
-    @staticmethod
-    def load(path) -> "Vocabulary":
-        with open(path) as fh:
-            payload = json.load(fh)
-        return Vocabulary(
-            template_ids=list(payload["template"]),
-            class_tokens={k: list(v) for k, v in payload["classes"].items()},
-            size=int(payload["size"]),
-        )
 
 
 def build_vocab(class_names, template_len: int = 8) -> Vocabulary:

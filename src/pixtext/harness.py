@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .datagen import SyntheticSample
-from .pipeline import DensePredPipeline, PipelineConfig, TaskMode, build_pipeline, toy_config
+from .pipeline import DensePredPipeline, PipelineConfig, build_pipeline, toy_config
 from .tensor import ContractError, Tensor, backward, reset_tape
 
 __all__ = [
@@ -49,7 +49,7 @@ class OptimConfig:
     multipliers: dict = field(default_factory=_default_multipliers)
     clip_norm: float | None = None
     steps: int = 120
-    batch_size: int = 32  # used only when the dataset exceeds 64 samples
+    batch_size: int = 32
     seed: int = 0
 
     def __post_init__(self):
@@ -66,9 +66,10 @@ class OptimConfig:
 class AdamW:
     """Decoupled-weight-decay Adam over named parameter groups.
 
-    Parameters in a zero-multiplier group are never read or written; a
-    trainable parameter arriving at `step` without a gradient is a
-    contract violation, not a silent skip.
+    `step` never updates a parameter in a zero-multiplier group;
+    `zero_grad` clears every parameter's gradient, so none carries over
+    from one step to the next. A trainable parameter arriving at `step`
+    without a gradient is a contract violation, not a silent skip.
     """
 
     def __init__(self, params, cfg: OptimConfig):
@@ -83,9 +84,8 @@ class AdamW:
         return self.cfg.multipliers.get(group, 1.0)
 
     def zero_grad(self):
-        for _, p, group in self.params:
-            if p.requires_grad and self._multiplier(group) > 0.0:
-                p.grad = None
+        for _, p, _ in self.params:
+            p.grad = None
 
     def step(self):
         self.t += 1
@@ -210,16 +210,15 @@ def evaluate_miou(pipe: DensePredPipeline, samples) -> tuple[list, float]:
 
 
 def _target_for(pipe: DensePredPipeline, sample: SyntheticSample):
-    if pipe.task_mode == TaskMode.DETECTION_AUX:
-        return sample.boxes
-    return sample.mask
+    return sample.boxes if pipe.head is None else sample.mask
 
 
 def train(pipe: DensePredPipeline, dataset, cfg: OptimConfig) -> RunReport:
     """Run the step budget on (train, eval) samples and report.
 
-    Batching is full-dataset up to 64 samples, seeded minibatches above;
-    each step is one batched `forward` call on one tape.
+    A dataset of at most `cfg.batch_size` samples trains full-batch in
+    index order; a larger one draws a seeded minibatch of `batch_size`
+    samples each step. Each step is one batched `forward` call on one tape.
     Aborts with TrainingDiverged the moment the loss stops being finite.
     """
     train_samples, eval_samples = dataset
@@ -227,7 +226,6 @@ def train(pipe: DensePredPipeline, dataset, cfg: OptimConfig) -> RunReport:
     opt = AdamW(list(pipe.parameters()), cfg)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed & 0xFFFFFFFF, 0xB47C]))
     n = len(train_samples)
-    full_batch = n <= 64
 
     text_before = pipe.text_sequence_count()
     loss_series: list[float] = []
@@ -237,7 +235,7 @@ def train(pipe: DensePredPipeline, dataset, cfg: OptimConfig) -> RunReport:
     for step in range(cfg.steps):
         reset_tape()
         opt.zero_grad()
-        if full_batch:
+        if n <= cfg.batch_size:
             order = np.arange(n)
         else:
             order = rng.permutation(n)[: cfg.batch_size]
@@ -266,7 +264,7 @@ def train(pipe: DensePredPipeline, dataset, cfg: OptimConfig) -> RunReport:
     text_fwd_train = pipe.text_sequence_count() - text_before
     pipe.cache_text()
 
-    if pipe.task_mode == TaskMode.SEGMENTATION:
+    if pipe.head is not None:
         _, train_miou = evaluate_miou(pipe, train_samples)
         infer_before = pipe.text_sequence_count()
         per_class, eval_miou = evaluate_miou(pipe, eval_samples)

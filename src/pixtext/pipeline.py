@@ -20,7 +20,6 @@ segment. A single image is the batch of one.
 
 from __future__ import annotations
 
-import enum
 import json
 import os
 import zlib
@@ -50,15 +49,8 @@ from .matching import (
     rasterize_boxes,
     seg_aux_loss,
 )
-from .nn import Linear, TransformerDecoderLayer
-from .prompting import (
-    GATE_PRESETS,
-    LearnableQueries,
-    PromptContexts,
-    PromptMode,
-    ResidualGate,
-    TextPath,
-)
+from .nn import Linear, TransformerDecoderLayer, init_uniform
+from .prompting import GATE_PRESETS, PromptMode, TextPath
 from .tensor import (
     ContractError,
     ShapeError,
@@ -76,7 +68,6 @@ from .tensor import (
 )
 
 __all__ = [
-    "TaskMode",
     "PipelineConfig",
     "DecodeHead",
     "DensePredPipeline",
@@ -122,11 +113,6 @@ def rng_for(seed: int, name: str) -> np.random.Generator:
     )
 
 
-class TaskMode(enum.Enum):
-    SEGMENTATION = "segmentation"
-    DETECTION_AUX = "detection"
-
-
 @dataclass
 class PipelineConfig:
     """Bare defaults follow the full-scale recipe (context length 8,
@@ -146,7 +132,7 @@ class PipelineConfig:
     gate_preset: str = "learnable_small"
     head_hidden: int = 64
     loss: LossConfig = field(default_factory=LossConfig)
-    task_mode: str = "segmentation"
+    task_mode: str = "segmentation"  # segmentation|detection
     freeze_text: bool = True
 
     def to_dict(self) -> dict:
@@ -235,6 +221,9 @@ class PipelineOutput:
 
 
 class DensePredPipeline:
+    """Without a decode head (`head is None`) the pipeline runs in
+    detection-aux mode: box targets and the auxiliary loss alone."""
+
     def __init__(
         self,
         cfg: PipelineConfig,
@@ -253,10 +242,9 @@ class DensePredPipeline:
         self.head = head
         self.seed = seed
         self.backbone_adapter = backbone_adapter
-        self.task_mode = TaskMode(cfg.task_mode)
         self.loss_cfg = cfg.loss
         self._index_cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-        if self.task_mode == TaskMode.DETECTION_AUX and text_path is None:
+        if head is None and text_path is None:
             raise ContractError("detection-aux mode needs the language path")
 
     # -- geometry helpers ---------------------------------------------------
@@ -333,7 +321,7 @@ class DensePredPipeline:
         if len(targets) != n:
             raise ContractError(f"{n} images but {len(targets)} targets")
 
-        if self.task_mode == TaskMode.DETECTION_AUX:
+        if self.head is None:
             score, _ = self._run(batch)
             det_y = np.concatenate(
                 [rasterize_boxes(boxes, score.h4, score.w4, self.k).y for boxes in targets]
@@ -384,7 +372,7 @@ class DensePredPipeline:
     def _cells(self, images) -> tuple[np.ndarray, np.ndarray]:
         """Stacked cell logits of a list of images, without recording, and
         each pixel's row in them."""
-        if self.task_mode != TaskMode.SEGMENTATION:
+        if self.head is None:
             raise ContractError("prediction requires segmentation mode")
         batch = stack_images(images)
         with no_grad():
@@ -453,18 +441,18 @@ def _build_text_path(cfg: PipelineConfig, class_names, vocab: Vocabulary, seed: 
                                     "out_dim": cfg.shared_dim})
     encoder = ToyTextEncoder(text_cfg, rng_for(seed, "text_encoder"), frozen=cfg.freeze_text)
 
-    contexts = queries = adapter = gate = None
+    contexts = queries = adapter = gamma = None
     decoder_layers = []
     if mode in (PromptMode.LANGUAGE_ONLY, PromptMode.POST_MODEL):
         if cfg.context_init == "template":
             ids = (vocab.template_ids * ((cfg.context_len // max(len(vocab.template_ids), 1)) + 1))[
                 : cfg.context_len
             ]
-            contexts = PromptContexts.from_template(encoder, ids)
+            rows = encoder.table.data[np.asarray(ids, dtype=np.intp)].copy()
         else:
-            contexts = PromptContexts.random(
-                rng_for(seed, "contexts"), cfg.context_len, text_cfg.width
-            )
+            rows = init_uniform(rng_for(seed, "contexts"), (cfg.context_len, text_cfg.width),
+                                text_cfg.width)
+        contexts = Tensor(rows, requires_grad=True)
     if mode in (PromptMode.PRE_MODEL, PromptMode.POST_MODEL):
         rng_dec = rng_for(seed, "prompt_decoder")
         decoder_layers = [
@@ -475,11 +463,12 @@ def _build_text_path(cfg: PipelineConfig, class_names, vocab: Vocabulary, seed: 
             for _ in range(cfg.prompt_decoder_depth)
         ]
     if mode == PromptMode.PRE_MODEL:
-        queries = LearnableQueries.random(rng_for(seed, "queries"), cfg.context_len, cfg.shared_dim)
+        queries = Tensor(init_uniform(rng_for(seed, "queries"), (cfg.context_len, cfg.shared_dim),
+                                      cfg.shared_dim), requires_grad=True)
         adapter = Linear(cfg.shared_dim, text_cfg.width, rng_for(seed, "pre_adapter"))
     if mode == PromptMode.POST_MODEL:
         init_value, learnable = GATE_PRESETS[cfg.gate_preset]
-        gate = ResidualGate.create(cfg.shared_dim, init_value, learnable)
+        gamma = Tensor(np.full(cfg.shared_dim, init_value), requires_grad=learnable)
 
     return TextPath(
         mode=mode,
@@ -490,7 +479,7 @@ def _build_text_path(cfg: PipelineConfig, class_names, vocab: Vocabulary, seed: 
         queries=queries,
         adapter=adapter,
         decoder_layers=decoder_layers,
-        gate=gate,
+        gamma=gamma,
     )
 
 
@@ -502,8 +491,10 @@ def build_pipeline(cfg: PipelineConfig, class_names, seed: int) -> DensePredPipe
     image_encoder = ToyImageEncoder(cfg.image, rng_for(seed, "image_encoder"))
     text_path = _build_text_path(cfg, class_names, vocab, seed)
     k = len(class_names)
+    if cfg.task_mode not in ("segmentation", "detection"):
+        raise ValueError(f"unknown task mode {cfg.task_mode!r}; use segmentation|detection")
     head = None
-    if TaskMode(cfg.task_mode) == TaskMode.SEGMENTATION:
+    if cfg.task_mode == "segmentation":
         head = DecodeHead(cfg.shared_dim + k, cfg.head_hidden, k, rng_for(seed, "head"))
     return DensePredPipeline(
         cfg=cfg,

@@ -2,7 +2,7 @@
 
 Four mutually exclusive modes:
 
-* ``template``  - fixed context tokens, nothing in the text path trains.
+* ``template``  - fixed context tokens; only an unfrozen encoder trains.
 * ``coop``      - learnable context rows prepended to class tokens.
 * ``pre``       - a transformer decoder turns visual memory into context
                   rows that are fed *into* the text encoder, so the text
@@ -11,27 +11,25 @@ Four mutually exclusive modes:
                   refines the text encoder's *output* with a small gated
                   residual, so the encoder itself can be dropped after
                   training by caching its output.
+
+The learnable tensors are plain attributes of ``TextPath``: ``contexts``
+(coop, post; checkpointed as ``contexts.p``), ``queries`` (pre;
+``queries.q``) and the post-mode gate ``gamma`` (``gate.gamma``).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
 from .encoders import PooledFeatures, TextEmbeddings, ToyTextEncoder, Vocabulary
-from .nn import Linear, block_offsets, decoder_forward, init_uniform
+from .nn import Linear, block_offsets, decoder_forward
 from .tensor import ContractError, ShapeError, Tensor, add, mul_rowvec, take
 
 __all__ = [
     "PromptMode",
-    "PromptContexts",
-    "LearnableQueries",
-    "ResidualGate",
     "GATE_PRESETS",
-    "template_embed",
-    "language_prompt",
     "pre_model_prompt",
     "post_model_prompt",
     "TextPath",
@@ -53,76 +51,12 @@ class PromptMode(enum.Enum):
         raise ValueError(f"unknown prompt mode {name!r}; use template|coop|pre|post")
 
 
-@dataclass
-class PromptContexts:
-    """Learnable context rows at text-encoder width; trainable regardless of
-    whether the encoder itself is frozen."""
-
-    p: Tensor
-
-    @staticmethod
-    def from_template(enc: ToyTextEncoder, template_ids) -> "PromptContexts":
-        rows = enc.table.data[np.asarray(template_ids, dtype=np.intp)].copy()
-        return PromptContexts(p=Tensor(rows, requires_grad=True))
-
-    @staticmethod
-    def random(rng: np.random.Generator, n: int, width: int) -> "PromptContexts":
-        return PromptContexts(p=Tensor(init_uniform(rng, (n, width), width), requires_grad=True))
-
-    def parameters(self):
-        yield "p", self.p
-
-
-@dataclass
-class LearnableQueries:
-    q: Tensor
-
-    @staticmethod
-    def random(rng: np.random.Generator, n: int, dim: int) -> "LearnableQueries":
-        return LearnableQueries(q=Tensor(init_uniform(rng, (n, dim), dim), requires_grad=True))
-
-    def parameters(self):
-        yield "q", self.q
-
-
-@dataclass
-class ResidualGate:
-    """Per-channel scale on the visual-context residual."""
-
-    gamma: Tensor
-    learnable: bool = True
-
-    @staticmethod
-    def create(dim: int, init_value: float, learnable: bool) -> "ResidualGate":
-        return ResidualGate(
-            gamma=Tensor(np.full(dim, init_value), requires_grad=learnable),
-            learnable=learnable,
-        )
-
-    def parameters(self):
-        yield "gamma", self.gamma
-
-
 # Named configurations used by the gate ablation: (init value, learnable).
 GATE_PRESETS = {
     "fixed_small": (1e-4, False),
     "learnable_small": (1e-4, True),
     "learnable_one": (1.0, True),
 }
-
-
-def template_embed(enc: ToyTextEncoder, class_token_lists, template_ids) -> TextEmbeddings:
-    """Encode classes behind the fixed template context tokens."""
-    ctx = take(enc.table, np.asarray(template_ids, dtype=np.intp))
-    return enc.encode(ctx, class_token_lists)
-
-
-def language_prompt(
-    contexts: PromptContexts, enc: ToyTextEncoder, class_token_lists
-) -> TextEmbeddings:
-    """Encode classes behind the learnable context rows; gradient reaches the
-    contexts even when the encoder is frozen."""
-    return enc.encode(contexts.p, class_token_lists)
 
 
 def _per_image(rows: Tensor, n: int) -> Tensor:
@@ -133,7 +67,7 @@ def _per_image(rows: Tensor, n: int) -> Tensor:
 
 
 def pre_model_prompt(
-    queries: LearnableQueries,
+    queries: Tensor,
     pooled: PooledFeatures,
     decoder_layers,
     adapter: Linear,
@@ -142,12 +76,10 @@ def pre_model_prompt(
 ) -> TextEmbeddings:
     """Per image, extract visual contexts from its [global, dense] memory and
     feed them into the text encoder in place of the learnable contexts."""
-    if queries.q.shape[1] != pooled.memory.shape[1]:
-        raise ShapeError(
-            f"query dim {queries.q.shape[1]} != memory dim {pooled.memory.shape[1]}"
-        )
-    c = queries.q.shape[0]
-    visual_ctx = decoder_forward(decoder_layers, _per_image(queries.q, pooled.n),
+    if queries.shape[1] != pooled.memory.shape[1]:
+        raise ShapeError(f"query dim {queries.shape[1]} != memory dim {pooled.memory.shape[1]}")
+    c = queries.shape[0]
+    visual_ctx = decoder_forward(decoder_layers, _per_image(queries, pooled.n),
                                  pooled.memory, block_offsets(pooled.n, c), pooled.offsets)
     return enc.encode(adapter(visual_ctx), class_token_lists, n=pooled.n)
 
@@ -156,7 +88,7 @@ def post_model_prompt(
     t: TextEmbeddings,
     pooled: PooledFeatures,
     decoder_layers,
-    gate: ResidualGate,
+    gamma: Tensor,
 ) -> TextEmbeddings:
     """Refine the class embeddings with each image's visual memory through
     the gated residual: t + gamma * decoder(t, [global, dense]). Shared
@@ -168,7 +100,7 @@ def post_model_prompt(
     base = _per_image(t.t, pooled.n // t.n)
     v_post = decoder_forward(decoder_layers, base, pooled.memory,
                              block_offsets(pooled.n, t.class_count), pooled.offsets)
-    refined = add(base, mul_rowvec(v_post, gate.gamma))
+    refined = add(base, mul_rowvec(v_post, gamma))
     return TextEmbeddings(t=refined, class_count=t.class_count)
 
 
@@ -181,11 +113,11 @@ class TextPath:
         encoder: ToyTextEncoder,
         vocab: Vocabulary,
         class_names,
-        contexts: PromptContexts | None = None,
-        queries: LearnableQueries | None = None,
+        contexts: Tensor | None = None,
+        queries: Tensor | None = None,
         adapter: Linear | None = None,
         decoder_layers=None,
-        gate: ResidualGate | None = None,
+        gamma: Tensor | None = None,
     ):
         self.mode = mode
         self.encoder = encoder
@@ -196,16 +128,15 @@ class TextPath:
         self.queries = queries
         self.adapter = adapter
         self.decoder_layers = decoder_layers or []
-        self.gate = gate
+        self.gamma = gamma
         self.cached: Tensor | None = None
-        self._template_cache: Tensor | None = None
         if mode in (PromptMode.LANGUAGE_ONLY, PromptMode.POST_MODEL) and contexts is None:
             raise ContractError(f"{mode.value} mode needs learnable contexts")
         if mode == PromptMode.PRE_MODEL and (
             queries is None or adapter is None or not self.decoder_layers
         ):
             raise ContractError("pre mode needs queries, adapter and a decoder")
-        if mode == PromptMode.POST_MODEL and (gate is None or not self.decoder_layers):
+        if mode == PromptMode.POST_MODEL and (gamma is None or not self.decoder_layers):
             raise ContractError("post mode needs a gate and a decoder")
 
     @property
@@ -213,19 +144,25 @@ class TextPath:
         return len(self.class_names)
 
     def base_embeddings(self) -> TextEmbeddings:
-        """Image-independent class embeddings (pre-gate for post mode)."""
+        """Image-independent class embeddings (pre-gate for post mode).
+
+        Template mode fills `cached` on first use when the encoder is
+        frozen, since nothing upstream of it can train; with an unfrozen
+        encoder it encodes on every call, so the gradient reaches the
+        encoder.
+        """
         if self.mode == PromptMode.PRE_MODEL:
             raise ContractError("pre-model embeddings depend on the image")
         if self.cached is not None:
             return TextEmbeddings(t=self.cached, class_count=self.k)
-        if self.mode == PromptMode.TEMPLATE:
-            if self._template_cache is None:
-                t = template_embed(self.encoder, self.class_tokens, self.vocab.template_ids)
-                # Nothing upstream of a template embedding can train, so the
-                # value is reusable for the whole run.
-                self._template_cache = Tensor(t.t.data.copy())
-            return TextEmbeddings(t=self._template_cache, class_count=self.k)
-        return language_prompt(self.contexts, self.encoder, self.class_tokens)
+        if self.mode != PromptMode.TEMPLATE:
+            return self.encoder.encode(self.contexts, self.class_tokens)
+        ctx = take(self.encoder.table, np.asarray(self.vocab.template_ids, dtype=np.intp))
+        t = self.encoder.encode(ctx, self.class_tokens)
+        if not self.encoder.frozen:
+            return t
+        self.cached = Tensor(t.t.data.copy())
+        return TextEmbeddings(t=self.cached, class_count=self.k)
 
     def embeddings(self, pooled: PooledFeatures) -> TextEmbeddings:
         """Final class embeddings used against the batch's features: K rows
@@ -237,7 +174,7 @@ class TextPath:
             )
         base = self.base_embeddings()
         if self.mode == PromptMode.POST_MODEL:
-            return post_model_prompt(base, pooled, self.decoder_layers, self.gate)
+            return post_model_prompt(base, pooled, self.decoder_layers, self.gamma)
         return base
 
     def cache(self) -> Tensor:
@@ -249,27 +186,21 @@ class TextPath:
         self.cached = Tensor(base.t.data.copy())
         return self.cached
 
-    def clear_cache(self):
-        self.cached = None
-
     def parameters(self):
         for name, p in self.encoder.parameters():
             yield f"encoder.{name}", p
         if self.contexts is not None:
-            for name, p in self.contexts.parameters():
-                yield f"contexts.{name}", p
+            yield "contexts.p", self.contexts
         if self.queries is not None:
-            for name, p in self.queries.parameters():
-                yield f"queries.{name}", p
+            yield "queries.q", self.queries
         if self.adapter is not None:
             for name, p in self.adapter.parameters():
                 yield f"adapter.{name}", p
         for i, layer in enumerate(self.decoder_layers):
             for name, p in layer.parameters():
                 yield f"decoder.{i}.{name}", p
-        if self.gate is not None:
-            for name, p in self.gate.parameters():
-                yield f"gate.{name}", p
+        if self.gamma is not None:
+            yield "gate.gamma", self.gamma
 
 
 def export_cached_embeddings(path: "TextPath", path_prefix):

@@ -227,10 +227,10 @@ def run_gradient_suite(op_tol: float = 1e-5, e2e_tol: float = 1e-4,
               [pipe.image_encoder.patch_embed.weight], tol=e2e_tol)
         if wrt == "contexts":
             check("pipeline[coop].contexts", _pipeline_param_loss(pipe, sample),
-                  [pipe.text_path.contexts.p], tol=e2e_tol)
+                  [pipe.text_path.contexts], tol=e2e_tol)
         else:
             check("pipeline[post].gamma", _pipeline_param_loss(pipe, sample),
-                  [pipe.text_path.gate.gamma], tol=e2e_tol)
+                  [pipe.text_path.gamma], tol=e2e_tol)
 
     # A batch of two: each image's gradient flows through its own segments.
     pair = datagen.generate(spec, 2, seed=4)
@@ -243,7 +243,7 @@ def run_gradient_suite(op_tol: float = 1e-5, e2e_tol: float = 1e-4,
 
         check(f"pipeline[{mode}].batch2.images", batch_forward,
               [T.Tensor(s.image.data.copy()) for s in pair], tol=e2e_tol)
-        param = pipe.text_path.gate.gamma if mode == "post" else pipe.text_path.queries.q
+        param = pipe.text_path.gamma if mode == "post" else pipe.text_path.queries
         check(f"pipeline[{mode}].batch2.{wrt}", lambda _p: batch_forward(pair[0].image, pair[1].image),
               [param], tol=e2e_tol)
 

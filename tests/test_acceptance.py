@@ -176,7 +176,7 @@ def test_c06_ablation_identity_bitwise(task_dataset):
     spec, (train_samples, _) = task_dataset
     coop = build_pipeline(toy_config("coop"), spec.class_names, seed=13)
     post = build_pipeline(toy_config("post"), spec.class_names, seed=13)
-    post.text_path.gate.gamma.data = np.zeros_like(post.text_path.gate.gamma.data)
+    post.text_path.gamma.data = np.zeros_like(post.text_path.gamma.data)
     for s in train_samples[:4]:
         a = coop.forward(s.image, s.mask)
         b = post.forward(s.image, s.mask)

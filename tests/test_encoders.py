@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pixtext import encoders, nn
+from pixtext import nn
 from pixtext import tensor as T
 from pixtext.encoders import (
     FeatureMap,
@@ -169,13 +169,6 @@ class TestVocabulary:
         all_ids = [t for ids in vocab.class_tokens.values() for t in ids]
         assert len(set(all_ids)) == len(all_ids)
         assert vocab.size == 8 + sum(widths)
-
-    def test_json_roundtrip(self, tmp_path):
-        vocab = build_vocab(["x", "y"], template_len=4)
-        path = tmp_path / "vocab.json"
-        vocab.save(path)
-        back = encoders.Vocabulary.load(path)
-        assert back == vocab
 
     def test_unknown_class_rejected(self):
         vocab = build_vocab(["x"])

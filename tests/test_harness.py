@@ -73,6 +73,16 @@ class TestAdamW:
         delta_oth = p_oth.data[0] - 1.0
         assert abs(delta_img / delta_oth - 0.1) < 1e-12
 
+    def test_zero_grad_clears_every_group(self):
+        # a zero-multiplier group still receives gradients when its tensors
+        # are trainable; they must not pile up across steps
+        params = [("enc.w", make_param([1.0], grad=[0.5]), "text_encoder"),
+                  ("img.w", make_param([1.0], grad=[0.5]), "image_encoder"),
+                  ("w", make_param([1.0], grad=[0.5]), "other")]
+        opt = AdamW(params, OptimConfig())
+        opt.zero_grad()
+        assert [p.grad for _, p, _ in params] == [None, None, None]
+
     def test_missing_grad_is_contract_error(self):
         p = make_param([1.0])
         opt = AdamW([("w", p, "other")], OptimConfig())
@@ -165,6 +175,19 @@ class TestMiou:
         assert abs(miou - np.mean(expected)) < 1e-12
 
 
+def record_batch_sizes(pipe, monkeypatch) -> list:
+    """Patch `pipe.forward` to log each call's image count; return the log."""
+    sizes = []
+    forward = pipe.forward
+
+    def counting_forward(images, targets):
+        sizes.append(len(images))
+        return forward(images, targets)
+
+    monkeypatch.setattr(pipe, "forward", counting_forward)
+    return sizes
+
+
 @pytest.fixture(scope="module")
 def tiny_task():
     spec = TaskSpec(k=3, height=16, width=16, min_shapes=1, max_shapes=2,
@@ -210,9 +233,9 @@ class TestTrain:
     def test_contexts_train_while_encoder_frozen(self, tiny_task):
         spec, dataset = tiny_task
         pipe = build_pipeline(micro_config("coop"), spec.class_names, seed=4)
-        before = pipe.text_path.contexts.p.data.copy()
+        before = pipe.text_path.contexts.data.copy()
         train(pipe, dataset, OptimConfig(steps=5, seed=4))
-        assert not np.array_equal(before, pipe.text_path.contexts.p.data)
+        assert not np.array_equal(before, pipe.text_path.contexts.data)
 
     def test_unfrozen_control_updates_encoder(self, tiny_task):
         spec, dataset = tiny_task
@@ -228,6 +251,20 @@ class TestTrain:
             for n, p, g in pipe.parameters() if g == "text_encoder"
         )
         assert changed
+
+    def test_unfrozen_template_trains_encoder(self, tiny_task):
+        spec, dataset = tiny_task
+        cfg = micro_config("template")
+        cfg.freeze_text = False
+        pipe = build_pipeline(cfg, spec.class_names, seed=4)
+        before = {n: p.data.copy() for n, p, g in pipe.parameters() if g == "text_encoder"}
+        ocfg = OptimConfig(steps=3, seed=4,
+                           multipliers={"image_encoder": 0.1, "text_encoder": 0.1, "other": 1.0})
+        report = train(pipe, dataset, ocfg)
+        assert all(not np.array_equal(before[n], p.data)
+                   for n, p, g in pipe.parameters() if g == "text_encoder")
+        # the template embedding is encoded every step, not once per run
+        assert report.text_fwd_train == 3 * len(spec.class_names)
 
     def test_divergence_aborts_loudly(self, tiny_task):
         spec, dataset = tiny_task
@@ -253,14 +290,7 @@ class TestTrain:
     def test_one_forward_per_step(self, tiny_task, monkeypatch):
         spec, dataset = tiny_task
         pipe = build_pipeline(micro_config("pre"), spec.class_names, seed=4)
-        batch_sizes = []
-        forward = pipe.forward
-
-        def counting_forward(images, targets):
-            batch_sizes.append(len(images))
-            return forward(images, targets)
-
-        monkeypatch.setattr(pipe, "forward", counting_forward)
+        batch_sizes = record_batch_sizes(pipe, monkeypatch)
         train(pipe, dataset, OptimConfig(steps=3, seed=4))
         assert batch_sizes == [len(dataset[0])] * 3
 
@@ -271,6 +301,16 @@ class TestTrain:
         pipe = build_pipeline(micro_config("pre"), spec.class_names, seed=4)
         pairs = [(s.mask, pipe.predict(s.image)) for s in samples]
         assert evaluate_miou(pipe, samples) == miou_from_pairs(pairs, pipe.k)
+
+    def test_minibatches_above_batch_size(self, monkeypatch):
+        spec = TaskSpec(k=2, height=8, width=8, min_shapes=1, max_shapes=1,
+                        shape_min_px=3, shape_max_px=4, seed=6)
+        dataset = split(generate(spec, 50, seed=6), 0.8)
+        assert len(dataset[0]) == 40
+        pipe = build_pipeline(micro_config("coop"), spec.class_names, seed=0)
+        batch_sizes = record_batch_sizes(pipe, monkeypatch)
+        train(pipe, dataset, OptimConfig(steps=2, batch_size=32, seed=0))
+        assert batch_sizes == [32, 32]
 
     def test_minibatch_mode_above_threshold(self):
         spec = TaskSpec(k=2, height=8, width=8, min_shapes=1, max_shapes=1,

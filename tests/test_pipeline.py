@@ -61,6 +61,12 @@ class TestDetectionAux:
         assert pipe.head is None
         assert out.breakdown["total"] == out.breakdown["aux"]
 
+    def test_unknown_task_mode_rejected(self, micro_spec):
+        cfg = micro_config("coop")
+        cfg.task_mode = "banana"
+        with pytest.raises(ValueError, match="banana"):
+            build_pipeline(cfg, micro_spec.class_names, seed=1)
+
     def test_detection_requires_language_path(self, micro_spec):
         cfg = micro_config(None)
         cfg.task_mode = "detection"
@@ -86,16 +92,16 @@ class TestSharedScorePath:
             return main, aux
 
         main, _ = build_losses()
-        path.contexts.p.grad = None
+        path.contexts.grad = None
         T.backward(main)
-        main_grad = path.contexts.p.grad
+        main_grad = path.contexts.grad
         assert main_grad is not None and np.any(main_grad != 0)
 
         T.reset_tape()
         _, aux = build_losses()
-        path.contexts.p.grad = None
+        path.contexts.grad = None
         T.backward(aux)
-        aux_grad = path.contexts.p.grad
+        aux_grad = path.contexts.grad
         assert aux_grad is not None and np.any(aux_grad != 0)
 
 
@@ -103,7 +109,7 @@ class TestAblationIdentity:
     def test_post_with_zero_gate_matches_coop_bitwise(self, toy_spec, toy_samples):
         coop = build_pipeline(toy_config("coop"), toy_spec.class_names, seed=3)
         post = build_pipeline(toy_config("post"), toy_spec.class_names, seed=3)
-        post.text_path.gate.gamma.data = np.zeros_like(post.text_path.gate.gamma.data)
+        post.text_path.gamma.data = np.zeros_like(post.text_path.gamma.data)
         for s in toy_samples[:3]:
             a = coop.forward([s.image], [s.mask])
             b = post.forward([s.image], [s.mask])
@@ -115,7 +121,7 @@ class TestAblationIdentity:
         # coop shares K text rows across the batch; post refines one copy per image
         coop = build_pipeline(toy_config("coop"), toy_spec.class_names, seed=3)
         post = build_pipeline(toy_config("post"), toy_spec.class_names, seed=3)
-        post.text_path.gate.gamma.data = np.zeros_like(post.text_path.gate.gamma.data)
+        post.text_path.gamma.data = np.zeros_like(post.text_path.gamma.data)
         images, masks = [s.image for s in toy_samples[:4]], [s.mask for s in toy_samples[:4]]
         a, b = coop.forward(images, masks), post.forward(images, masks)
         assert a.loss.item() == b.loss.item()

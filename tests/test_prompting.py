@@ -9,9 +9,7 @@ from pixtext.prompting import (
     GATE_PRESETS,
     PromptMode,
     export_cached_embeddings,
-    language_prompt,
     post_model_prompt,
-    template_embed,
 )
 from pixtext.tensor import ContractError
 
@@ -44,10 +42,8 @@ class TestPromptMode:
 
 class TestTemplate:
     def test_deterministic(self, micro_spec):
-        pipe = micro_pipe("template", micro_spec)
-        path = pipe.text_path
-        a = template_embed(path.encoder, path.class_tokens, path.vocab.template_ids)
-        b = template_embed(path.encoder, path.class_tokens, path.vocab.template_ids)
+        a = micro_pipe("template", micro_spec).text_path.base_embeddings()
+        b = micro_pipe("template", micro_spec).text_path.base_embeddings()
         assert np.array_equal(a.t.data, b.t.data)
 
     def test_equals_coop_at_initialization(self, micro_spec):
@@ -62,10 +58,8 @@ class TestLanguagePrompt:
         pipe = micro_pipe("coop", micro_spec, context_len=0)
         path = pipe.text_path
         # build an explicitly empty context matrix
-        from pixtext.prompting import PromptContexts
-
-        empty = PromptContexts(p=T.Tensor(np.zeros((0, path.encoder.width)), requires_grad=True))
-        with_ctx = language_prompt(empty, path.encoder, path.class_tokens)
+        empty = T.Tensor(np.zeros((0, path.encoder.width)), requires_grad=True)
+        with_ctx = path.encoder.encode(empty, path.class_tokens)
         plain = path.encoder.encode(None, path.class_tokens)
         assert np.array_equal(with_ctx.t.data, plain.t.data)
 
@@ -81,12 +75,10 @@ class TestLanguagePrompt:
         probe = T.Tensor(np.random.default_rng(1).standard_normal((2, 8)))
 
         def f(p):
-            from pixtext.prompting import PromptContexts
-
-            t = language_prompt(PromptContexts(p=p), path.encoder, path.class_tokens)
+            t = path.encoder.encode(p, path.class_tokens)
             return T.tsum(T.mul(t.t, probe))
 
-        report = T.grad_check(f, [T.Tensor(path.contexts.p.data.copy())], tol=1e-5)
+        report = T.grad_check(f, [T.Tensor(path.contexts.data.copy())], tol=1e-5)
         assert report.passed
         assert report.max_rel_err < 1e-5
 
@@ -113,10 +105,8 @@ class TestPreModel:
         _, pooled = pipe.encode_image(micro_sample.image)
         t = path.embeddings(pooled).t.data
         # oracle: contexts equal to adapter(q), encoded by the language path
-        from pixtext.prompting import PromptContexts
-
-        ctx = PromptContexts(p=T.Tensor(path.adapter(path.queries.q).data.copy()))
-        expected = language_prompt(ctx, path.encoder, path.class_tokens).t.data
+        ctx = T.Tensor(path.adapter(path.queries).data.copy())
+        expected = path.encoder.encode(ctx, path.class_tokens).t.data
         assert np.max(np.abs(t - expected)) < 1e-12
 
     def test_per_image_text_encoder_cost(self, micro_spec):
@@ -133,16 +123,16 @@ class TestPostModel:
     def test_zero_gate_returns_input_exactly(self, micro_spec, micro_sample):
         pipe = micro_pipe("post", micro_spec)
         path = pipe.text_path
-        path.gate.gamma.data = np.zeros_like(path.gate.gamma.data)
+        path.gamma.data = np.zeros_like(path.gamma.data)
         _, pooled = pipe.encode_image(micro_sample.image)
         base = path.base_embeddings()
-        refined = post_model_prompt(base, pooled, path.decoder_layers, path.gate)
+        refined = post_model_prompt(base, pooled, path.decoder_layers, path.gamma)
         assert np.array_equal(refined.t.data, base.t.data)
 
     def test_default_gate_preset(self, micro_spec):
         pipe = micro_pipe("post", micro_spec)
-        assert np.all(pipe.text_path.gate.gamma.data == 1e-4)
-        assert pipe.text_path.gate.gamma.requires_grad
+        assert np.all(pipe.text_path.gamma.data == 1e-4)
+        assert pipe.text_path.gamma.requires_grad
         assert GATE_PRESETS["learnable_small"] == (1e-4, True)
         assert GATE_PRESETS["fixed_small"] == (1e-4, False)
         assert GATE_PRESETS["learnable_one"] == (1.0, True)
@@ -150,19 +140,19 @@ class TestPostModel:
     def test_matches_manual_recomposition(self, micro_spec, micro_sample):
         pipe = micro_pipe("post", micro_spec)
         path = pipe.text_path
-        path.gate.gamma.data = np.random.default_rng(3).standard_normal(8) * 0.1
+        path.gamma.data = np.random.default_rng(3).standard_normal(8) * 0.1
         _, pooled = pipe.encode_image(micro_sample.image)
         base = path.base_embeddings()
-        refined = post_model_prompt(base, pooled, path.decoder_layers, path.gate).t.data
+        refined = post_model_prompt(base, pooled, path.decoder_layers, path.gamma).t.data
         v = decoder_forward(path.decoder_layers, base.t, pooled.memory).data
-        expected = base.t.data + path.gate.gamma.data[None, :] * v
+        expected = base.t.data + path.gamma.data[None, :] * v
         assert np.max(np.abs(refined - expected)) < 1e-12
 
     def test_gate_gradient_flows(self, micro_spec, micro_sample):
         pipe = micro_pipe("post", micro_spec)
         out = pipe.forward([micro_sample.image], [micro_sample.mask])
         T.backward(out.loss)
-        gamma = pipe.text_path.gate.gamma
+        gamma = pipe.text_path.gamma
         assert gamma.grad is not None and np.any(gamma.grad != 0)
 
 
@@ -181,6 +171,22 @@ class TestCaching:
             before = pipe.text_path.encoder.sequences_encoded
             pipe.predict(micro_sample.image)
             assert pipe.text_path.encoder.sequences_encoded == before
+
+    def test_frozen_template_caches_on_first_use(self, micro_spec):
+        path = micro_pipe("template", micro_spec).text_path
+        assert path.cached is None
+        first = path.base_embeddings()
+        assert path.cached is not None and not first.t.requires_grad
+        before = path.encoder.sequences_encoded
+        assert np.array_equal(path.base_embeddings().t.data, first.t.data)
+        assert path.encoder.sequences_encoded == before
+
+    def test_unfrozen_template_encodes_every_call(self, micro_spec):
+        path = micro_pipe("template", micro_spec, freeze_text=False).text_path
+        t = path.base_embeddings()
+        assert path.cached is None and t.t.requires_grad
+        T.backward(T.tsum(t.t))
+        assert path.encoder.table.grad is not None and np.any(path.encoder.table.grad != 0)
 
     def test_pre_model_cache_is_contract_error(self, micro_spec):
         pipe = micro_pipe("pre", micro_spec)
@@ -213,10 +219,10 @@ class TestCaching:
 class TestGateAblationPresets:
     def test_fixed_gate_not_trainable(self, micro_spec):
         pipe = micro_pipe("post", micro_spec, gate_preset="fixed_small")
-        assert not pipe.text_path.gate.gamma.requires_grad
+        assert not pipe.text_path.gamma.requires_grad
         names = [n for n, p, _ in pipe.parameters() if p.requires_grad]
         assert not any("gate" in n for n in names)
 
     def test_learnable_one_initial_value(self, micro_spec):
         pipe = micro_pipe("post", micro_spec, gate_preset="learnable_one")
-        assert np.all(pipe.text_path.gate.gamma.data == 1.0)
+        assert np.all(pipe.text_path.gamma.data == 1.0)

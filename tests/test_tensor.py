@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from pixtext import tensor as T
 
@@ -336,6 +337,26 @@ class TestDct1:
         T.write_dct1(path, np.array([0.0, 1.0, 2.0]))
         path.write_bytes(path.read_bytes() + b"junk")
         with pytest.raises(ValueError, match="4 trailing bytes"):
+            T.read_dct1(path)
+
+    @given(arr=arrays(np.float64, array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=4),
+                      elements=st.floats(width=64)),
+           data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_any_array_roundtrips_and_any_cut_or_append_is_rejected(self, tmp_path_factory,
+                                                                    arr, data):
+        path = tmp_path_factory.mktemp("dct1") / "dump.dct1"
+        T.write_dct1(path, arr)
+        back = T.read_dct1(path)
+        assert back.dtype == np.float64 and back.shape == arr.shape
+        assert back.tobytes() == arr.tobytes()  # bitwise, NaN payloads and -0.0 included
+        raw = path.read_bytes()
+        cut = data.draw(st.integers(0, len(raw) - 1), label="cut")
+        path.write_bytes(raw[:cut])
+        with pytest.raises(ValueError):
+            T.read_dct1(path)
+        path.write_bytes(raw + data.draw(st.binary(min_size=1, max_size=24), label="extra"))
+        with pytest.raises(ValueError):
             T.read_dct1(path)
 
     def test_dims_checked_against_file_size_before_reading(self, tmp_path):
