@@ -254,6 +254,8 @@ class ToyTextEncoder:
     def __init__(self, cfg: TextEncoderConfig, rng: np.random.Generator, frozen: bool = True):
         if cfg.vocab_size < 1:
             raise ShapeError("text encoder needs a positive vocab size")
+        if cfg.blocks < 1:
+            raise ShapeError("text encoder needs at least one block")
         self.cfg = cfg
         self.table = Tensor(
             init_uniform(rng, (cfg.vocab_size, cfg.width), cfg.width), requires_grad=True
@@ -312,10 +314,13 @@ class ToyTextEncoder:
         index = (first + np.arange(n)[:, None] * c * is_ctx).reshape(-1)
         seq = take(concat([contexts, tok], axis=0) if c else tok, index)
         offsets = np.concatenate([[0], np.cumsum(np.tile(c + lens, n))])
-        for block in self.blocks:
+        for block in self.blocks[:-1]:
             seq = block(seq, offsets)
+        # Only the last token of each sequence is read out, so the last
+        # block runs on those rows alone.
+        last = self.blocks[-1].readout(seq, offsets, offsets[1:] - 1)
         self.sequences_encoded += n * len(lists)
-        return TextEmbeddings(t=self.proj(take(seq, offsets[1:] - 1)), class_count=len(lists))
+        return TextEmbeddings(t=self.proj(last), class_count=len(lists))
 
     def parameters(self):
         yield "table", self.table

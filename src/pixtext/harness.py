@@ -87,15 +87,20 @@ class AdamW:
         for _, p, _ in self.params:
             p.grad = None
 
+    def updated(self):
+        """(name, tensor, multiplier) of every parameter `step` updates:
+        trainable and in a group with a non-zero multiplier."""
+        for name, p, group in self.params:
+            mult = self._multiplier(group)
+            if mult != 0.0 and p.requires_grad:
+                yield name, p, mult
+
     def step(self):
         self.t += 1
         c = self.cfg
         bc1 = 1.0 - c.beta1**self.t
         bc2 = 1.0 - c.beta2**self.t
-        for name, p, group in self.params:
-            mult = self._multiplier(group)
-            if mult == 0.0 or not p.requires_grad:
-                continue
+        for name, p, mult in self.updated():
             if p.grad is None:
                 raise ContractError(f"parameter {name} is trainable but has no gradient")
             g = p.grad
@@ -219,10 +224,16 @@ def train(pipe: DensePredPipeline, dataset, cfg: OptimConfig) -> RunReport:
     A dataset of at most `cfg.batch_size` samples trains full-batch in
     index order; a larger one draws a seeded minibatch of `batch_size`
     samples each step. Each step is one batched `forward` call on one tape.
+    Text embeddings cached by an earlier run are dropped first; gradient
+    clipping, when set, takes its norm over the parameters the optimizer
+    updates.
     Aborts with TrainingDiverged the moment the loss stops being finite.
     """
     train_samples, eval_samples = dataset
     start = time.perf_counter()
+    if pipe.text_path is not None:
+        # a snapshot from an earlier run would cut the graph to the contexts
+        pipe.text_path.cached = None
     opt = AdamW(list(pipe.parameters()), cfg)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed & 0xFFFFFFFF, 0xB47C]))
     n = len(train_samples)
@@ -248,7 +259,7 @@ def train(pipe: DensePredPipeline, dataset, cfg: OptimConfig) -> RunReport:
             })
         backward(out.loss)
         if cfg.clip_norm is not None:
-            clip_gradients([p for _, p, _ in opt.params], cfg.clip_norm)
+            clip_gradients([p for _, p, _ in opt.updated()], cfg.clip_norm)
         opt.step()
         for name, p, _ in opt.params:
             if p.requires_grad and not np.all(np.isfinite(p.data)):

@@ -19,6 +19,7 @@ from .tensor import (
     gelu,
     linear,
     record,
+    take,
 )
 
 __all__ = [
@@ -64,6 +65,8 @@ def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, eps: float = 1e-5) -> Te
 
     Fused op: the whole Jacobian is hand-derived so a single tape node
     covers mean/variance/affine. Variance-zero rows are handled by eps.
+    Backward computes only the gradients of the inputs that require one
+    at that time; a frozen affine gets None.
     """
     xd = x.data
     if xd.ndim != 2:
@@ -79,9 +82,11 @@ def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, eps: float = 1e-5) -> Te
     out = xh * scale.data[None, :] + shift.data[None, :]
 
     def grad_fn(g):
+        gscale = (g * xh).sum(axis=0) if scale.requires_grad else None
+        gshift = g.sum(axis=0) if shift.requires_grad else None
+        if not x.requires_grad:
+            return [None, gscale, gshift]
         gxh = g * scale.data[None, :]
-        gscale = (g * xh).sum(axis=0)
-        gshift = g.sum(axis=0)
         m1 = gxh.mean(axis=1, keepdims=True)
         m2 = (gxh * xh).mean(axis=1, keepdims=True)
         gx = (gxh - m1 - xh * m2) * inv
@@ -293,6 +298,22 @@ class TransformerBlock:
 
     def __call__(self, x: Tensor, offsets=None) -> Tensor:
         x = add(x, self.attn(self.ln1(x), q_offsets=offsets))
+        return add(x, self.ffn(self.ln2(x)))
+
+    def readout(self, x: Tensor, offsets, rows) -> Tensor:
+        """The block's output at `rows` only: one row per segment, row s
+        inside segment s. Equals take(block(x, offsets), rows) up to
+        rounding. Keys and values come from ln1 of every row; the query
+        projection, attention output, residual, ln2 and feed-forward run on
+        the kept rows alone."""
+        lengths = _segment_lengths(offsets, x.shape[0], "readout")
+        off = np.concatenate([[0], np.cumsum(lengths)])
+        rows = np.asarray(rows, dtype=np.intp)
+        if rows.shape != lengths.shape or np.any(rows < off[:-1]) or np.any(rows >= off[1:]):
+            raise ShapeError(f"readout needs one row inside each of {lengths.size} segments")
+        h = self.ln1(x)
+        x = take(x, rows)
+        x = add(x, self.attn(take(h, rows), h, block_offsets(rows.size, 1), off))
         return add(x, self.ffn(self.ln2(x)))
 
     def parameters(self):

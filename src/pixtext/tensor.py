@@ -321,16 +321,24 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Fused x W^T + b; one tape node instead of three.
 
     weight is (out, in), bias (out,). Gradients: dX = g W, dW = g^T X,
-    db = column sums of g.
+    db = column sums of g. Backward computes only the gradients of the
+    inputs that require one at that time (frozen weights, raw image
+    patches get None).
     """
     x, weight, bias = tensor(x), tensor(weight), tensor(bias)
     if x.data.ndim != 2 or x.shape[1] != weight.shape[1] or bias.shape != (weight.shape[0],):
         raise ShapeError(f"linear: x {x.shape}, weight {weight.shape}, bias {bias.shape}")
     xd, wd = x.data, weight.data
     out = xd @ wd.T + bias.data[None, :]
-    return record(
-        [x, weight, bias], out, lambda g: [g @ wd, g.T @ xd, g.sum(axis=0)]
-    )
+
+    def grad_fn(g):
+        return [
+            g @ wd if x.requires_grad else None,
+            g.T @ xd if weight.requires_grad else None,
+            g.sum(axis=0) if bias.requires_grad else None,
+        ]
+
+    return record([x, weight, bias], out, grad_fn)
 
 
 def transpose(a: Tensor) -> Tensor:

@@ -181,6 +181,23 @@ def run_gradient_suite(op_tol: float = 1e-5, e2e_tol: float = 1e-4,
     block = nn.TransformerBlock(8, 2, 16, brng)
     check("transformer_block.x", _probe_loss(block), [rand((4, 8))])
 
+    # Gradients of the input alone: the readout block over segments of 2,
+    # 3 and 1 rows, and linear / layer_norm whose weights need no gradient.
+    # Own stream, so the checks around these see the same data as without.
+    frng = np.random.default_rng(91)
+    check("transformer_block.readout.x",
+          _probe_loss(lambda x: block.readout(x, [0, 2, 5, 6], [1, 4, 5])),
+          [T.Tensor(frng.standard_normal((6, 8)))])
+    w_frozen = T.Tensor(frng.standard_normal((3, 4)))
+    b_frozen = T.Tensor(frng.standard_normal(3))
+    check("linear_op.frozen_weight.x", _probe_loss(lambda x: T.linear(x, w_frozen, b_frozen)),
+          [T.Tensor(frng.standard_normal((5, 4)))])
+    s_frozen = T.Tensor(frng.uniform(0.5, 1.5, 6))
+    t_frozen = T.Tensor(frng.standard_normal(6))
+    check("layer_norm.frozen_affine.x",
+          _probe_loss(lambda x: nn.layer_norm(x, s_frozen, t_frozen)),
+          [T.Tensor(frng.standard_normal((4, 6)))])
+
     pool = nn.MultiHeadAttention(8, 2, brng)
 
     def pool_loss(values):

@@ -3,6 +3,7 @@ import pytest
 
 from pixtext import nn
 from pixtext import tensor as T
+from pixtext.datagen import generate
 from pixtext.encoders import (
     FeatureMap,
     ImageEncoderConfig,
@@ -13,6 +14,8 @@ from pixtext.encoders import (
     build_vocab,
     freeze,
 )
+from pixtext.pipeline import build_pipeline, micro_config, toy_config
+from pixtext.prompting import PromptMode
 
 
 @pytest.fixture
@@ -174,3 +177,66 @@ class TestVocabulary:
         vocab = build_vocab(["x"])
         with pytest.raises(KeyError):
             vocab.tokens_for(["nope"])
+
+
+def _text_outputs(pipe, images):
+    """Class embeddings for a batch of images and the gradient of a fixed
+    probe of them with respect to the learnable text tensor (contexts or
+    queries; None in template mode)."""
+    path = pipe.text_path
+    path.cached = None
+    learn = path.queries if path.mode is PromptMode.PRE_MODEL else path.contexts
+    with T.fresh_tape():
+        _, pooled = pipe.encode_image(T.Tensor(images))
+        emb = path.embeddings(pooled).t
+        if learn is None:
+            return emb.data, None
+        learn.grad = None
+        probe = T.Tensor(np.random.default_rng(3).standard_normal(emb.shape))
+        T.backward(T.tsum(T.mul(emb, probe)))
+    return emb.data, learn.grad.copy()
+
+
+class TestReadoutEncoder:
+    """The text encoder's last block runs on the readout rows only; it
+    matches the full last block followed by `take`."""
+
+    @pytest.mark.parametrize("config", [micro_config, toy_config])
+    @pytest.mark.parametrize("mode", ["template", "coop", "pre", "post"])
+    def test_matches_full_last_block(self, monkeypatch, toy_spec, config, mode):
+        pipe = build_pipeline(config(mode), toy_spec.class_names, seed=2)
+        images = np.random.default_rng(4).uniform(0.0, 1.0, (2, 16, 16, 3))
+        emb, grad = _text_outputs(pipe, images)
+        last = pipe.text_path.encoder.blocks[-1]
+        monkeypatch.setattr(last, "readout", lambda x, offsets, rows: T.take(last(x, offsets), rows))
+        ref_emb, ref_grad = _text_outputs(pipe, images)
+        assert np.max(np.abs(emb - ref_emb)) <= 1e-12 * np.max(np.abs(ref_emb))
+        if mode != "template":
+            assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
+
+    def test_zero_blocks_rejected(self, rng):
+        vocab = build_vocab(["a"])
+        cfg = TextEncoderConfig(width=8, blocks=0, heads=2, out_dim=4, vocab_size=vocab.size)
+        with pytest.raises(T.ShapeError):
+            ToyTextEncoder(cfg, rng)
+
+
+class TestFrozenEncoderBackward:
+    def test_pre_step_nodes_return_none_for_frozen_weights(self, micro_spec):
+        """Every tape node of a pre-mode step that reads a frozen text-encoder
+        weight returns None for it, and a gradient for its activation."""
+        pipe = build_pipeline(micro_config("pre"), micro_spec.class_names, seed=11)
+        pair = generate(micro_spec, 2, seed=4)
+        frozen = {id(p) for name, p in pipe.text_path.encoder.parameters() if name != "table"}
+        seen = set()
+        with T.fresh_tape() as tape:
+            pipe.forward([s.image for s in pair], [s.mask for s in pair])
+            for node in tape.nodes:
+                if not any(id(t) in frozen for t in node.inputs):
+                    continue
+                grads = node.grad_fn(np.ones_like(node.output.data))
+                for inp, g in zip(node.inputs, grads):
+                    assert (g is None) == (id(inp) in frozen)
+                    if g is None:
+                        seen.add(id(inp))
+        assert seen == frozen

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pixtext import harness
 from pixtext.datagen import TaskSpec, generate, split
 from pixtext.harness import (
     ABLATION_ROWS,
@@ -174,6 +175,41 @@ class TestMiou:
                 assert ious[c] is None
         assert abs(miou - np.mean(expected)) < 1e-12
 
+    @staticmethod
+    def random_pairs(rng, k):
+        pairs = []
+        for _ in range(int(rng.integers(1, 4))):
+            n = int(rng.integers(1, 200))
+            pairs.append((rng.integers(0, k, n), rng.integers(0, k, n)))
+        return pairs
+
+    @given(st.integers(min_value=1, max_value=2**31 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_invariant_to_class_relabelling(self, seed):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(2, 6))
+        pairs = self.random_pairs(rng, k)
+        perm = rng.permutation(k)
+        ious, miou = miou_from_pairs(pairs, k)
+        p_ious, p_miou = miou_from_pairs([(perm[t], perm[p]) for t, p in pairs], k)
+        assert [p_ious[perm[c]] for c in range(k)] == ious
+        assert abs(p_miou - miou) < 1e-12
+
+    @given(st.integers(min_value=1, max_value=2**31 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_invariant_to_splitting_and_concatenating_pairs(self, seed):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(2, 6))
+        pairs = self.random_pairs(rng, k)
+        joined = [(np.concatenate([t for t, _ in pairs]), np.concatenate([p for _, p in pairs]))]
+        split_pairs = []
+        for t, p in pairs:
+            cut = int(rng.integers(0, t.size + 1))
+            split_pairs += [(t[:cut], p[:cut]), (t[cut:], p[cut:])]
+        expected = miou_from_pairs(pairs, k)
+        assert miou_from_pairs(joined, k) == expected
+        assert miou_from_pairs(split_pairs, k) == expected
+
 
 def record_batch_sizes(pipe, monkeypatch) -> list:
     """Patch `pipe.forward` to log each call's image count; return the log."""
@@ -265,6 +301,45 @@ class TestTrain:
                    for n, p, g in pipe.parameters() if g == "text_encoder")
         # the template embedding is encoded every step, not once per run
         assert report.text_fwd_train == 3 * len(spec.class_names)
+
+    @pytest.mark.parametrize("mode", ["coop", "post"])
+    def test_second_run_on_the_same_pipeline(self, tiny_task, mode):
+        # the first run ends by caching the text embeddings; the second
+        # must train the contexts again, not the cached snapshot
+        spec, dataset = tiny_task
+        pipe = build_pipeline(micro_config(mode), spec.class_names, seed=4)
+        train(pipe, dataset, OptimConfig(steps=2, seed=4))
+        before = pipe.text_path.contexts.data.copy()
+        report = train(pipe, dataset, OptimConfig(steps=2, seed=4))
+        assert not np.array_equal(before, pipe.text_path.contexts.data)
+        assert report.text_fwd_train == 2 * len(spec.class_names)
+
+    def test_clip_norm_over_updated_parameters_only(self, tiny_task, monkeypatch):
+        """An unfrozen text encoder at multiplier 0 gets gradients that are
+        never applied; they do not enter the clipping norm, so the run
+        clips and updates exactly as with a frozen encoder."""
+        spec, dataset = tiny_task
+        scales = []
+
+        def recording_clip(params, max_norm):
+            scales.append(clip_gradients(params, max_norm))
+            return scales[-1]
+
+        monkeypatch.setattr(harness, "clip_gradients", recording_clip)
+        runs = {}
+        for frozen in (True, False):
+            cfg = micro_config("coop")
+            cfg.freeze_text = frozen
+            pipe = build_pipeline(cfg, spec.class_names, seed=4)
+            scales.clear()
+            train(pipe, dataset, OptimConfig(steps=3, seed=4, clip_norm=1.0))
+            encoder_grads = [p.grad for _, p, g in pipe.parameters() if g == "text_encoder"]
+            assert all((grad is None) == frozen for grad in encoder_grads)
+            runs[frozen] = (list(scales), {n: p.data for n, p, _ in pipe.parameters()})
+        assert len(runs[True][0]) == 3 and all(s < 1.0 for s in runs[True][0])
+        assert runs[False][0] == runs[True][0]
+        for name, data in runs[True][1].items():
+            assert np.array_equal(runs[False][1][name], data), name
 
     def test_divergence_aborts_loudly(self, tiny_task):
         spec, dataset = tiny_task

@@ -229,3 +229,48 @@ class TestSegmentedAttention:
         x = T.Tensor(rng.standard_normal((4, 8)))
         with pytest.raises(T.ShapeError):
             nn.attention_heads(x, x, x, 2, q_off, kv_off)
+
+
+class TestReadoutBlock:
+    OFFSETS = [0, 2, 5, 6, 10]
+
+    def test_matches_full_block_then_take(self, rng):
+        block = nn.TransformerBlock(8, 2, 16, rng)
+        x = T.Tensor(rng.standard_normal((10, 8)))
+        rows = [1, 2, 5, 7]
+        out = block.readout(x, self.OFFSETS, rows).data
+        expected = T.take(block(x, self.OFFSETS), rows).data
+        assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("rows", [
+        [1, 2, 5],  # one segment without a row
+        [1, 2, 5, 7, 8],  # two rows in the last segment
+        [2, 1, 5, 7],  # row 2 is outside segment 0
+    ])
+    def test_one_row_inside_each_segment_required(self, rng, rows):
+        block = nn.TransformerBlock(8, 2, 16, rng)
+        with pytest.raises(T.ShapeError):
+            block.readout(T.Tensor(rng.standard_normal((10, 8))), self.OFFSETS, rows)
+
+
+class TestFrozenWeightGradients:
+    """A weight that needs no gradient gets None from the backward rule; the
+    input gradient is bitwise the one computed next to a trainable weight."""
+
+    @pytest.mark.parametrize("op,shapes", [
+        (T.linear, [(5, 4), (3, 4), (3,)]),
+        (nn.layer_norm, [(5, 4), (4,), (4,)]),
+    ])
+    def test_input_gradient_alone(self, rng, op, shapes):
+        x, weight, bias = (T.Tensor(rng.standard_normal(s)) for s in shapes)
+        x.requires_grad = True
+        g = rng.standard_normal(op(x, weight, bias).shape)
+        grads = {}
+        for trainable in (True, False):
+            weight.requires_grad = bias.requires_grad = trainable
+            with T.fresh_tape() as tape:
+                op(x, weight, bias)
+                grads[trainable] = tape.nodes[0].grad_fn(g)
+        assert grads[False][1] is None and grads[False][2] is None
+        assert grads[True][1] is not None and grads[True][2] is not None
+        assert np.array_equal(grads[False][0], grads[True][0])
