@@ -15,7 +15,6 @@ from .encoders import (
     ToyTextEncoder,
     attention_pool,
     build_vocab,
-    freeze,
 )
 from .harness import (
     AdamW,

@@ -49,6 +49,9 @@ def _cmd_synth(args) -> int:
 def _load_run_config(path):
     with open(path) as fh:
         cfg = json.load(fh)
+    unknown = sorted(set(cfg) - {"mode", "seed", "pipeline", "optim", "train_fraction"})
+    if unknown:
+        raise ValueError(f"unknown run config key(s) {unknown}")
     mode = cfg.get("mode", "coop")
     if mode in ("none", ""):
         mode = None

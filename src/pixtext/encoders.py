@@ -29,7 +29,6 @@ __all__ = [
     "ToyImageEncoder",
     "ToyTextEncoder",
     "attention_pool",
-    "freeze",
 ]
 
 
@@ -249,26 +248,24 @@ class ToyTextEncoder:
     never attend to each other, so batched encoding equals per-class
     encoding. `sequences_encoded` counts every class sequence pushed
     through, which is the cost unit for the pre/post prompting comparison.
+    Its weights are built off the tape, as the default text multiplier 0 asks.
     """
 
-    def __init__(self, cfg: TextEncoderConfig, rng: np.random.Generator, frozen: bool = True):
+    def __init__(self, cfg: TextEncoderConfig, rng: np.random.Generator):
         if cfg.vocab_size < 1:
             raise ShapeError("text encoder needs a positive vocab size")
         if cfg.blocks < 1:
             raise ShapeError("text encoder needs at least one block")
         self.cfg = cfg
-        self.table = Tensor(
-            init_uniform(rng, (cfg.vocab_size, cfg.width), cfg.width), requires_grad=True
-        )
+        self.table = Tensor(init_uniform(rng, (cfg.vocab_size, cfg.width), cfg.width))
         hidden = cfg.width * cfg.ffn_mult
         self.blocks = [
             TransformerBlock(cfg.width, cfg.heads, hidden, rng) for _ in range(cfg.blocks)
         ]
         self.proj = Linear(cfg.width, cfg.out_dim, rng)
-        self.frozen = False
+        for _, p in self.parameters():
+            p.requires_grad = False
         self.sequences_encoded = 0
-        if frozen:
-            freeze(self)
 
     @property
     def width(self) -> int:
@@ -330,10 +327,3 @@ class ToyTextEncoder:
         for name, p in self.proj.parameters():
             yield f"proj.{name}", p
 
-
-def freeze(enc: ToyTextEncoder):
-    """Exclude all encoder weights from optimization; context rows passed
-    into `encode` are inputs, not encoder weights, and stay trainable."""
-    for _, p in enc.parameters():
-        p.requires_grad = False
-    enc.frozen = True

@@ -3,7 +3,8 @@ gradient clipping, the train loop, mIoU evaluation and the ablation runner.
 
 The fine-tuning recipe is baked into the defaults: decoupled weight decay,
 the image encoder at a tenth of the base learning rate, and the text
-encoder held at zero so the language priors survive training untouched.
+encoder at zero so the language priors survive training untouched. The
+multiplier is the one switch for what trains: zero keeps a group off the tape.
 """
 
 from __future__ import annotations
@@ -53,6 +54,12 @@ class OptimConfig:
     seed: int = 0
 
     def __post_init__(self):
+        unknown = sorted(set(self.multipliers) - set(_default_multipliers()))
+        if unknown:
+            raise ValueError(f"unknown lr multiplier group(s) {unknown}; "
+                             f"use {list(_default_multipliers())}")
+        # a group left out keeps the recipe's multiplier
+        self.multipliers = {**_default_multipliers(), **self.multipliers}
         if any(m < 0 for m in self.multipliers.values()):
             raise ValueError("lr multipliers must be non-negative")
         if self.clip_norm is not None and self.clip_norm <= 0:
@@ -80,9 +87,6 @@ class AdamW:
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
 
-    def _multiplier(self, group: str) -> float:
-        return self.cfg.multipliers.get(group, 1.0)
-
     def zero_grad(self):
         for _, p, _ in self.params:
             p.grad = None
@@ -91,7 +95,7 @@ class AdamW:
         """(name, tensor, multiplier) of every parameter `step` updates:
         trainable and in a group with a non-zero multiplier."""
         for name, p, group in self.params:
-            mult = self._multiplier(group)
+            mult = self.cfg.multipliers[group]
             if mult != 0.0 and p.requires_grad:
                 yield name, p, mult
 
@@ -224,9 +228,10 @@ def train(pipe: DensePredPipeline, dataset, cfg: OptimConfig) -> RunReport:
     A dataset of at most `cfg.batch_size` samples trains full-batch in
     index order; a larger one draws a seeded minibatch of `batch_size`
     samples each step. Each step is one batched `forward` call on one tape.
-    Text embeddings cached by an earlier run are dropped first; gradient
-    clipping, when set, takes its norm over the parameters the optimizer
-    updates.
+    First each parameter's `requires_grad` is set to whether its group's
+    multiplier is non-zero, and text embeddings cached by an earlier run
+    are dropped; gradient clipping, when set, takes its norm over the
+    parameters the optimizer updates.
     Aborts with TrainingDiverged the moment the loss stops being finite.
     """
     train_samples, eval_samples = dataset
@@ -234,7 +239,9 @@ def train(pipe: DensePredPipeline, dataset, cfg: OptimConfig) -> RunReport:
     if pipe.text_path is not None:
         # a snapshot from an earlier run would cut the graph to the contexts
         pipe.text_path.cached = None
-    opt = AdamW(list(pipe.parameters()), cfg)
+    for _, p, group in pipe.parameters():
+        p.requires_grad = cfg.multipliers[group] != 0.0
+    opt = AdamW(pipe.parameters(), cfg)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed & 0xFFFFFFFF, 0xB47C]))
     n = len(train_samples)
 

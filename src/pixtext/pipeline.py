@@ -133,11 +133,9 @@ class PipelineConfig:
     head_hidden: int = 64
     loss: LossConfig = field(default_factory=LossConfig)
     task_mode: str = "segmentation"  # segmentation|detection
-    freeze_text: bool = True
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        return d
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "PipelineConfig":
@@ -439,7 +437,7 @@ def _build_text_path(cfg: PipelineConfig, class_names, vocab: Vocabulary, seed: 
     mode = PromptMode.parse(cfg.prompt_mode)
     text_cfg = TextEncoderConfig(**{**asdict(cfg.text), "vocab_size": vocab.size,
                                     "out_dim": cfg.shared_dim})
-    encoder = ToyTextEncoder(text_cfg, rng_for(seed, "text_encoder"), frozen=cfg.freeze_text)
+    encoder = ToyTextEncoder(text_cfg, rng_for(seed, "text_encoder"))
 
     contexts = queries = adapter = gamma = None
     decoder_layers = []
@@ -537,7 +535,7 @@ def save_checkpoint(pipe: DensePredPipeline, out_dir):
     for name, p, group in pipe.parameters():
         fname = name.replace("/", "_") + ".dct1"
         write_dct1(os.path.join(out_dir, fname), p)
-        entries[name] = {"file": fname, "group": group, "trainable": p.requires_grad}
+        entries[name] = {"file": fname, "group": group}
     manifest = {
         "config": pipe.cfg.to_dict(),
         "class_names": pipe.class_names,

@@ -2,7 +2,7 @@
 
 Four mutually exclusive modes:
 
-* ``template``  - fixed context tokens; only an unfrozen encoder trains.
+* ``template``  - fixed context tokens; only the encoder itself can train.
 * ``coop``      - learnable context rows prepended to class tokens.
 * ``pre``       - a transformer decoder turns visual memory into context
                   rows that are fed *into* the text encoder, so the text
@@ -14,7 +14,8 @@ Four mutually exclusive modes:
 
 The learnable tensors are plain attributes of ``TextPath``: ``contexts``
 (coop, post; checkpointed as ``contexts.p``), ``queries`` (pre;
-``queries.q``) and the post-mode gate ``gamma`` (``gate.gamma``).
+``queries.q``) and the post-mode gate ``gamma`` (``gate.gamma``); a
+``fixed_small`` gate is a constant of the config, not a parameter.
 """
 
 from __future__ import annotations
@@ -129,6 +130,7 @@ class TextPath:
         self.adapter = adapter
         self.decoder_layers = decoder_layers or []
         self.gamma = gamma
+        self.gate_learnable = gamma is not None and gamma.requires_grad
         self.cached: Tensor | None = None
         if mode in (PromptMode.LANGUAGE_ONLY, PromptMode.POST_MODEL) and contexts is None:
             raise ContractError(f"{mode.value} mode needs learnable contexts")
@@ -146,10 +148,10 @@ class TextPath:
     def base_embeddings(self) -> TextEmbeddings:
         """Image-independent class embeddings (pre-gate for post mode).
 
-        Template mode fills `cached` on first use when the encoder is
-        frozen, since nothing upstream of it can train; with an unfrozen
-        encoder it encodes on every call, so the gradient reaches the
-        encoder.
+        Template mode fills `cached` on first use when no encoder weight
+        needs a gradient, since nothing upstream of it can train; otherwise
+        it encodes on every call, `no_grad` ones included, so the gradient
+        reaches the encoder.
         """
         if self.mode == PromptMode.PRE_MODEL:
             raise ContractError("pre-model embeddings depend on the image")
@@ -159,7 +161,7 @@ class TextPath:
             return self.encoder.encode(self.contexts, self.class_tokens)
         ctx = take(self.encoder.table, np.asarray(self.vocab.template_ids, dtype=np.intp))
         t = self.encoder.encode(ctx, self.class_tokens)
-        if not self.encoder.frozen:
+        if any(p.requires_grad for _, p in self.encoder.parameters()):
             return t
         self.cached = Tensor(t.t.data.copy())
         return TextEmbeddings(t=self.cached, class_count=self.k)
@@ -199,7 +201,7 @@ class TextPath:
         for i, layer in enumerate(self.decoder_layers):
             for name, p in layer.parameters():
                 yield f"decoder.{i}.{name}", p
-        if self.gamma is not None:
+        if self.gate_learnable:
             yield "gate.gamma", self.gamma
 
 

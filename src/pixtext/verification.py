@@ -188,14 +188,14 @@ def run_gradient_suite(op_tol: float = 1e-5, e2e_tol: float = 1e-4,
     check("transformer_block.readout.x",
           _probe_loss(lambda x: block.readout(x, [0, 2, 5, 6], [1, 4, 5])),
           [T.Tensor(frng.standard_normal((6, 8)))])
-    w_frozen = T.Tensor(frng.standard_normal((3, 4)))
-    b_frozen = T.Tensor(frng.standard_normal(3))
-    check("linear_op.frozen_weight.x", _probe_loss(lambda x: T.linear(x, w_frozen, b_frozen)),
+    w_const = T.Tensor(frng.standard_normal((3, 4)))
+    b_const = T.Tensor(frng.standard_normal(3))
+    check("linear_op.const_weight.x", _probe_loss(lambda x: T.linear(x, w_const, b_const)),
           [T.Tensor(frng.standard_normal((5, 4)))])
-    s_frozen = T.Tensor(frng.uniform(0.5, 1.5, 6))
-    t_frozen = T.Tensor(frng.standard_normal(6))
-    check("layer_norm.frozen_affine.x",
-          _probe_loss(lambda x: nn.layer_norm(x, s_frozen, t_frozen)),
+    s_const = T.Tensor(frng.uniform(0.5, 1.5, 6))
+    t_const = T.Tensor(frng.standard_normal(6))
+    check("layer_norm.const_affine.x",
+          _probe_loss(lambda x: nn.layer_norm(x, s_const, t_const)),
           [T.Tensor(frng.standard_normal((4, 6)))])
 
     pool = nn.MultiHeadAttention(8, 2, brng)

@@ -107,6 +107,26 @@ class TestTrainEval:
         assert reports[0] == reports[1]
 
 
+class TestRunConfigBoundary:
+    """Keys that no longer exist, or never did, fail where the config
+    enters, naming the key; nothing is silently ignored."""
+
+    @pytest.mark.parametrize("edit, key", [
+        (lambda cfg: cfg.update(freeze_text=False), "freeze_text"),
+        (lambda cfg: cfg["pipeline"].update(freeze_text=False), "freeze_text"),
+        (lambda cfg: cfg["optim"].update(multipliers={"text": 0.1}), "'text'"),
+    ], ids=["run.freeze_text", "pipeline.freeze_text", "optim.multipliers.text"])
+    def test_unknown_key_named(self, tmp_path, micro_dataset_dir, edit, key):
+        path = run_config(tmp_path)
+        cfg = json.loads(path.read_text())
+        edit(cfg)
+        path.write_text(json.dumps(cfg))
+        with pytest.raises((TypeError, ValueError), match=key):
+            main(["train", "--data", str(micro_dataset_dir), "--config", str(path),
+                  "--out", str(tmp_path / "ckpt"), "--report", str(tmp_path / "r.json")])
+        assert not (tmp_path / "ckpt").exists()
+
+
 class TestGradcheckCommand:
     def test_passes_with_default_tolerances(self, capsys):
         rc = main(["gradcheck"])

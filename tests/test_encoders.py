@@ -12,7 +12,6 @@ from pixtext.encoders import (
     ToyTextEncoder,
     attention_pool,
     build_vocab,
-    freeze,
 )
 from pixtext.pipeline import build_pipeline, micro_config, toy_config
 from pixtext.prompting import PromptMode
@@ -22,7 +21,7 @@ from pixtext.prompting import PromptMode
 def text_encoder(rng):
     vocab = build_vocab(["bg", "thing", "stuff"], template_len=4)
     cfg = TextEncoderConfig(width=8, blocks=1, heads=2, out_dim=6, vocab_size=vocab.size)
-    return ToyTextEncoder(cfg, rng, frozen=True), vocab
+    return ToyTextEncoder(cfg, rng), vocab
 
 
 class TestAttentionPool:
@@ -143,19 +142,17 @@ class TestTextEncoder:
 
 
 class TestFreeze:
-    def test_freeze_marks_all_params(self, rng):
+    def test_built_encoder_needs_no_gradient(self, rng):
+        # built as the recipe's zero text-encoder multiplier trains it
         vocab = build_vocab(["a", "b"])
         cfg = TextEncoderConfig(width=8, blocks=1, heads=2, out_dim=4, vocab_size=vocab.size)
-        enc = ToyTextEncoder(cfg, rng, frozen=False)
-        assert all(p.requires_grad for _, p in enc.parameters())
-        freeze(enc)
-        assert enc.frozen
+        enc = ToyTextEncoder(cfg, rng)
         assert not any(p.requires_grad for _, p in enc.parameters())
 
     def test_gradient_still_flows_to_contexts(self, rng):
         vocab = build_vocab(["a", "b"])
         cfg = TextEncoderConfig(width=8, blocks=1, heads=2, out_dim=4, vocab_size=vocab.size)
-        enc = ToyTextEncoder(cfg, rng, frozen=True)
+        enc = ToyTextEncoder(cfg, rng)
         ctx = T.Tensor(rng.standard_normal((2, 8)), requires_grad=True)
         out = enc.encode(ctx, vocab.tokens_for(["a", "b"]))
         T.backward(T.tsum(out.t))

@@ -100,6 +100,14 @@ class TestAdamW:
         with pytest.raises(ValueError):
             OptimConfig(multipliers={"other": -1.0})
 
+    def test_unknown_multiplier_group_named(self):
+        with pytest.raises(ValueError, match="'text'"):
+            OptimConfig(multipliers={"text": 0.1})
+
+    def test_missing_groups_take_the_recipe_multipliers(self):
+        cfg = OptimConfig(multipliers={"other": 0.5})
+        assert cfg.multipliers == {"image_encoder": 0.1, "text_encoder": 0.0, "other": 0.5}
+
 
 class TestClipGradients:
     def test_below_threshold_untouched(self):
@@ -275,9 +283,7 @@ class TestTrain:
 
     def test_unfrozen_control_updates_encoder(self, tiny_task):
         spec, dataset = tiny_task
-        cfg = micro_config("coop")
-        cfg.freeze_text = False
-        pipe = build_pipeline(cfg, spec.class_names, seed=4)
+        pipe = build_pipeline(micro_config("coop"), spec.class_names, seed=4)
         before = {n: p.data.copy() for n, p, g in pipe.parameters() if g == "text_encoder"}
         ocfg = OptimConfig(steps=5, seed=4,
                            multipliers={"image_encoder": 0.1, "text_encoder": 0.1, "other": 1.0})
@@ -290,9 +296,7 @@ class TestTrain:
 
     def test_unfrozen_template_trains_encoder(self, tiny_task):
         spec, dataset = tiny_task
-        cfg = micro_config("template")
-        cfg.freeze_text = False
-        pipe = build_pipeline(cfg, spec.class_names, seed=4)
+        pipe = build_pipeline(micro_config("template"), spec.class_names, seed=4)
         before = {n: p.data.copy() for n, p, g in pipe.parameters() if g == "text_encoder"}
         ocfg = OptimConfig(steps=3, seed=4,
                            multipliers={"image_encoder": 0.1, "text_encoder": 0.1, "other": 1.0})
@@ -314,10 +318,12 @@ class TestTrain:
         assert not np.array_equal(before, pipe.text_path.contexts.data)
         assert report.text_fwd_train == 2 * len(spec.class_names)
 
-    def test_clip_norm_over_updated_parameters_only(self, tiny_task, monkeypatch):
-        """An unfrozen text encoder at multiplier 0 gets gradients that are
-        never applied; they do not enter the clipping norm, so the run
-        clips and updates exactly as with a frozen encoder."""
+    @pytest.mark.parametrize("encoder_grad", [True, False])
+    def test_clip_norm_over_updated_parameters_only(self, tiny_task, monkeypatch, encoder_grad):
+        """At text multiplier 0 the encoder gets no gradient and stays out
+        of the clipping norm, whether its weights arrive on the tape (as a
+        run at 0.1 leaves them) or off it (as built): the run clips and
+        updates exactly as a freshly built pipeline does."""
         spec, dataset = tiny_task
         scales = []
 
@@ -326,20 +332,62 @@ class TestTrain:
             return scales[-1]
 
         monkeypatch.setattr(harness, "clip_gradients", recording_clip)
-        runs = {}
-        for frozen in (True, False):
-            cfg = micro_config("coop")
-            cfg.freeze_text = frozen
-            pipe = build_pipeline(cfg, spec.class_names, seed=4)
+        runs = []
+        for requires_grad in (False, encoder_grad):
+            pipe = build_pipeline(micro_config("coop"), spec.class_names, seed=4)
+            for _, p in pipe.text_path.encoder.parameters():
+                p.requires_grad = requires_grad
             scales.clear()
             train(pipe, dataset, OptimConfig(steps=3, seed=4, clip_norm=1.0))
-            encoder_grads = [p.grad for _, p, g in pipe.parameters() if g == "text_encoder"]
-            assert all((grad is None) == frozen for grad in encoder_grads)
-            runs[frozen] = (list(scales), {n: p.data for n, p, _ in pipe.parameters()})
-        assert len(runs[True][0]) == 3 and all(s < 1.0 for s in runs[True][0])
-        assert runs[False][0] == runs[True][0]
-        for name, data in runs[True][1].items():
-            assert np.array_equal(runs[False][1][name], data), name
+            assert all(p.grad is None for _, p, g in pipe.parameters() if g == "text_encoder")
+            runs.append((list(scales), {n: p.data for n, p, _ in pipe.parameters()}))
+        (ref_scales, ref_params), (run_scales, run_params) = runs
+        assert len(ref_scales) == 3 and all(s < 1.0 for s in ref_scales)
+        assert run_scales == ref_scales
+        for name, data in ref_params.items():
+            assert np.array_equal(run_params[name], data), name
+
+    @pytest.mark.parametrize("multipliers, frozen_group", [
+        ({"image_encoder": 0.0}, "image_encoder"),
+        # a dict without `text_encoder` keeps its recipe multiplier of 0
+        ({"image_encoder": 0.2, "other": 1.0}, "text_encoder"),
+    ], ids=["image_encoder_at_zero", "partial_dict"])
+    def test_zero_multiplier_group_stays_off_the_tape(self, tiny_task, multipliers, frozen_group):
+        spec, dataset = tiny_task
+        pipe = build_pipeline(micro_config("coop"), spec.class_names, seed=4)
+        before = {n: p.data.copy() for n, p, g in pipe.parameters() if g == frozen_group}
+        train(pipe, dataset, OptimConfig(steps=3, seed=4, multipliers=multipliers))
+        for name, p, group in pipe.parameters():
+            if group == frozen_group:
+                assert np.array_equal(before[name], p.data) and p.grad is None, name
+
+    def test_fixed_gate_stays_a_constant(self, tiny_task):
+        spec, dataset = tiny_task
+        cfg = micro_config("post")
+        cfg.gate_preset = "fixed_small"
+        pipe = build_pipeline(cfg, spec.class_names, seed=4)
+        train(pipe, dataset, OptimConfig(steps=3, seed=4))
+        gamma = pipe.text_path.gamma
+        assert np.array_equal(gamma.data, np.full(cfg.shared_dim, 1e-4))
+        assert not gamma.requires_grad
+        assert "text.gate.gamma" not in [n for n, _, _ in pipe.parameters()]
+
+    def test_default_run_after_a_text_run_takes_the_encoder_off_the_tape(self, tiny_task):
+        spec, dataset = tiny_task
+        k = len(spec.class_names)
+        pipe = build_pipeline(micro_config("template"), spec.class_names, seed=4)
+        text_run = OptimConfig(steps=2, seed=4,
+                               multipliers={"image_encoder": 0.1, "text_encoder": 0.1, "other": 1.0})
+        before = {n: p.data.copy() for n, p, g in pipe.parameters() if g == "text_encoder"}
+        assert train(pipe, dataset, text_run).text_fwd_train == 2 * k
+        trained = {n: p.data.copy() for n, p, g in pipe.parameters() if g == "text_encoder"}
+        assert all(not np.array_equal(before[n], trained[n]) for n in trained)
+        report = train(pipe, dataset, OptimConfig(steps=3, seed=4))
+        # encoded once and cached, as on a pipeline that never trained its encoder
+        assert report.text_fwd_train == k
+        for name, p, group in pipe.parameters():
+            if group == "text_encoder":
+                assert np.array_equal(trained[name], p.data) and not p.requires_grad, name
 
     def test_divergence_aborts_loudly(self, tiny_task):
         spec, dataset = tiny_task

@@ -6,6 +6,7 @@ import pytest
 from pixtext import tensor as T
 from pixtext.datagen import TaskSpec, generate
 from pixtext.encoders import ImageEncoderConfig, ToyImageEncoder
+from pixtext.harness import OptimConfig, train
 from pixtext.matching import SegTarget, compute_score_map, fuse_features, seg_aux_loss
 from pixtext.pipeline import (
     build_pipeline,
@@ -217,6 +218,21 @@ class TestCheckpoint:
             assert n1 == n2 and g1 == g2
             assert np.array_equal(p1.data, p2.data)
         assert np.array_equal(pipe.predict(micro_sample.image), back.predict(micro_sample.image))
+
+    def test_fixed_gate_roundtrip(self, tmp_path, micro_spec):
+        cfg = micro_config("post")
+        cfg.gate_preset = "fixed_small"
+        pipe = build_pipeline(cfg, micro_spec.class_names, seed=2)
+        samples = generate(micro_spec, 4, seed=5)
+        train(pipe, (samples, samples[:1]), OptimConfig(steps=2, seed=2))
+        save_checkpoint(pipe, tmp_path / "ckpt")
+        manifest = json.loads((tmp_path / "ckpt" / "manifest.json").read_text())
+        assert "text.gate.gamma" not in manifest["params"]
+        assert all(set(e) == {"file", "group"} for e in manifest["params"].values())
+        back = load_checkpoint(tmp_path / "ckpt")
+        images = [s.image for s in samples]
+        assert np.array_equal(pipe.predict(images), back.predict(images))
+        assert np.array_equal(back.text_path.gamma.data, pipe.text_path.gamma.data)
 
     def test_manifest_lists_groups(self, tmp_path, micro_spec):
         pipe = build_pipeline(micro_config("coop"), micro_spec.class_names, seed=2)
