@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Generate the default dataset and run the five-row prompting comparison.
 
-Writes the dataset, the suite CSV, and prints the table. Seeds come from
-the CLI (or DENSECLIP_SEED, which wins inside the suite runner).
+Writes the dataset, the suite CSV, and prints the table. The suite seed
+is `--seed`; this script does not read DENSECLIP_SEED, which only
+`pixtext train` and `pixtext ablate` apply.
 """
 
 import argparse

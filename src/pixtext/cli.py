@@ -1,8 +1,10 @@
 """Command-line interface.
 
-Subcommands: synth, train, eval, gradcheck, ablate. All configs are JSON.
-The DENSECLIP_SEED environment variable overrides the seeds found in run
-and suite configs so CI can pin one seed across every invocation.
+Subcommands: synth, train, eval, gradcheck, ablate. All configs are JSON;
+run configs and suite rows are parsed by `harness.load_run`. The
+DENSECLIP_SEED environment variable overrides the seeds found in run and
+suite configs (train and ablate, once per command) so CI can pin one seed
+across every invocation.
 """
 
 from __future__ import annotations
@@ -13,15 +15,8 @@ import os
 import sys
 
 from .datagen import TaskSpec, default_task, generate, load_dataset, save_dataset, split
-from .harness import OptimConfig, run_ablation, train, write_ablation_csv
-from .pipeline import (
-    PipelineConfig,
-    build_pipeline,
-    export_prediction,
-    load_checkpoint,
-    save_checkpoint,
-    toy_config,
-)
+from .harness import evaluate_miou, load_run, run_ablation, train, write_ablation_csv
+from .pipeline import build_pipeline, export_prediction, load_checkpoint, save_checkpoint
 from .verification import format_results, run_gradient_suite
 
 __all__ = ["main"]
@@ -46,32 +41,13 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _load_run_config(path):
-    with open(path) as fh:
-        cfg = json.load(fh)
-    unknown = sorted(set(cfg) - {"mode", "seed", "pipeline", "optim", "train_fraction"})
-    if unknown:
-        raise ValueError(f"unknown run config key(s) {unknown}")
-    mode = cfg.get("mode", "coop")
-    if mode in ("none", ""):
-        mode = None
-    if "pipeline" in cfg:
-        pipe_cfg = PipelineConfig.from_dict(cfg["pipeline"])
-    else:
-        pipe_cfg = toy_config(mode)
-        pipe_cfg.prompt_mode = mode
-    optim = OptimConfig.from_dict(cfg.get("optim", {}))
-    if "seed" in cfg:
-        optim.seed = int(cfg["seed"])
-    optim.seed = _seed_override(optim.seed)
-    fraction = float(cfg.get("train_fraction", 0.75))
-    return pipe_cfg, optim, fraction
-
-
 def _cmd_train(args) -> int:
-    pipe_cfg, optim, fraction = _load_run_config(args.config)
+    with open(args.config) as fh:
+        run = json.load(fh)
+    pipe_cfg, optim = load_run(run)
+    optim.seed = _seed_override(optim.seed)
     spec, samples = load_dataset(args.data)
-    train_samples, eval_samples = split(samples, fraction)
+    train_samples, eval_samples = split(samples, float(run.get("train_fraction", 0.75)))
     pipe = build_pipeline(pipe_cfg, spec.class_names, optim.seed)
     report = train(pipe, (train_samples, eval_samples), optim)
     save_checkpoint(pipe, args.out)
@@ -89,8 +65,6 @@ def _cmd_eval(args) -> int:
     spec, samples = load_dataset(args.data)
     pipe.cache_text()
     before = pipe.text_sequence_count()
-    from .harness import evaluate_miou
-
     per_class, miou = evaluate_miou(pipe, samples)
     report = {
         "miou": miou,

@@ -10,7 +10,7 @@ the last position is our stand-in for an end-of-text readout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -191,9 +191,10 @@ class ToyImageEncoder:
         self._patch_index_cache[key] = idx
         return idx
 
-    def encode(self, images: Tensor) -> tuple[FeatureMap, PooledFeatures]:
-        """Encode one H x W x 3 image or an (N, H, W, 3) batch; every
-        image is a segment of the stacked rows."""
+    def _trunk(self, images: Tensor) -> FeatureMap:
+        """Patch embedding and transformer blocks: width-channel features of
+        one H x W x 3 image or an (N, H, W, 3) batch; every image is a
+        segment of the stacked rows."""
         if images.data.ndim not in (3, 4) or images.shape[-1] != 3:
             raise ShapeError(f"expected H x W x 3 image or N x H x W x 3 batch, got {images.shape}")
         n = images.shape[0] if images.data.ndim == 4 else 1
@@ -209,10 +210,20 @@ class ToyImageEncoder:
         offsets = block_offsets(n, h4 * w4)
         for block in self.blocks:
             x = block(x, offsets)
-        pooled_raw = attention_pool(self.pool, FeatureMap(h4=h4, w4=w4, c=self.cfg.width,
-                                                          values=x, n=n))
-        fm = FeatureMap(h4=h4, w4=w4, c=self.cfg.out_dim, values=self.proj(x), n=n)
-        return fm, PooledFeatures(memory=self.proj(pooled_raw.memory), n=n)
+        return FeatureMap(h4=h4, w4=w4, c=self.cfg.width, values=x, n=n)
+
+    def features(self, images: Tensor) -> FeatureMap:
+        """The projected feature map alone: `encode` without the attention pool."""
+        x4 = self._trunk(images)
+        return replace(x4, c=self.cfg.out_dim, values=self.proj(x4.values))
+
+    def encode(self, images: Tensor) -> tuple[FeatureMap, PooledFeatures]:
+        """The projected feature map and pooled features of one H x W x 3
+        image or an (N, H, W, 3) batch."""
+        x4 = self._trunk(images)
+        pooled = attention_pool(self.pool, x4)
+        fm = replace(x4, c=self.cfg.out_dim, values=self.proj(x4.values))
+        return fm, PooledFeatures(memory=self.proj(pooled.memory), n=x4.n)
 
     def parameters(self):
         for name, p in self.patch_embed.parameters():
@@ -232,12 +243,13 @@ class ToyImageEncoder:
 
 @dataclass
 class TextEncoderConfig:
+    """The vocabulary size and output width are not settings: `build_pipeline`
+    takes them from the class names and the pipeline's shared width."""
+
     width: int = 48
     blocks: int = 2
     heads: int = 4
-    out_dim: int = 32
     ffn_mult: int = 2
-    vocab_size: int = 0  # filled in when the vocabulary is known
 
 
 class ToyTextEncoder:
@@ -251,18 +263,19 @@ class ToyTextEncoder:
     Its weights are built off the tape, as the default text multiplier 0 asks.
     """
 
-    def __init__(self, cfg: TextEncoderConfig, rng: np.random.Generator):
-        if cfg.vocab_size < 1:
+    def __init__(self, cfg: TextEncoderConfig, vocab_size: int, out_dim: int,
+                 rng: np.random.Generator):
+        if vocab_size < 1:
             raise ShapeError("text encoder needs a positive vocab size")
         if cfg.blocks < 1:
             raise ShapeError("text encoder needs at least one block")
         self.cfg = cfg
-        self.table = Tensor(init_uniform(rng, (cfg.vocab_size, cfg.width), cfg.width))
+        self.table = Tensor(init_uniform(rng, (vocab_size, cfg.width), cfg.width))
         hidden = cfg.width * cfg.ffn_mult
         self.blocks = [
             TransformerBlock(cfg.width, cfg.heads, hidden, rng) for _ in range(cfg.blocks)
         ]
-        self.proj = Linear(cfg.width, cfg.out_dim, rng)
+        self.proj = Linear(cfg.width, out_dim, rng)
         for _, p in self.parameters():
             p.requires_grad = False
         self.sequences_encoded = 0
@@ -273,12 +286,12 @@ class ToyTextEncoder:
 
     @property
     def out_dim(self) -> int:
-        return self.cfg.out_dim
+        return self.proj.out_dim
 
     def embed_tokens(self, ids) -> Tensor:
         ids = list(ids)
         for tid in ids:
-            if not (0 <= tid < self.cfg.vocab_size):
+            if not (0 <= tid < self.table.shape[0]):
                 raise ContractError(f"token id {tid} outside vocabulary")
         return take(self.table, np.asarray(ids, dtype=np.intp))
 

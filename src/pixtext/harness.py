@@ -1,5 +1,6 @@
 """Training harness: AdamW with per-group learning-rate multipliers,
-gradient clipping, the train loop, mIoU evaluation and the ablation runner.
+gradient clipping, the train loop, mIoU evaluation, the run-config loader
+and the ablation runner.
 
 The fine-tuning recipe is baked into the defaults: decoupled weight decay,
 the image encoder at a tenth of the base learning rate, and the text
@@ -30,6 +31,7 @@ __all__ = [
     "train",
     "evaluate_miou",
     "miou_from_pairs",
+    "load_run",
     "run_ablation",
     "write_ablation_csv",
     "ABLATION_ROWS",
@@ -64,10 +66,6 @@ class OptimConfig:
             raise ValueError("lr multipliers must be non-negative")
         if self.clip_norm is not None and self.clip_norm <= 0:
             raise ValueError("clip norm must be positive when set")
-
-    @staticmethod
-    def from_dict(d: dict) -> "OptimConfig":
-        return OptimConfig(**d)
 
 
 class AdamW:
@@ -313,7 +311,7 @@ def train(pipe: DensePredPipeline, dataset, cfg: OptimConfig) -> RunReport:
 
 
 # ---------------------------------------------------------------------------
-# Ablation runner
+# Run configs and the ablation runner
 
 
 ABLATION_ROWS = [
@@ -324,55 +322,82 @@ ABLATION_ROWS = [
     {"name": "post", "mode": "post"},
 ]
 
+RUN_KEYS = ("mode", "seed", "pipeline", "optim", "train_fraction")
+SUITE_KEYS = ("seed", "optim", "rows", "train_fraction")
+ROW_KEYS = ("name", "mode", "pipeline", "optim")
 
-def run_ablation(dataset, class_names, suite: dict) -> list[dict]:
-    """Train every configuration in the suite on the shared dataset + seed.
 
-    Returns CSV-ready rows; a failed run keeps its row with blank metrics
-    and the suite continues.
+def _check_keys(d: dict, allowed, what: str):
+    unknown = sorted(set(d) - set(allowed))
+    if unknown:
+        raise ValueError(f"unknown {what} key(s) {unknown}; use {list(allowed)}")
+
+
+def _json_mode(mode):
+    """JSON spells "no language path" as null, "none" or ""."""
+    return None if mode in ("none", "") else mode
+
+
+def load_run(run: dict, keys=RUN_KEYS, optim: dict | None = None,
+             what: str = "run config") -> tuple[PipelineConfig, OptimConfig]:
+    """The pipeline and optimizer configs of one run (a run config or a
+    suite row) as parsed from JSON.
+
+    `mode` (default coop) fills `pipeline.prompt_mode` when the pipeline
+    object leaves it out; the two must agree when both are given. Without a
+    pipeline object the run uses `toy_config(mode)`. `optim` holds defaults
+    that the run's own `optim` overrides, and a run's `seed` overrides both.
+    Unknown keys at any level raise and name the key.
     """
-    seed = int(suite.get("seed", 0))
-    optim_overrides = dict(suite.get("optim", {}))
-    rows_cfg = suite.get("rows", ABLATION_ROWS)
-    out_rows = []
-    for row in rows_cfg:
-        name = row["name"]
-        mode = row.get("mode")
-        if mode in ("none", ""):
-            mode = None
-        pipe_cfg_dict = row.get("pipeline")
-        if pipe_cfg_dict is not None:
-            cfg = PipelineConfig.from_dict(pipe_cfg_dict)
-        else:
-            cfg = toy_config(mode)
-        cfg.prompt_mode = mode
-        ocfg = OptimConfig.from_dict({**optim_overrides, "seed": seed,
-                                      **row.get("optim", {})})
-        try:
-            pipe = build_pipeline(cfg, class_names, seed)
-            report = train(pipe, dataset, ocfg)
-            out_rows.append({
-                "config_name": name,
-                "miou": report.final_eval_miou,
-                "final_loss": report.loss_series[-1],
-                "params": report.trainable_params,
-                "text_fwd_train": report.text_fwd_train,
-                "text_fwd_infer": report.text_fwd_infer,
-            })
-        except Exception as exc:  # noqa: BLE001 - failed rows are marked, suite continues
-            out_rows.append({
-                "config_name": name,
-                "miou": "",
-                "final_loss": "",
-                "params": "",
-                "text_fwd_train": "",
-                "text_fwd_infer": "",
-                "error": f"{type(exc).__name__}: {exc}",
-            })
-    return out_rows
+    _check_keys(run, keys, what)
+    mode = _json_mode(run.get("mode", "coop"))
+    if "pipeline" not in run:
+        pipe_cfg = toy_config(mode)
+    else:
+        pipe = dict(run["pipeline"])
+        pipe["prompt_mode"] = _json_mode(pipe.get("prompt_mode", mode))
+        if "mode" in run and pipe["prompt_mode"] != mode:
+            raise ValueError(f"{what}: mode {mode!r} but pipeline.prompt_mode "
+                             f"{pipe['prompt_mode']!r}")
+        pipe_cfg = PipelineConfig.from_dict(pipe)
+    optim = {**(optim or {}), **run.get("optim", {})}
+    if "seed" in run:
+        optim["seed"] = int(run["seed"])
+    return pipe_cfg, OptimConfig(**optim)
 
 
 CSV_COLUMNS = ["config_name", "miou", "final_loss", "params", "text_fwd_train", "text_fwd_infer"]
+
+
+def run_ablation(dataset, class_names, suite: dict) -> list[dict]:
+    """Train every row of the suite on the shared dataset + seed.
+
+    Rows default to ABLATION_ROWS; the suite's `optim` and `seed` are each
+    row's defaults. Every row is loaded and built before the first one
+    trains, so a bad row fails the suite at once. Returns CSV-ready rows; a
+    run that fails in training keeps its row with blank metrics and the
+    suite continues.
+    """
+    _check_keys(suite, SUITE_KEYS, "suite")
+    seed = int(suite.get("seed", 0))
+    defaults = {**suite.get("optim", {}), "seed": seed}
+    runs = []
+    for row in suite.get("rows", ABLATION_ROWS):
+        cfg, ocfg = load_run(row, ROW_KEYS, defaults, f"row {row['name']!r}")
+        runs.append((row["name"], build_pipeline(cfg, class_names, seed), ocfg))
+    out_rows = []
+    for name, pipe, ocfg in runs:
+        try:
+            report = train(pipe, dataset, ocfg)
+            out_rows.append({"config_name": name, "miou": report.final_eval_miou,
+                             "final_loss": report.loss_series[-1],
+                             "params": report.trainable_params,
+                             "text_fwd_train": report.text_fwd_train,
+                             "text_fwd_infer": report.text_fwd_infer})
+        except Exception as exc:  # noqa: BLE001 - failed rows are marked, suite continues
+            out_rows.append({"config_name": name, **dict.fromkeys(CSV_COLUMNS[1:], ""),
+                             "error": f"{type(exc).__name__}: {exc}"})
+    return out_rows
 
 
 def write_ablation_csv(rows, path):

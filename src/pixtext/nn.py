@@ -9,6 +9,7 @@ is symmetric uniform scaled by 1/sqrt(fan_in); biases start at zero.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 
 import numpy as np
 
@@ -141,30 +142,23 @@ def _segment_chunks(lq: np.ndarray, lk: np.ndarray, heads: int):
     """
     if lq.size != lk.size:
         raise ShapeError(f"{lq.size} query segments but {lk.size} key/value segments")
-    if lq.size == 1:
-        return [(slice(None), slice(None), 1, int(lq[0]), int(lk[0]))]
-    q_off = np.concatenate([[0], np.cumsum(lq)])
-    kv_off = np.concatenate([[0], np.cumsum(lk)])
-    if np.all(lq == lq[0]) and np.all(lk == lk[0]):
-        groups = [(None, int(lq[0]), int(lk[0]))]
-    else:
-        keys = lq * (int(lk.max()) + 1) + lk
-        groups = [(segs, int(lq[segs[0]]), int(lk[segs[0]]))
-                  for segs in (np.flatnonzero(keys == key) for key in np.unique(keys))]
+    lq, lk = lq.tolist(), lk.tolist()
+    q_off, kv_off = [0, *accumulate(lq)], [0, *accumulate(lk)]
+    groups: dict[tuple[int, int], list[int]] = {}
+    for s, lengths in enumerate(zip(lq, lk)):
+        groups.setdefault(lengths, []).append(s)
     chunks = []
-    for segs, a, b in groups:
-        total = lq.size if segs is None else segs.size
+    for (a, b), segs in sorted(groups.items()):
         step = max(1, _CHUNK_BYTES // (8 * heads * a * b))
-        for c0 in range(0, total, step):
-            count = min(step, total - c0)
-            if segs is None:
-                q_rows = slice(c0 * a, (c0 + count) * a)
-                kv_rows = slice(c0 * b, (c0 + count) * b)
+        for c0 in range(0, len(segs), step):
+            part = segs[c0 : c0 + step]
+            if part[-1] - part[0] == len(part) - 1:
+                q_rows = slice(q_off[part[0]], q_off[part[-1] + 1])
+                kv_rows = slice(kv_off[part[0]], kv_off[part[-1] + 1])
             else:
-                part = segs[c0 : c0 + count]
-                q_rows = (q_off[part][:, None] + np.arange(a)).reshape(-1)
-                kv_rows = (kv_off[part][:, None] + np.arange(b)).reshape(-1)
-            chunks.append((q_rows, kv_rows, count, a, b))
+                q_rows = (np.array([q_off[i] for i in part])[:, None] + np.arange(a)).reshape(-1)
+                kv_rows = (np.array([kv_off[i] for i in part])[:, None] + np.arange(b)).reshape(-1)
+            chunks.append((q_rows, kv_rows, len(part), a, b))
     return chunks
 
 

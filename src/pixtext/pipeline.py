@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import os
 import zlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -50,7 +50,7 @@ from .matching import (
     seg_aux_loss,
 )
 from .nn import Linear, TransformerDecoderLayer, init_uniform
-from .prompting import GATE_PRESETS, PromptMode, TextPath
+from .prompting import GATE_PRESETS, PROMPT_MODES, TextPath
 from .tensor import (
     ContractError,
     ShapeError,
@@ -117,15 +117,14 @@ def rng_for(seed: int, name: str) -> np.random.Generator:
 class PipelineConfig:
     """Bare defaults follow the full-scale recipe (context length 8,
     6-layer/4-head prompting decoder); the toy/micro presets shrink the
-    decoder so the test suite runs in seconds."""
+    decoder so the test suite runs in seconds. Learnable contexts start
+    from the template tokens' embeddings."""
 
-    shared_dim: int = 32
     image: ImageEncoderConfig = field(default_factory=ImageEncoderConfig)
     text: TextEncoderConfig = field(default_factory=TextEncoderConfig)
     prompt_mode: str | None = "coop"  # template|coop|pre|post, or None for no language path
     context_len: int = 8
     template_len: int = 8
-    context_init: str = "template"  # template|random
     prompt_decoder_depth: int = 6
     prompt_decoder_heads: int = 4
     prompt_ffn_mult: int = 2
@@ -134,27 +133,26 @@ class PipelineConfig:
     loss: LossConfig = field(default_factory=LossConfig)
     task_mode: str = "segmentation"  # segmentation|detection
 
+    @property
+    def shared_dim(self) -> int:
+        """The one embedding width: pixel features and text embeddings
+        both project to the image encoder's `out_dim`."""
+        return self.image.out_dim
+
     def to_dict(self) -> dict:
         return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "PipelineConfig":
-        d = dict(d)
-        if "image" in d:
-            d["image"] = ImageEncoderConfig(**d["image"])
-        if "text" in d:
-            d["text"] = TextEncoderConfig(**d["text"])
-        if "loss" in d:
-            d["loss"] = LossConfig(**d["loss"])
-        return PipelineConfig(**d)
+        sections = {"image": ImageEncoderConfig, "text": TextEncoderConfig, "loss": LossConfig}
+        return PipelineConfig(**{k: sections[k](**v) if k in sections else v for k, v in d.items()})
 
 
 def toy_config(prompt_mode: str | None = "coop") -> PipelineConfig:
     """Default desk-scale configuration for the bundled synthetic task."""
     return PipelineConfig(
-        shared_dim=32,
         image=ImageEncoderConfig(patch=4, width=32, blocks=2, heads=4, out_dim=32, ffn_mult=2),
-        text=TextEncoderConfig(width=48, blocks=2, heads=4, out_dim=32, ffn_mult=2),
+        text=TextEncoderConfig(width=48, blocks=2, heads=4, ffn_mult=2),
         prompt_mode=prompt_mode,
         context_len=8,
         prompt_decoder_depth=2,
@@ -166,9 +164,8 @@ def toy_config(prompt_mode: str | None = "coop") -> PipelineConfig:
 def micro_config(prompt_mode: str | None = "coop") -> PipelineConfig:
     """Minimal configuration used by gradient checks; runs in milliseconds."""
     return PipelineConfig(
-        shared_dim=8,
         image=ImageEncoderConfig(patch=4, width=8, blocks=1, heads=2, out_dim=8, ffn_mult=2),
-        text=TextEncoderConfig(width=8, blocks=1, heads=2, out_dim=8, ffn_mult=2),
+        text=TextEncoderConfig(width=8, blocks=1, heads=2, ffn_mult=2),
         prompt_mode=prompt_mode,
         context_len=2,
         template_len=2,
@@ -271,15 +268,20 @@ class DensePredPipeline:
 
     # -- encoding -----------------------------------------------------------
 
-    def encode_image(self, images: Tensor) -> tuple[FeatureMap, PooledFeatures]:
-        """Encode one H x W x 3 image or a stacked (N, H, W, 3) batch."""
-        fm, pooled = self.image_encoder.encode(images)
+    def encode_image(self, images: Tensor) -> tuple[FeatureMap, PooledFeatures | None]:
+        """Encode one H x W x 3 image or a stacked (N, H, W, 3) batch.
+
+        Without a language path nothing reads the pooled features, so the
+        attention pool does not run and they come back None.
+        """
+        if self.text_path is None:
+            fm, pooled = self.image_encoder.features(images), None
+        else:
+            fm, pooled = self.image_encoder.encode(images)
         if self.backbone_adapter is not None:
-            fm = FeatureMap(
-                h4=fm.h4, w4=fm.w4, c=self.cfg.shared_dim,
-                values=self.backbone_adapter(fm.values), n=fm.n,
-            )
-            pooled = PooledFeatures(memory=self.backbone_adapter(pooled.memory), n=pooled.n)
+            fm = replace(fm, c=self.cfg.shared_dim, values=self.backbone_adapter(fm.values))
+            if pooled is not None:
+                pooled = PooledFeatures(memory=self.backbone_adapter(pooled.memory), n=pooled.n)
         return fm, pooled
 
     # -- forward ------------------------------------------------------------
@@ -427,31 +429,23 @@ class DensePredPipeline:
         return self.text_path.encoder.sequences_encoded
 
     def cache_text(self):
-        if self.text_path is not None and self.text_path.mode != PromptMode.PRE_MODEL:
+        if self.text_path is not None and self.text_path.mode != "pre":
             self.text_path.cache()
 
 
-def _build_text_path(cfg: PipelineConfig, class_names, vocab: Vocabulary, seed: int) -> TextPath | None:
-    if cfg.prompt_mode is None or cfg.prompt_mode == "none":
-        return None
-    mode = PromptMode.parse(cfg.prompt_mode)
-    text_cfg = TextEncoderConfig(**{**asdict(cfg.text), "vocab_size": vocab.size,
-                                    "out_dim": cfg.shared_dim})
-    encoder = ToyTextEncoder(text_cfg, rng_for(seed, "text_encoder"))
+def _build_text_path(cfg: PipelineConfig, class_names, vocab: Vocabulary, seed: int) -> TextPath:
+    mode = cfg.prompt_mode
+    encoder = ToyTextEncoder(cfg.text, vocab.size, cfg.shared_dim, rng_for(seed, "text_encoder"))
 
     contexts = queries = adapter = gamma = None
     decoder_layers = []
-    if mode in (PromptMode.LANGUAGE_ONLY, PromptMode.POST_MODEL):
-        if cfg.context_init == "template":
-            ids = (vocab.template_ids * ((cfg.context_len // max(len(vocab.template_ids), 1)) + 1))[
-                : cfg.context_len
-            ]
-            rows = encoder.table.data[np.asarray(ids, dtype=np.intp)].copy()
-        else:
-            rows = init_uniform(rng_for(seed, "contexts"), (cfg.context_len, text_cfg.width),
-                                text_cfg.width)
-        contexts = Tensor(rows, requires_grad=True)
-    if mode in (PromptMode.PRE_MODEL, PromptMode.POST_MODEL):
+    if mode in ("coop", "post"):
+        ids = (vocab.template_ids * ((cfg.context_len // max(len(vocab.template_ids), 1)) + 1))[
+            : cfg.context_len
+        ]
+        contexts = Tensor(encoder.table.data[np.asarray(ids, dtype=np.intp)].copy(),
+                          requires_grad=True)
+    if mode in ("pre", "post"):
         rng_dec = rng_for(seed, "prompt_decoder")
         decoder_layers = [
             TransformerDecoderLayer(
@@ -460,11 +454,11 @@ def _build_text_path(cfg: PipelineConfig, class_names, vocab: Vocabulary, seed: 
             )
             for _ in range(cfg.prompt_decoder_depth)
         ]
-    if mode == PromptMode.PRE_MODEL:
+    if mode == "pre":
         queries = Tensor(init_uniform(rng_for(seed, "queries"), (cfg.context_len, cfg.shared_dim),
                                       cfg.shared_dim), requires_grad=True)
-        adapter = Linear(cfg.shared_dim, text_cfg.width, rng_for(seed, "pre_adapter"))
-    if mode == PromptMode.POST_MODEL:
+        adapter = Linear(cfg.shared_dim, encoder.width, rng_for(seed, "pre_adapter"))
+    if mode == "post":
         init_value, learnable = GATE_PRESETS[cfg.gate_preset]
         gamma = Tensor(np.full(cfg.shared_dim, init_value), requires_grad=learnable)
 
@@ -482,15 +476,16 @@ def _build_text_path(cfg: PipelineConfig, class_names, vocab: Vocabulary, seed: 
 
 
 def build_pipeline(cfg: PipelineConfig, class_names, seed: int) -> DensePredPipeline:
-    if cfg.image.out_dim != cfg.shared_dim:
-        raise ShapeError("image encoder out_dim must equal the shared dim")
+    if cfg.prompt_mode not in (None, *PROMPT_MODES):
+        raise ValueError(f"unknown prompt mode {cfg.prompt_mode!r}; "
+                         f"use {'|'.join(PROMPT_MODES)}, or None for no language path")
+    if cfg.task_mode not in ("segmentation", "detection"):
+        raise ValueError(f"unknown task mode {cfg.task_mode!r}; use segmentation|detection")
     class_names = [str(n) for n in class_names]
     vocab = build_vocab(class_names, template_len=cfg.template_len)
     image_encoder = ToyImageEncoder(cfg.image, rng_for(seed, "image_encoder"))
-    text_path = _build_text_path(cfg, class_names, vocab, seed)
+    text_path = None if cfg.prompt_mode is None else _build_text_path(cfg, class_names, vocab, seed)
     k = len(class_names)
-    if cfg.task_mode not in ("segmentation", "detection"):
-        raise ValueError(f"unknown task mode {cfg.task_mode!r}; use segmentation|detection")
     head = None
     if cfg.task_mode == "segmentation":
         head = DecodeHead(cfg.shared_dim + k, cfg.head_hidden, k, rng_for(seed, "head"))

@@ -20,8 +20,6 @@ The learnable tensors are plain attributes of ``TextPath``: ``contexts``
 
 from __future__ import annotations
 
-import enum
-
 import numpy as np
 
 from .encoders import PooledFeatures, TextEmbeddings, ToyTextEncoder, Vocabulary
@@ -29,7 +27,7 @@ from .nn import Linear, block_offsets, decoder_forward
 from .tensor import ContractError, ShapeError, Tensor, add, mul_rowvec, take
 
 __all__ = [
-    "PromptMode",
+    "PROMPT_MODES",
     "GATE_PRESETS",
     "pre_model_prompt",
     "post_model_prompt",
@@ -38,18 +36,7 @@ __all__ = [
 ]
 
 
-class PromptMode(enum.Enum):
-    TEMPLATE = "template"
-    LANGUAGE_ONLY = "coop"
-    PRE_MODEL = "pre"
-    POST_MODEL = "post"
-
-    @staticmethod
-    def parse(name: str) -> "PromptMode":
-        for mode in PromptMode:
-            if mode.value == name:
-                return mode
-        raise ValueError(f"unknown prompt mode {name!r}; use template|coop|pre|post")
+PROMPT_MODES = ("template", "coop", "pre", "post")
 
 
 # Named configurations used by the gate ablation: (init value, learnable).
@@ -110,7 +97,7 @@ class TextPath:
 
     def __init__(
         self,
-        mode: PromptMode,
+        mode: str,
         encoder: ToyTextEncoder,
         vocab: Vocabulary,
         class_names,
@@ -132,13 +119,13 @@ class TextPath:
         self.gamma = gamma
         self.gate_learnable = gamma is not None and gamma.requires_grad
         self.cached: Tensor | None = None
-        if mode in (PromptMode.LANGUAGE_ONLY, PromptMode.POST_MODEL) and contexts is None:
-            raise ContractError(f"{mode.value} mode needs learnable contexts")
-        if mode == PromptMode.PRE_MODEL and (
+        if mode in ("coop", "post") and contexts is None:
+            raise ContractError(f"{mode} mode needs learnable contexts")
+        if mode == "pre" and (
             queries is None or adapter is None or not self.decoder_layers
         ):
             raise ContractError("pre mode needs queries, adapter and a decoder")
-        if mode == PromptMode.POST_MODEL and (gamma is None or not self.decoder_layers):
+        if mode == "post" and (gamma is None or not self.decoder_layers):
             raise ContractError("post mode needs a gate and a decoder")
 
     @property
@@ -153,11 +140,11 @@ class TextPath:
         it encodes on every call, `no_grad` ones included, so the gradient
         reaches the encoder.
         """
-        if self.mode == PromptMode.PRE_MODEL:
+        if self.mode == "pre":
             raise ContractError("pre-model embeddings depend on the image")
         if self.cached is not None:
             return TextEmbeddings(t=self.cached, class_count=self.k)
-        if self.mode != PromptMode.TEMPLATE:
+        if self.mode != "template":
             return self.encoder.encode(self.contexts, self.class_tokens)
         ctx = take(self.encoder.table, np.asarray(self.vocab.template_ids, dtype=np.intp))
         t = self.encoder.encode(ctx, self.class_tokens)
@@ -169,20 +156,20 @@ class TextPath:
     def embeddings(self, pooled: PooledFeatures) -> TextEmbeddings:
         """Final class embeddings used against the batch's features: K rows
         shared by every image, or n*K rows in the image-conditioned modes."""
-        if self.mode == PromptMode.PRE_MODEL:
+        if self.mode == "pre":
             return pre_model_prompt(
                 self.queries, pooled, self.decoder_layers, self.adapter,
                 self.encoder, self.class_tokens,
             )
         base = self.base_embeddings()
-        if self.mode == PromptMode.POST_MODEL:
+        if self.mode == "post":
             return post_model_prompt(base, pooled, self.decoder_layers, self.gamma)
         return base
 
     def cache(self) -> Tensor:
         """Snapshot the image-independent embeddings so inference skips the
         text encoder entirely."""
-        if self.mode == PromptMode.PRE_MODEL:
+        if self.mode == "pre":
             raise ContractError("cannot cache pre-model embeddings: input is image-dependent")
         base = self.base_embeddings()
         self.cached = Tensor(base.t.data.copy())
@@ -214,5 +201,5 @@ def export_cached_embeddings(path: "TextPath", path_prefix):
     t = path.cached if path.cached is not None else path.cache()
     write_dct1(f"{path_prefix}.dct1", t)
     with open(f"{path_prefix}.json", "w") as fh:
-        json.dump({"class_names": path.class_names, "mode": path.mode.value}, fh,
+        json.dump({"class_names": path.class_names, "mode": path.mode}, fh,
                   indent=1, sort_keys=True)

@@ -1,11 +1,13 @@
 import json
 import os
+from pathlib import Path
 
 import pytest
 
 from pixtext.cli import main
 from pixtext.datagen import TaskSpec, generate, save_dataset
-from pixtext.pipeline import micro_config
+from pixtext.harness import load_run
+from pixtext.pipeline import micro_config, toy_config
 from pixtext.tensor import read_dct1
 
 
@@ -125,6 +127,27 @@ class TestRunConfigBoundary:
             main(["train", "--data", str(micro_dataset_dir), "--config", str(path),
                   "--out", str(tmp_path / "ckpt"), "--report", str(tmp_path / "r.json")])
         assert not (tmp_path / "ckpt").exists()
+
+    def test_mode_and_pipeline_disagree(self, tmp_path, micro_dataset_dir):
+        path = run_config(tmp_path)
+        cfg = json.loads(path.read_text())
+        cfg["mode"] = "post"  # the pipeline object says coop
+        path.write_text(json.dumps(cfg))
+        with pytest.raises(ValueError, match="'post'.*'coop'"):
+            main(["train", "--data", str(micro_dataset_dir), "--config", str(path),
+                  "--out", str(tmp_path / "ckpt"), "--report", str(tmp_path / "r.json")])
+        assert not (tmp_path / "ckpt").exists()
+
+
+class TestReadmeExample:
+    def test_run_config_loads(self):
+        # the first JSON block of README's CLI section is a valid run config
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        example = readme.split("## CLI\n", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+        run = json.loads(example)
+        pipe_cfg, optim = load_run(run)
+        assert pipe_cfg == toy_config(run["mode"])
+        assert optim.seed == run["seed"] and optim.steps == run["optim"]["steps"]
 
 
 class TestGradcheckCommand:

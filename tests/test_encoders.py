@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pixtext import nn
+from pixtext import encoders, nn
 from pixtext import tensor as T
 from pixtext.datagen import generate
 from pixtext.encoders import (
@@ -14,14 +14,13 @@ from pixtext.encoders import (
     build_vocab,
 )
 from pixtext.pipeline import build_pipeline, micro_config, toy_config
-from pixtext.prompting import PromptMode
 
 
 @pytest.fixture
 def text_encoder(rng):
     vocab = build_vocab(["bg", "thing", "stuff"], template_len=4)
-    cfg = TextEncoderConfig(width=8, blocks=1, heads=2, out_dim=6, vocab_size=vocab.size)
-    return ToyTextEncoder(cfg, rng), vocab
+    cfg = TextEncoderConfig(width=8, blocks=1, heads=2)
+    return ToyTextEncoder(cfg, vocab.size, 6, rng), vocab
 
 
 class TestAttentionPool:
@@ -80,6 +79,15 @@ class TestImageEncoder:
         enc = ToyImageEncoder(ImageEncoderConfig(patch=4, width=16, blocks=1, heads=2, out_dim=12), rng)
         fm, pooled = enc.encode(T.Tensor(rng.standard_normal((8, 8, 3))))
         assert fm.c == 12 and pooled.dense.shape[1] == 12
+
+    def test_features_are_encode_without_the_pool(self, rng, monkeypatch):
+        enc = ToyImageEncoder(ImageEncoderConfig(patch=4, width=8, blocks=1, heads=2, out_dim=6), rng)
+        images = T.Tensor(rng.standard_normal((2, 8, 8, 3)))
+        fm, _ = enc.encode(images)
+        monkeypatch.setattr(encoders, "attention_pool", None)  # the pool must not run
+        alone = enc.features(images)
+        assert (alone.h4, alone.w4, alone.c, alone.n) == (fm.h4, fm.w4, 6, 2)
+        assert np.array_equal(alone.values.data, fm.values.data)
 
     def test_indivisible_resolution_rejected(self, rng):
         enc = ToyImageEncoder(ImageEncoderConfig(patch=4, width=8, blocks=1, heads=2, out_dim=8), rng)
@@ -145,14 +153,14 @@ class TestFreeze:
     def test_built_encoder_needs_no_gradient(self, rng):
         # built as the recipe's zero text-encoder multiplier trains it
         vocab = build_vocab(["a", "b"])
-        cfg = TextEncoderConfig(width=8, blocks=1, heads=2, out_dim=4, vocab_size=vocab.size)
-        enc = ToyTextEncoder(cfg, rng)
+        cfg = TextEncoderConfig(width=8, blocks=1, heads=2)
+        enc = ToyTextEncoder(cfg, vocab.size, 4, rng)
         assert not any(p.requires_grad for _, p in enc.parameters())
 
     def test_gradient_still_flows_to_contexts(self, rng):
         vocab = build_vocab(["a", "b"])
-        cfg = TextEncoderConfig(width=8, blocks=1, heads=2, out_dim=4, vocab_size=vocab.size)
-        enc = ToyTextEncoder(cfg, rng)
+        cfg = TextEncoderConfig(width=8, blocks=1, heads=2)
+        enc = ToyTextEncoder(cfg, vocab.size, 4, rng)
         ctx = T.Tensor(rng.standard_normal((2, 8)), requires_grad=True)
         out = enc.encode(ctx, vocab.tokens_for(["a", "b"]))
         T.backward(T.tsum(out.t))
@@ -182,7 +190,7 @@ def _text_outputs(pipe, images):
     queries; None in template mode)."""
     path = pipe.text_path
     path.cached = None
-    learn = path.queries if path.mode is PromptMode.PRE_MODEL else path.contexts
+    learn = path.queries if path.mode == "pre" else path.contexts
     with T.fresh_tape():
         _, pooled = pipe.encode_image(T.Tensor(images))
         emb = path.embeddings(pooled).t
@@ -213,9 +221,9 @@ class TestReadoutEncoder:
 
     def test_zero_blocks_rejected(self, rng):
         vocab = build_vocab(["a"])
-        cfg = TextEncoderConfig(width=8, blocks=0, heads=2, out_dim=4, vocab_size=vocab.size)
+        cfg = TextEncoderConfig(width=8, blocks=0, heads=2)
         with pytest.raises(T.ShapeError):
-            ToyTextEncoder(cfg, rng)
+            ToyTextEncoder(cfg, vocab.size, 4, rng)
 
 
 class TestFrozenEncoderBackward:

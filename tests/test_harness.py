@@ -14,12 +14,13 @@ from pixtext.harness import (
     TrainingDiverged,
     clip_gradients,
     evaluate_miou,
+    load_run,
     miou_from_pairs,
     run_ablation,
     train,
     write_ablation_csv,
 )
-from pixtext.pipeline import build_pipeline, micro_config
+from pixtext.pipeline import build_pipeline, micro_config, toy_config
 from pixtext.tensor import ContractError, Tensor
 
 
@@ -513,3 +514,66 @@ class TestRunAblation:
         for name in ("baseline", "template", "coop", "post"):
             assert rows[name]["text_fwd_infer"] == 0
         assert rows["pre"]["text_fwd_infer"] == m_eval * k
+
+
+class TestRunLoader:
+    """`pixtext train` and every suite row go through `load_run`: the mode
+    has one spelling per run, and unknown keys are named."""
+
+    @pytest.mark.parametrize("mode", [None, "template", "coop", "pre", "post"])
+    def test_mode_fills_the_pipeline_when_it_leaves_it_out(self, mode):
+        pipe = micro_config("coop").to_dict()
+        del pipe["prompt_mode"]
+        json_mode = "none" if mode is None else mode
+        cfg, _ = load_run({"mode": json_mode, "pipeline": pipe})
+        assert cfg.prompt_mode == mode
+        assert load_run({"mode": json_mode})[0] == toy_config(mode)
+
+    def test_pipeline_mode_stands_without_a_run_mode(self):
+        cfg, _ = load_run({"pipeline": micro_config("pre").to_dict()})
+        assert cfg.prompt_mode == "pre"
+        assert load_run({"pipeline": micro_config(None).to_dict(), "mode": "none"})[0] \
+            == micro_config(None)
+
+    def test_disagreeing_modes_named(self):
+        with pytest.raises(ValueError, match="'post'.*'coop'"):
+            load_run({"mode": "post", "pipeline": micro_config("coop").to_dict()})
+
+    def test_seed_and_optim_precedence(self, tiny_task, monkeypatch):
+        _, optim = load_run({"seed": 4, "optim": {"seed": 9, "steps": 2}}, optim={"lr": 0.5})
+        assert (optim.seed, optim.steps, optim.lr) == (4, 2, 0.5)
+        spec, dataset = tiny_task
+        trained = []
+        monkeypatch.setattr(harness, "train", lambda pipe, data, ocfg: trained.append(
+            (pipe.seed, ocfg.seed, ocfg.steps)))
+        suite = {"seed": 3, "optim": {"steps": 5},
+                 "rows": [{"name": "a", "optim": {"seed": 8}}, {"name": "b"}]}
+        run_ablation(dataset, spec.class_names, suite)
+        # the suite seed builds every pipeline; a row's optim seed wins in its optimizer
+        assert trained == [(3, 8, 5), (3, 3, 5)]
+
+    @pytest.mark.parametrize("suite, key", [
+        ({"optm": {"steps": 2}}, "optm"),
+        ({"rows": [{"name": "a", "mode": "coop", "freeze_text": True}]}, "freeze_text"),
+        ({"rows": [{"name": "a", "seed": 1}]}, "seed"),
+        ({"rows": [{"name": "a", "optim": {"step": 2}}]}, "step"),
+        ({"rows": [{"mode": "coop"}]}, "name"),
+    ], ids=["suite.optm", "row.freeze_text", "row.seed", "row.optim.step", "row.name"])
+    def test_unknown_suite_and_row_keys_named(self, tiny_task, monkeypatch, suite, key):
+        spec, dataset = tiny_task
+        monkeypatch.setattr(harness, "train", None)  # nothing may train
+        with pytest.raises((KeyError, TypeError, ValueError), match=key):
+            run_ablation(dataset, spec.class_names, suite)
+
+    @pytest.mark.parametrize("bad_row", [
+        {"name": "bad", "mode": "post", "pipeline": micro_config("coop").to_dict()},
+        {"name": "bad", "mode": "banana"},
+    ], ids=["modes_disagree", "unknown_mode"])
+    def test_bad_row_fails_before_any_row_trains(self, tiny_task, monkeypatch, bad_row):
+        spec, dataset = tiny_task
+        trained = []
+        monkeypatch.setattr(harness, "train", lambda *a: trained.append(a))
+        good = {"name": "good", "mode": "coop", "pipeline": micro_config("coop").to_dict()}
+        with pytest.raises(ValueError, match="'post'.*'coop'|'banana'"):
+            run_ablation(dataset, spec.class_names, {"rows": [good, bad_row]})
+        assert trained == []

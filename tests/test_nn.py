@@ -203,6 +203,33 @@ class TestSegmentedAttention:
         out = nn.attention_heads(T.Tensor(x), T.Tensor(x), T.Tensor(x), 2, off).data
         assert np.array_equal(out, self.per_segment(x, x, x, 2, off, off))
 
+    @pytest.mark.parametrize("lq, lk, expected", [
+        ([5], [7], [(slice(0, 5), slice(0, 7), 1, 5, 7)]),  # one segment
+        ([2, 2, 2], [3, 3, 3], [(slice(0, 6), slice(0, 9), 3, 2, 3)]),  # equal lengths
+        # each length is a contiguous run: slices
+        ([2, 2, 3], [2, 2, 3], [(slice(0, 4), slice(0, 4), 2, 2, 2),
+                                (slice(4, 7), slice(4, 7), 1, 3, 3)]),
+        # the two 2-row segments are apart: index arrays
+        ([2, 3, 2], [2, 3, 2], [([0, 1, 5, 6], [0, 1, 5, 6], 2, 2, 2),
+                                (slice(2, 5), slice(2, 5), 1, 3, 3)]),
+    ], ids=["single", "equal", "contiguous_groups", "scattered_group"])
+    def test_chunk_layout(self, lq, lk, expected):
+        chunks = nn._segment_chunks(np.array(lq), np.array(lk), 2)
+        assert len(chunks) == len(expected)
+        for got, want in zip(chunks, expected):
+            assert got[2:] == want[2:]
+            for rows, want_rows in zip(got[:2], want[:2]):
+                if isinstance(want_rows, slice):
+                    assert rows == want_rows
+                else:
+                    assert np.array_equal(rows, want_rows)
+
+    def test_equal_segments_chunk_at_cache_size(self):
+        # 40 segments of 64 x 64 at 2 heads: 8 segments per 512 KiB chunk
+        chunks = nn._segment_chunks(np.full(40, 64), np.full(40, 64), 2)
+        assert [(c[0], c[2]) for c in chunks] == [(slice(i, i + 512), 8)
+                                                  for i in range(0, 2560, 512)]
+
     def test_one_tape_node_per_call(self, rng):
         q = T.Tensor(rng.standard_normal((6, 8)), requires_grad=True)
         with T.fresh_tape() as tape:

@@ -9,6 +9,7 @@ from pixtext.encoders import ImageEncoderConfig, ToyImageEncoder
 from pixtext.harness import OptimConfig, train
 from pixtext.matching import SegTarget, compute_score_map, fuse_features, seg_aux_loss
 from pixtext.pipeline import (
+    PipelineConfig,
     build_pipeline,
     export_prediction,
     load_checkpoint,
@@ -45,6 +46,22 @@ class TestForwardShapes:
         assert out.breakdown["aux"] == 0.0
         assert out.breakdown["total"] == out.breakdown["main"]
         assert pipe.head.in_dim == 32 + 8
+
+    @pytest.mark.parametrize("swap", [False, True], ids=["own", "swapped_adapter"])
+    def test_baseline_skips_the_attention_pool(self, micro_spec, micro_sample, monkeypatch, swap):
+        pipe = build_pipeline(micro_config(None), micro_spec.class_names, seed=0)
+        if swap:
+            pipe = swap_backbone(pipe, ToyImageEncoder(
+                ImageEncoderConfig(patch=4, width=12, blocks=1, heads=2, out_dim=12),
+                rng_for(99, "swapped"),
+            ))
+        calls = []
+        monkeypatch.setattr(pipe.image_encoder, "encode", lambda *a: calls.append(a))
+        fm, pooled = pipe.encode_image(micro_sample.image)
+        assert pooled is None and fm.c == 8
+        pipe.forward([micro_sample.image], [micro_sample.mask])
+        pipe.predict(micro_sample.image)
+        assert calls == []
 
     def test_mode_target_mismatch_rejected(self, micro_spec, micro_sample):
         pipe = build_pipeline(micro_config("coop"), micro_spec.class_names, seed=1)
@@ -241,6 +258,38 @@ class TestCheckpoint:
         groups = {e["group"] for e in manifest["params"].values()}
         assert groups == {"image_encoder", "text_encoder", "other"}
         assert manifest["config"]["loss"]["temperature"] == 0.07
+
+
+class TestConfigKeys:
+    """Settings `build_pipeline` used to overwrite, force or ignore are gone;
+    a dict (or checkpoint manifest) that carries one fails naming it."""
+
+    @pytest.mark.parametrize("edit, key", [
+        (lambda d: d.update(shared_dim=8), "shared_dim"),
+        (lambda d: d.update(context_init="random"), "context_init"),
+        (lambda d: d["text"].update(out_dim=3), "out_dim"),
+        (lambda d: d["text"].update(vocab_size=5), "vocab_size"),
+    ], ids=["shared_dim", "context_init", "text.out_dim", "text.vocab_size"])
+    def test_deleted_key_named(self, tmp_path, micro_spec, edit, key):
+        d = micro_config("coop").to_dict()
+        edit(d)
+        with pytest.raises(TypeError, match=key):
+            PipelineConfig.from_dict(d)
+        save_checkpoint(build_pipeline(micro_config("coop"), micro_spec.class_names, 2), tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        edit(manifest["config"])
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(TypeError, match=key):
+            load_checkpoint(tmp_path)
+
+    def test_shared_width_is_the_image_out_dim(self, micro_spec):
+        cfg = micro_config("post")
+        cfg.image.out_dim = 12
+        pipe = build_pipeline(cfg, micro_spec.class_names, seed=0)
+        assert cfg.shared_dim == 12 and "shared_dim" not in cfg.to_dict()
+        assert pipe.text_path.encoder.out_dim == 12
+        assert pipe.text_path.gamma.shape == (12,)
+        assert pipe.head.in_dim == 12 + pipe.k
 
 
 class TestPredictionExport:

@@ -7,7 +7,6 @@ from pixtext.nn import decoder_forward
 from pixtext.pipeline import build_pipeline, micro_config
 from pixtext.prompting import (
     GATE_PRESETS,
-    PromptMode,
     export_cached_embeddings,
     post_model_prompt,
 )
@@ -22,13 +21,17 @@ def micro_pipe(mode, micro_spec, seed=11, **cfg_overrides):
 
 
 class TestPromptMode:
-    def test_parse_strings(self):
-        assert PromptMode.parse("template") is PromptMode.TEMPLATE
-        assert PromptMode.parse("coop") is PromptMode.LANGUAGE_ONLY
-        assert PromptMode.parse("pre") is PromptMode.PRE_MODEL
-        assert PromptMode.parse("post") is PromptMode.POST_MODEL
-        with pytest.raises(ValueError):
-            PromptMode.parse("banana")
+    @pytest.mark.parametrize("mode", ["banana", "none", "POST"])
+    def test_unknown_mode_named(self, micro_spec, mode):
+        # the mode is the config's own string; "none" means None only in JSON
+        cfg = micro_config("coop")
+        cfg.prompt_mode = mode
+        with pytest.raises(ValueError, match=repr(mode)):
+            build_pipeline(cfg, micro_spec.class_names, seed=0)
+
+    @pytest.mark.parametrize("mode", ["template", "coop", "pre", "post"])
+    def test_path_carries_the_config_string(self, micro_spec, mode):
+        assert micro_pipe(mode, micro_spec).text_path.mode == mode
 
     def test_all_modes_same_embedding_shape(self, micro_spec, micro_sample):
         shapes = set()
