@@ -236,14 +236,30 @@ def save_dataset(spec: TaskSpec, samples, out_dir):
 
 
 def load_dataset(data_dir):
+    """Read a dataset directory; an error names a file at odds with spec.json or n."""
     with open(os.path.join(data_dir, "spec.json")) as fh:
         spec = TaskSpec.from_dict(json.load(fh))
     images = read_dct1(os.path.join(data_dir, "images.dct1"))
     masks = read_dct1(os.path.join(data_dir, "masks.dct1"))
     with open(os.path.join(data_dir, "boxes.json")) as fh:
         all_boxes = json.load(fh)
+    h, w = spec.height, spec.width
+    if images.ndim != 4 or images.shape[1:] != (h, w, 3):
+        raise ValueError(f"images.dct1 has shape {images.shape}; spec.json needs (n, {h}, {w}, 3)")
+    n = images.shape[0]
+    if masks.shape != (n, h * w):
+        raise ValueError(f"masks.dct1 has shape {masks.shape}; {n} images of {h}x{w} "
+                         f"need ({n}, {h * w})")
+    # range first (NaN fails it too), so only valid values reach the cast
+    labels = None
+    if masks.size == 0 or (masks.min() >= 0 and masks.max() < spec.k):
+        labels = masks.astype(np.intp)
+    if labels is None or not np.array_equal(labels, masks):
+        raise ValueError(f"masks.dct1 holds labels that are not integers in [0, {spec.k})")
+    if len(all_boxes) != n:
+        raise ValueError(f"boxes.json has {len(all_boxes)} entries for {n} images")
     samples = []
-    for i in range(images.shape[0]):
+    for i in range(n):
         boxes = [
             BoxAnnotation(class_id=int(e["class_id"]), x_min=e["box"][0],
                           y_min=e["box"][1], x_max=e["box"][2], y_max=e["box"][3])
@@ -252,7 +268,7 @@ def load_dataset(data_dir):
         samples.append(
             SyntheticSample(
                 image=Tensor(images[i]),
-                mask=masks[i].astype(np.intp),
+                mask=labels[i],
                 boxes=boxes,
             )
         )

@@ -66,6 +66,9 @@ class OptimConfig:
             raise ValueError("lr multipliers must be non-negative")
         if self.clip_norm is not None and self.clip_norm <= 0:
             raise ValueError("clip norm must be positive when set")
+        for name in ("steps", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"optim {name} must be at least 1, got {getattr(self, name)}")
 
 
 class AdamW:

@@ -440,7 +440,8 @@ def _build_text_path(cfg: PipelineConfig, class_names, vocab: Vocabulary, seed: 
     contexts = queries = adapter = gamma = None
     decoder_layers = []
     if mode in ("coop", "post"):
-        ids = (vocab.template_ids * ((cfg.context_len // max(len(vocab.template_ids), 1)) + 1))[
+        # build_pipeline guarantees at least one template id
+        ids = (vocab.template_ids * (cfg.context_len // len(vocab.template_ids) + 1))[
             : cfg.context_len
         ]
         contexts = Tensor(encoder.table.data[np.asarray(ids, dtype=np.intp)].copy(),
@@ -481,6 +482,12 @@ def build_pipeline(cfg: PipelineConfig, class_names, seed: int) -> DensePredPipe
                          f"use {'|'.join(PROMPT_MODES)}, or None for no language path")
     if cfg.task_mode not in ("segmentation", "detection"):
         raise ValueError(f"unknown task mode {cfg.task_mode!r}; use segmentation|detection")
+    if cfg.prompt_mode in ("coop", "pre", "post") and cfg.context_len < 1:
+        raise ValueError(f"{cfg.prompt_mode} mode learns context_len rows; "
+                         f"context_len is {cfg.context_len}")
+    if cfg.prompt_mode in ("coop", "post") and cfg.template_len < 1:
+        raise ValueError(f"{cfg.prompt_mode} mode initializes its context_len={cfg.context_len} "
+                         f"contexts from the template; template_len is {cfg.template_len}")
     class_names = [str(n) for n in class_names]
     vocab = build_vocab(class_names, template_len=cfg.template_len)
     image_encoder = ToyImageEncoder(cfg.image, rng_for(seed, "image_encoder"))

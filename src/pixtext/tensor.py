@@ -3,9 +3,9 @@
 Every downstream module records onto the active tape through the public
 ops here (or through :func:`record` for fused ops defined elsewhere).
 Shapes are strict: elementwise ops require identical shapes, the only
-implicit broadcast is Python-scalar against tensor. Explicit row-vector
-broadcasts go through `add_rowvec` / `mul_rowvec` so each gradient rule
-stays auditable.
+implicit broadcast is Python-scalar against tensor. The one explicit
+row-vector broadcast is `mul_rowvec` (and the bias of `linear`), so each
+gradient rule stays auditable.
 """
 
 from __future__ import annotations
@@ -15,13 +15,12 @@ import os
 import struct
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "Tensor",
-    "Tape",
     "tensor",
     "record",
     "active_tape",
@@ -29,30 +28,19 @@ __all__ = [
     "fresh_tape",
     "no_grad",
     "add",
-    "sub",
     "mul",
-    "div",
-    "neg",
-    "matmul",
     "block_matmul_t",
     "linear",
-    "transpose",
     "concat",
     "stack",
-    "narrow",
     "take",
     "gather_flat",
     "tsum",
     "mean_rows",
-    "exp",
-    "log",
-    "sqrt",
     "tanh",
     "gelu",
     "clamp",
-    "add_rowvec",
     "mul_rowvec",
-    "softmax",
     "l2_normalize",
     "cross_entropy",
     "count_cross_entropy",
@@ -103,40 +91,9 @@ class Tensor:
             raise ContractError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(-1)[0])
 
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={tuple(self.shape)}{flag})"
-
-    # Operator sugar; all routed through the strict ops below.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return neg(self)
 
 
 def tensor(data, requires_grad: bool = False) -> Tensor:
@@ -146,7 +103,7 @@ def tensor(data, requires_grad: bool = False) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Tape machinery
+# Recording onto the per-thread tape
 
 
 class _Node:
@@ -158,41 +115,32 @@ class _Node:
         self.grad_fn = grad_fn
 
 
-class Tape:
-    """Ordered record of ops; execution order is topological by construction."""
-
-    def __init__(self):
-        self.nodes: list[_Node] = []
-
-    def reset(self):
-        self.nodes.clear()
-
-    def __len__(self):
-        return len(self.nodes)
-
-
 class _TapeState(threading.local):
+    """Per-thread stack of tapes. A tape is the list of recorded nodes in
+    execution order, which is topological by construction."""
+
     def __init__(self):
-        self.stack = [Tape()]
+        self.stack: list[list[_Node]] = [[]]
         self.recording = True
 
 
 _STATE = _TapeState()
 
 
-def active_tape() -> Tape:
+def active_tape() -> list[_Node]:
+    """The list of nodes the ops of this thread record onto."""
     return _STATE.stack[-1]
 
 
 def reset_tape():
     """Drop every recorded node on the active tape. Called by the trainer each step."""
-    active_tape().reset()
+    active_tape().clear()
 
 
 @contextmanager
 def fresh_tape():
     """Run a block on an isolated tape (used by grad_check and tests)."""
-    _STATE.stack.append(Tape())
+    _STATE.stack.append([])
     try:
         yield _STATE.stack[-1]
     finally:
@@ -222,7 +170,7 @@ def record(inputs, out_data: np.ndarray, grad_fn) -> Tensor:
     if needs and _STATE.recording:
         out.requires_grad = True
         out.is_leaf = False
-        active_tape().nodes.append(_Node(tuple(inputs), out, grad_fn))
+        active_tape().append(_Node(tuple(inputs), out, grad_fn))
     return out
 
 
@@ -248,14 +196,6 @@ def add(a: Tensor, b) -> Tensor:
     return record([a, b], a.data + b.data, lambda g: [g, g])
 
 
-def sub(a: Tensor, b) -> Tensor:
-    a = tensor(a)
-    a, b, scalar = _as_operands(a, b, "sub")
-    if scalar:
-        return record([a], a.data - b, lambda g: [g])
-    return record([a, b], a.data - b.data, lambda g: [g, -g])
-
-
 def mul(a: Tensor, b) -> Tensor:
     a = tensor(a)
     a, b, scalar = _as_operands(a, b, "mul")
@@ -264,40 +204,11 @@ def mul(a: Tensor, b) -> Tensor:
     return record([a, b], a.data * b.data, lambda g: [g * b.data, g * a.data])
 
 
-def div(a: Tensor, b) -> Tensor:
-    a = tensor(a)
-    a, b, scalar = _as_operands(a, b, "div")
-    if scalar:
-        inv = 1.0 / b
-        return record([a], a.data * inv, lambda g: [g * inv])
-    out = a.data / b.data
-    return record(
-        [a, b], out, lambda g: [g / b.data, -g * out / b.data]
-    )
-
-
-def neg(a: Tensor) -> Tensor:
-    a = tensor(a)
-    return record([a], -a.data, lambda g: [-g])
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = tensor(a), tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul needs 2-d operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dims differ, {a.shape} x {b.shape}")
-    ad, bd = a.data, b.data
-    return record(
-        [a, b], ad @ bd, lambda g: [g @ bd.T, ad.T @ g]
-    )
-
-
 def block_matmul_t(a: Tensor, b: Tensor, n: int) -> Tensor:
     """Blockwise a_i b_i^T over n equal row blocks; one tape node.
 
     a is (n*m, d) and b is (n*k, d); block i of the (n*m, k) output is
-    a_i @ b_i^T. With n == 1 this is matmul(a, transpose(b)).
+    a_i @ b_i^T. With n == 1 this is a @ b^T.
     """
     a, b = tensor(a), tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[1]:
@@ -341,13 +252,6 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return record([x, weight, bias], out, grad_fn)
 
 
-def transpose(a: Tensor) -> Tensor:
-    a = tensor(a)
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose needs a 2-d tensor, got {a.shape}")
-    return record([a], a.data.T.copy(), lambda g: [g.T])
-
-
 def concat(parts, axis: int = 0) -> Tensor:
     parts = [tensor(p) for p in parts]
     if not parts:
@@ -376,31 +280,14 @@ def stack(parts) -> Tensor:
     return record(parts, np.stack([p.data for p in parts]), lambda g: list(g))
 
 
-def narrow(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
-    a = tensor(a)
-    n = a.shape[axis]
-    if not (0 <= start < stop <= n):
-        raise ShapeError(f"narrow [{start}:{stop}] out of range for axis size {n}")
-    idx = [slice(None)] * a.data.ndim
-    idx[axis] = slice(start, stop)
-    idx = tuple(idx)
-
-    def grad_fn(g):
-        full = np.zeros_like(a.data)
-        full[idx] = g
-        return [full]
-
-    return record([a], a.data[idx].copy(), grad_fn)
-
-
-def take(a: Tensor, indices, axis: int = 0) -> Tensor:
-    """Row gather: out[i] = a[indices[i]] (axis 0 of a 2-d tensor)."""
+def take(a: Tensor, indices) -> Tensor:
+    """Row gather from a 2-d tensor: out[i] = a[indices[i]]."""
     a = tensor(a)
     idx = np.asarray(indices, dtype=np.intp)
     if idx.ndim != 1:
         raise ShapeError("take expects a flat index list")
-    if axis != 0 or a.data.ndim != 2:
-        raise ShapeError("take supports axis 0 of 2-d tensors")
+    if a.data.ndim != 2:
+        raise ShapeError(f"take gathers rows of a 2-d tensor, got {a.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
         raise IndexError(f"take index out of range for {a.shape[0]} rows")
     rows, cols = a.shape
@@ -435,17 +322,10 @@ def gather_flat(a: Tensor, indices) -> Tensor:
     return record([a], flat[idx], grad_fn)
 
 
-def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+def tsum(a: Tensor) -> Tensor:
+    """Sum of every entry, a scalar."""
     a = tensor(a)
-    out = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def grad_fn(g):
-        if axis is None:
-            return [np.broadcast_to(g, a.data.shape).copy()]
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return [np.broadcast_to(gg, a.data.shape).copy()]
-
-    return record([a], out, grad_fn)
+    return record([a], a.data.sum(), lambda g: [np.broadcast_to(g, a.data.shape).copy()])
 
 
 def mean_rows(a: Tensor, blocks: int = 1) -> Tensor:
@@ -458,27 +338,6 @@ def mean_rows(a: Tensor, blocks: int = 1) -> Tensor:
     inv = 1.0 / m
     out = a.data.reshape(blocks, m, a.shape[1]).sum(axis=1) * inv
     return record([a], out, lambda g: [np.repeat(g * inv, m, axis=0)])
-
-
-def exp(a: Tensor) -> Tensor:
-    a = tensor(a)
-    out = np.exp(a.data)
-    return record([a], out, lambda g: [g * out])
-
-
-def log(a: Tensor) -> Tensor:
-    a = tensor(a)
-    if np.any(a.data <= 0):
-        raise ContractError("log domain: inputs must be positive")
-    return record([a], np.log(a.data), lambda g: [g / a.data])
-
-
-def sqrt(a: Tensor) -> Tensor:
-    a = tensor(a)
-    if np.any(a.data < 0):
-        raise ContractError("sqrt domain: inputs must be non-negative")
-    out = np.sqrt(a.data)
-    return record([a], out, lambda g: [g * 0.5 / out])
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -535,14 +394,6 @@ def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
     return record([a], out, lambda g: [g * mask])
 
 
-def add_rowvec(a: Tensor, v: Tensor) -> Tensor:
-    """a[n, m] + v[m] broadcast over rows; the one sanctioned row broadcast."""
-    a, v = tensor(a), tensor(v)
-    if a.data.ndim != 2 or v.data.ndim != 1 or a.shape[1] != v.shape[0]:
-        raise ShapeError(f"add_rowvec: {a.shape} + {v.shape}")
-    return record([a, v], a.data + v.data[None, :], lambda g: [g, g.sum(axis=0)])
-
-
 def mul_rowvec(a: Tensor, v: Tensor) -> Tensor:
     """a[n, m] * v[m] broadcast over rows (per-channel gates)."""
     a, v = tensor(a), tensor(v)
@@ -557,21 +408,6 @@ def mul_rowvec(a: Tensor, v: Tensor) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # Fused numeric ops
-
-
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    a = tensor(a)
-    if not np.all(np.isfinite(a.data)):
-        raise ContractError("softmax requires finite input")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
-
-    def grad_fn(g):
-        dot = (g * out).sum(axis=axis, keepdims=True)
-        return [(g - dot) * out]
-
-    return record([a], out, grad_fn)
 
 
 def l2_normalize(a: Tensor, axis: int = -1, eps: float = 1e-12) -> Tensor:
@@ -713,7 +549,7 @@ def backward(loss: Tensor):
             deposit(loss, np.ones_like(loss.data))
         return
 
-    for node in reversed(tape.nodes):
+    for node in reversed(tape):
         g_out = grads.pop(id(node.output), None)
         if g_out is None:
             continue
@@ -732,7 +568,6 @@ class GradCheckReport:
     """Outcome of comparing analytic gradients to central differences."""
 
     max_rel_err: float
-    per_input: list = field(default_factory=list)
     tol: float = 1e-5
 
     @property
@@ -771,7 +606,6 @@ def grad_check(f, xs, step: float = 1e-5, tol: float = 1e-5) -> GradCheckReport:
             return f(*xs).item()
 
     max_err = 0.0
-    per_input = []
     for xi, x in enumerate(xs):
         numeric = np.zeros_like(x.data)
         flat = x.data.reshape(-1)
@@ -786,9 +620,8 @@ def grad_check(f, xs, step: float = 1e-5, tol: float = 1e-5) -> GradCheckReport:
             nflat[j] = (fp - fm) / (2.0 * step)
         denom = np.maximum(1.0, np.maximum(np.abs(analytic[xi]), np.abs(numeric)))
         err = float(np.max(np.abs(analytic[xi] - numeric) / denom)) if flat.size else 0.0
-        per_input.append(err)
         max_err = max(max_err, err)
-    return GradCheckReport(max_rel_err=max_err, per_input=per_input, tol=tol)
+    return GradCheckReport(max_rel_err=max_err, tol=tol)
 
 
 # ---------------------------------------------------------------------------

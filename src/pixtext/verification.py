@@ -67,24 +67,11 @@ def run_gradient_suite(op_tol: float = 1e-5, e2e_tol: float = 1e-4,
     for i, shape in enumerate(shapes):
         a, b = rand(shape), rand(shape)
         check(f"add[{i}]", _probe_loss(T.add), [a, b])
-        check(f"sub[{i}]", _probe_loss(T.sub), [rand(shape), rand(shape)])
         check(f"mul[{i}]", _probe_loss(T.mul), [rand(shape), rand(shape)])
-        denom = T.Tensor(rng.uniform(0.5, 1.5, shape) * np.where(rng.random(shape) < 0.5, -1, 1))
-        check(f"div[{i}]", _probe_loss(T.div), [rand(shape), denom])
-        check(f"neg[{i}]", _probe_loss(T.neg), [rand(shape)])
-        check(f"exp[{i}]", _probe_loss(T.exp), [rand(shape)])
-        check(f"log[{i}]", _probe_loss(T.log), [T.Tensor(rng.uniform(0.5, 2.0, shape))])
-        check(f"sqrt[{i}]", _probe_loss(T.sqrt), [T.Tensor(rng.uniform(0.5, 2.0, shape))])
         check(f"tanh[{i}]", _probe_loss(T.tanh), [rand(shape)])
         check(f"gelu[{i}]", _probe_loss(T.gelu), [rand(shape)])
-        check(f"transpose[{i}]", _probe_loss(T.transpose), [rand(shape)])
         check(f"sum_all[{i}]", lambda x: T.tsum(x), [rand(shape)])
-        check(f"sum_axis0[{i}]", _probe_loss(lambda x: T.tsum(x, axis=0)), [rand(shape)])
-        check(f"sum_axis1_keep[{i}]", _probe_loss(lambda x: T.tsum(x, axis=1, keepdims=True)),
-              [rand(shape)])
         check(f"mean_rows[{i}]", _probe_loss(T.mean_rows), [rand(shape)])
-        check(f"softmax_rows[{i}]", _probe_loss(lambda x: T.softmax(x, axis=1)), [rand(shape)])
-        check(f"softmax_cols[{i}]", _probe_loss(lambda x: T.softmax(x, axis=0)), [rand(shape)])
         unit = T.Tensor(rng.standard_normal(shape) + np.sign(rng.standard_normal(shape)))
         check(f"l2_normalize[{i}]", _probe_loss(lambda x: T.l2_normalize(x, axis=1)), [unit])
         # keep values clear of the clamp kink so central differences are valid
@@ -96,14 +83,10 @@ def run_gradient_suite(op_tol: float = 1e-5, e2e_tol: float = 1e-4,
         check(f"concat1[{i}]", _probe_loss(lambda x, y: T.concat([x, y], axis=1)),
               [rand(shape), rand(shape)])
         n, m = shape
-        stop = max(1, n - 1)
-        check(f"narrow[{i}]", _probe_loss(lambda x: T.narrow(x, 0, 0, stop)), [rand(shape)])
         idx = rng.integers(0, n, size=n + 2)
         check(f"take[{i}]", _probe_loss(lambda x: T.take(x, idx)), [rand(shape)])
         v = rand((m,))
-        check(f"add_rowvec[{i}]", _probe_loss(T.add_rowvec), [rand(shape), rand((m,))])
         check(f"mul_rowvec[{i}]", _probe_loss(T.mul_rowvec), [rand(shape), v])
-        check(f"matmul[{i}]", _probe_loss(T.matmul), [rand((n, m)), rand((m, n + 1))])
         labels = rng.integers(0, m, size=n)
         check(f"cross_entropy[{i}]", lambda x: T.cross_entropy(x, labels), [rand(shape)])
         targets = (rng.random(shape) < 0.5).astype(float)

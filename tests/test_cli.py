@@ -138,6 +138,13 @@ class TestRunConfigBoundary:
                   "--out", str(tmp_path / "ckpt"), "--report", str(tmp_path / "r.json")])
         assert not (tmp_path / "ckpt").exists()
 
+    def test_zero_steps_rejected_before_training(self, tmp_path, micro_dataset_dir):
+        path = run_config(tmp_path, steps=0)
+        with pytest.raises(ValueError, match="steps must be at least 1"):
+            main(["train", "--data", str(micro_dataset_dir), "--config", str(path),
+                  "--out", str(tmp_path / "ckpt"), "--report", str(tmp_path / "r.json")])
+        assert not (tmp_path / "ckpt").exists()
+
 
 class TestReadmeExample:
     def test_run_config_loads(self):

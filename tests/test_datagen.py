@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from pixtext.datagen import TaskSpec, default_task, generate, load_dataset, save_dataset, split
+from pixtext.tensor import read_dct1, write_dct1
 
 
 def pixel_in_box(box, r, c, h, w):
@@ -127,6 +130,28 @@ class TestDatasetIO:
             assert np.array_equal(sa.image.data, sb.image.data)
             assert np.array_equal(sa.mask, sb.mask)
             assert sa.boxes == sb.boxes
+
+    @pytest.mark.parametrize("name, edit, cause", [
+        ("images", lambda a: a[:, :16],
+         r"images\.dct1 has shape \(4, 16, 32, 3\); spec\.json needs \(n, 32, 32, 3\)"),
+        ("masks", lambda a: a[:3], r"masks\.dct1 has shape \(3, 1024\); 4 images of 32x32"),
+        ("masks", lambda a: a + 0.5, r"masks\.dct1 holds labels that are not integers in \[0, 8\)"),
+        ("masks", lambda a: a + 8.0, r"masks\.dct1 holds labels"),
+        ("masks", lambda a: a - 8.0, r"masks\.dct1 holds labels"),
+        ("masks", lambda a: a * np.nan, r"masks\.dct1 holds labels"),
+        ("boxes", lambda b: b[:3], r"boxes\.json has 3 entries for 4 images"),
+    ], ids=["image_size", "mask_count", "fractional_label", "label_at_k", "negative_label",
+            "nan_label", "box_count"])
+    def test_inconsistent_files_named(self, tmp_path, toy_spec, name, edit, cause):
+        save_dataset(toy_spec, generate(toy_spec, 4, seed=4), tmp_path)
+        if name == "boxes":
+            path = tmp_path / "boxes.json"
+            path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        else:
+            path = tmp_path / f"{name}.dct1"
+            write_dct1(path, edit(read_dct1(path)))
+        with pytest.raises(ValueError, match=cause):
+            load_dataset(tmp_path)
 
     def test_directory_layout(self, tmp_path, toy_spec):
         samples = generate(toy_spec, 2, seed=4)

@@ -236,7 +236,7 @@ class TestFrozenEncoderBackward:
         seen = set()
         with T.fresh_tape() as tape:
             pipe.forward([s.image for s in pair], [s.mask for s in pair])
-            for node in tape.nodes:
+            for node in tape:
                 if not any(id(t) in frozen for t in node.inputs):
                     continue
                 grads = node.grad_fn(np.ones_like(node.output.data))

@@ -105,6 +105,11 @@ class TestAdamW:
         with pytest.raises(ValueError, match="'text'"):
             OptimConfig(multipliers={"text": 0.1})
 
+    @pytest.mark.parametrize("field, value", [("steps", 0), ("batch_size", 0), ("steps", -3)])
+    def test_empty_step_or_batch_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be at least 1"):
+            OptimConfig(**{field: value})
+
     def test_missing_groups_take_the_recipe_multipliers(self):
         cfg = OptimConfig(multipliers={"other": 0.5})
         assert cfg.multipliers == {"image_encoder": 0.1, "text_encoder": 0.0, "other": 0.5}

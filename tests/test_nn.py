@@ -297,7 +297,7 @@ class TestFrozenWeightGradients:
             weight.requires_grad = bias.requires_grad = trainable
             with T.fresh_tape() as tape:
                 op(x, weight, bias)
-                grads[trainable] = tape.nodes[0].grad_fn(g)
+                grads[trainable] = tape[0].grad_fn(g)
         assert grads[False][1] is None and grads[False][2] is None
         assert grads[True][1] is not None and grads[True][2] is not None
         assert np.array_equal(grads[False][0], grads[True][0])

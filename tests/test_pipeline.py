@@ -525,5 +525,5 @@ class TestCellLoss:
         batch = toy_samples[:4]
         with T.fresh_tape() as tape:
             pipe.forward([s.image for s in batch], [s.mask for s in batch])
-        rows = {node.output.shape[0] for node in tape.nodes if node.output.data.ndim}
+        rows = {node.output.shape[0] for node in tape if node.output.data.ndim}
         assert rows and 4 * toy_spec.height * toy_spec.width not in rows

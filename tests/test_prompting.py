@@ -29,6 +29,19 @@ class TestPromptMode:
         with pytest.raises(ValueError, match=repr(mode)):
             build_pipeline(cfg, micro_spec.class_names, seed=0)
 
+    @pytest.mark.parametrize("mode", ["coop", "pre", "post"])
+    def test_empty_context_len_rejected(self, micro_spec, mode):
+        with pytest.raises(ValueError, match="context_len is 0"):
+            micro_pipe(mode, micro_spec, context_len=0)
+
+    @pytest.mark.parametrize("mode", ["coop", "post"])
+    def test_empty_template_rejected_for_template_initialized_contexts(self, micro_spec, mode):
+        with pytest.raises(ValueError, match="context_len=2 .*template_len is 0"):
+            micro_pipe(mode, micro_spec, template_len=0)
+
+    def test_template_mode_builds_without_template_tokens(self, micro_spec):
+        assert micro_pipe("template", micro_spec, template_len=0, context_len=0).text_path
+
     @pytest.mark.parametrize("mode", ["template", "coop", "pre", "post"])
     def test_path_carries_the_config_string(self, micro_spec, mode):
         assert micro_pipe(mode, micro_spec).text_path.mode == mode
@@ -58,8 +71,7 @@ class TestTemplate:
 
 class TestLanguagePrompt:
     def test_empty_context_reduces_to_class_tokens(self, micro_spec):
-        pipe = micro_pipe("coop", micro_spec, context_len=0)
-        path = pipe.text_path
+        path = micro_pipe("coop", micro_spec).text_path
         # build an explicitly empty context matrix
         empty = T.Tensor(np.zeros((0, path.encoder.width)), requires_grad=True)
         with_ctx = path.encoder.encode(empty, path.class_tokens)
