@@ -260,8 +260,13 @@ def load_dataset(data_dir):
         raise ValueError(f"boxes.json has {len(all_boxes)} entries for {n} images")
     samples = []
     for i in range(n):
+        for e in all_boxes[i]:
+            c = e["class_id"]
+            if not (isinstance(c, int) and 0 <= c < spec.k):
+                raise ValueError(f"boxes.json image {i} has class_id {c!r}; "
+                                 f"classes are integers in [0, {spec.k})")
         boxes = [
-            BoxAnnotation(class_id=int(e["class_id"]), x_min=e["box"][0],
+            BoxAnnotation(class_id=e["class_id"], x_min=e["box"][0],
                           y_min=e["box"][1], x_max=e["box"][2], y_max=e["box"][3])
             for e in all_boxes[i]
         ]

@@ -173,9 +173,12 @@ def attention_heads(q: Tensor, k: Tensor, v: Tensor, heads: int,
     heads, each computing softmax(q_h k_h^T / sqrt(head_dim)) v_h.
 
     Segments with equal lengths run together, a cache-sized chunk at a
-    time, in a (segments, heads, L, head_dim) layout; no score matrix spans
-    two segments. One tape node; the backward rule reuses the attention
-    weights saved by the forward.
+    time, as contiguous (segments, heads, rows, head_dim) blocks; no score
+    matrix spans two segments. The forward exponentiates the shifted
+    scores e = exp(s - rowmax) in place and normalises after the value
+    product, o = (e v) / z with z the row sums of e, so no pass over the
+    scores scales or divides them. One tape node; it saves e and z per
+    chunk, and its backward reads o from the op's own output.
     """
     if q.shape[1] != k.shape[1] or k.shape != v.shape:
         raise ShapeError(f"attention shapes: q {q.shape}, k {k.shape}, v {v.shape}")
@@ -197,31 +200,44 @@ def attention_heads(q: Tensor, k: Tensor, v: Tensor, heads: int,
     def merge(dst, rows, x):
         dst[rows] = x.transpose(0, 2, 1, 3).reshape(-1, dim)
 
+    def tr(x):
+        return x.transpose(0, 1, 3, 2)
+
+    # Products take contiguous blocks only. A block that is scaled or
+    # divided goes into a new array: np.ascontiguousarray returns a view
+    # when the block already is contiguous (one-row segments, one head),
+    # and an in-place op would then write into the caller's arrays.
+    def fresh(op, x, by):
+        return op(x, by, out=np.empty(x.shape))
+
     out = np.empty((q.shape[0], dim))
-    attn_saved = []
+    saved = []
     for q_rows, kv_rows, count, lq, lk in chunks:
-        s = np.matmul(split(qd, q_rows, count, lq),
-                      split(kd, kv_rows, count, lk).transpose(0, 1, 3, 2))
-        s *= scale
-        s -= s.max(axis=-1, keepdims=True)
-        a = np.exp(s, out=s)
-        a /= a.sum(axis=-1, keepdims=True)
-        attn_saved.append(a)
-        merge(out, q_rows, np.matmul(a, split(vd, kv_rows, count, lk)))
+        e = np.matmul(fresh(np.multiply, split(qd, q_rows, count, lq), scale),
+                      np.ascontiguousarray(tr(split(kd, kv_rows, count, lk))))
+        e -= e.max(axis=-1, keepdims=True)
+        np.exp(e, out=e)
+        z = e.sum(axis=-1, keepdims=True)
+        o = np.matmul(e, np.ascontiguousarray(split(vd, kv_rows, count, lk)))
+        o /= z
+        merge(out, q_rows, o)
+        saved.append((e, z))
 
     def grad_fn(g):
         gq = np.empty_like(qd)
         gk = np.empty_like(kd)
         gv = np.empty_like(vd)
-        for (q_rows, kv_rows, count, lq, lk), a in zip(chunks, attn_saved):
-            gh = split(g, q_rows, count, lq)
-            merge(gv, kv_rows, np.matmul(a.transpose(0, 1, 3, 2), gh))
-            gs = np.matmul(gh, split(vd, kv_rows, count, lk).transpose(0, 1, 3, 2))
-            gs -= (gs * a).sum(axis=-1, keepdims=True)
-            gs *= a
-            gs *= scale
-            merge(gq, q_rows, np.matmul(gs, split(kd, kv_rows, count, lk)))
-            merge(gk, kv_rows, np.matmul(gs.transpose(0, 1, 3, 2), split(qd, q_rows, count, lq)))
+        for (q_rows, kv_rows, count, lq, lk), (e, z) in zip(chunks, saved):
+            gn = fresh(np.divide, split(g, q_rows, count, lq), z)
+            merge(gv, kv_rows, tr(np.matmul(np.ascontiguousarray(tr(gn)), e)))
+            gs = np.matmul(gn, np.ascontiguousarray(tr(split(vd, kv_rows, count, lk))))
+            gs -= (gn * split(out, q_rows, count, lq)).sum(axis=-1, keepdims=True)
+            gs *= e
+            # the score scale rides on the copies of k and q
+            ks = fresh(np.multiply, split(kd, kv_rows, count, lk), scale)
+            merge(gq, q_rows, np.matmul(gs, ks))
+            qt = fresh(np.multiply, tr(split(qd, q_rows, count, lq)), scale)
+            merge(gk, kv_rows, tr(np.matmul(qt, gs)))
         return [gq, gk, gv]
 
     return record([q, k, v], out, grad_fn)

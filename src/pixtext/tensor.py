@@ -240,7 +240,8 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     if x.data.ndim != 2 or x.shape[1] != weight.shape[1] or bias.shape != (weight.shape[0],):
         raise ShapeError(f"linear: x {x.shape}, weight {weight.shape}, bias {bias.shape}")
     xd, wd = x.data, weight.data
-    out = xd @ wd.T + bias.data[None, :]
+    out = xd @ wd.T
+    out += bias.data
 
     def grad_fn(g):
         return [
@@ -639,25 +640,26 @@ def write_dct1(path, arr):
 
 
 def read_dct1(path) -> np.ndarray:
-    """Read a DCT1 dump; the header must account for every byte of the file."""
+    """Read a DCT1 dump; the header must account for every byte of the file.
+    Every error names the file."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         magic = fh.read(4)
         if magic != b"DCT1":
-            raise ValueError(f"bad magic {magic!r}, expected DCT1")
+            raise ValueError(f"{path}: bad magic {magic!r}, expected DCT1")
         if size < 8:
-            raise ValueError(f"truncated DCT1 header: {size} bytes, no rank")
+            raise ValueError(f"{path}: truncated DCT1 header: {size} bytes, no rank")
         (rank,) = struct.unpack("<I", fh.read(4))
         if 8 + 4 * rank > size:
-            raise ValueError(f"truncated DCT1 header: rank {rank} needs {8 + 4 * rank} bytes, "
-                             f"file has {size}")
+            raise ValueError(f"{path}: truncated DCT1 header: rank {rank} needs "
+                             f"{8 + 4 * rank} bytes, file has {size}")
         dims = list(struct.unpack(f"<{rank}I", fh.read(4 * rank)))
         expected = 8 + 4 * rank + 8 * math.prod(dims)
         if expected > size:
-            raise ValueError(f"truncated DCT1 payload: dims {dims} need {expected} bytes, "
-                             f"file has {size}")
+            raise ValueError(f"{path}: truncated DCT1 payload: dims {dims} need {expected} "
+                             f"bytes, file has {size}")
         if expected < size:
-            raise ValueError(f"{size - expected} trailing bytes after the DCT1 payload "
+            raise ValueError(f"{path}: {size - expected} trailing bytes after the DCT1 payload "
                              f"of dims {dims}")
         arr = np.frombuffer(fh.read(expected - 8 - 4 * rank), dtype="<f8").astype(np.float64)
     return arr.reshape(dims)

@@ -140,8 +140,15 @@ class TestDatasetIO:
         ("masks", lambda a: a - 8.0, r"masks\.dct1 holds labels"),
         ("masks", lambda a: a * np.nan, r"masks\.dct1 holds labels"),
         ("boxes", lambda b: b[:3], r"boxes\.json has 3 entries for 4 images"),
+        ("boxes", lambda b: b[:1] + [[{"class_id": 99, "box": [0, 0, 0.5, 0.5]}]] + b[2:],
+         r"boxes\.json image 1 has class_id 99; classes are integers in \[0, 8\)"),
+        ("boxes", lambda b: b[:3] + [b[3] + [{"class_id": -1, "box": [0, 0, 0.5, 0.5]}]],
+         r"boxes\.json image 3 has class_id -1"),
+        ("boxes", lambda b: [[{"class_id": 2.5, "box": [0, 0, 0.5, 0.5]}]] + b[1:],
+         r"boxes\.json image 0 has class_id 2\.5"),
     ], ids=["image_size", "mask_count", "fractional_label", "label_at_k", "negative_label",
-            "nan_label", "box_count"])
+            "nan_label", "box_count", "box_class_at_99", "negative_box_class",
+            "fractional_box_class"])
     def test_inconsistent_files_named(self, tmp_path, toy_spec, name, edit, cause):
         save_dataset(toy_spec, generate(toy_spec, 4, seed=4), tmp_path)
         if name == "boxes":
@@ -151,6 +158,12 @@ class TestDatasetIO:
             path = tmp_path / f"{name}.dct1"
             write_dct1(path, edit(read_dct1(path)))
         with pytest.raises(ValueError, match=cause):
+            load_dataset(tmp_path)
+
+    def test_unreadable_file_named(self, tmp_path, toy_spec):
+        save_dataset(toy_spec, generate(toy_spec, 2, seed=4), tmp_path)
+        (tmp_path / "masks.dct1").write_bytes(b"NOPE" + b"\x00" * 16)
+        with pytest.raises(ValueError, match=r"masks\.dct1: bad magic b'NOPE'"):
             load_dataset(tmp_path)
 
     def test_directory_layout(self, tmp_path, toy_spec):

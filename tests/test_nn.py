@@ -39,6 +39,11 @@ class TestLinear:
                 expected[i, j] = acc
         assert np.allclose(out, expected, atol=1e-12)
 
+    def test_bias_added_to_product_bitwise(self, rng):
+        x, w, b = rng.standard_normal((5, 4)), rng.standard_normal((3, 4)), rng.standard_normal(3)
+        out = T.linear(T.Tensor(x), T.Tensor(w), T.Tensor(b)).data
+        assert np.array_equal(out, x @ w.T + b)
+
     def test_wrong_width_rejected(self, rng):
         with pytest.raises(T.ShapeError):
             nn.Linear(4, 3, rng)(T.Tensor(np.zeros((2, 5))))
@@ -256,6 +261,83 @@ class TestSegmentedAttention:
         x = T.Tensor(rng.standard_normal((4, 8)))
         with pytest.raises(T.ShapeError):
             nn.attention_heads(x, x, x, 2, q_off, kv_off)
+
+
+def textbook_attention(q, k, v, g, heads, q_off, kv_off):
+    """Output and (dq, dk, dv) of segmented multi-head attention, one segment
+    and head at a time, with the softmax normalised before the value product."""
+    out, dq, dk, dv = (np.zeros_like(a) for a in (q, q, k, v))
+    hd = q.shape[1] // heads
+    for a, b, c, d in zip(q_off[:-1], q_off[1:], kv_off[:-1], kv_off[1:]):
+        for h in range(heads):
+            cols = slice(h * hd, (h + 1) * hd)
+            qs, ks, vs, gs = q[a:b, cols], k[c:d, cols], v[c:d, cols], g[a:b, cols]
+            s = qs @ ks.T / np.sqrt(hd)
+            p = np.exp(s - s.max(axis=1, keepdims=True))
+            p /= p.sum(axis=1, keepdims=True)
+            out[a:b, cols] = p @ vs
+            dp = gs @ vs.T
+            ds = p * (dp - (dp * p).sum(axis=1, keepdims=True)) / np.sqrt(hd)
+            dq[a:b, cols] = ds @ ks
+            dk[c:d, cols] = ds.T @ qs
+            dv[c:d, cols] = p.T @ gs
+    return out, dq, dk, dv
+
+
+class TestAttentionReference:
+    """The fused kernel against `textbook_attention` on every chunk layout."""
+
+    CASES = {
+        "one_row_queries": ([0, 1, 2, 3], [0, 4, 9, 11], 8, 2),
+        "unequal_lengths": ([0, 2, 5, 6], [0, 2, 5, 6], 8, 2),
+        "non_contiguous_groups": ([0, 2, 5, 7, 10, 12], [0, 2, 5, 7, 10, 12], 8, 2),
+        "several_chunks": (nn.block_offsets(40, 64), nn.block_offsets(40, 64), 8, 2),
+        "one_head": ([0, 3, 5], [0, 4, 9], 8, 1),
+        "train_self_32x64": (nn.block_offsets(32, 64), nn.block_offsets(32, 64), 32, 4),
+        "train_cross_32x8_65": (nn.block_offsets(32, 8), nn.block_offsets(32, 65), 32, 4),
+        "pool_1x257": ([0, 257], [0, 257], 32, 4),
+    }
+
+    @staticmethod
+    def run(rng, case):
+        """Random q, k, v and upstream gradient for a case; returns copies
+        of them as drawn, the arrays the kernel was given, its output and
+        its gradients."""
+        q_off, kv_off, dim, heads = TestAttentionReference.CASES[case]
+        q = rng.standard_normal((q_off[-1], dim))
+        k, v = rng.standard_normal((2, kv_off[-1], dim))
+        given = (q, k, v, rng.standard_normal(q.shape))
+        drawn = [a.copy() for a in given]
+        tq, tk, tv = (T.Tensor(a, requires_grad=True) for a in given[:3])
+        with T.fresh_tape() as tape:
+            out = nn.attention_heads(tq, tk, tv, heads, q_off, kv_off).data
+            grads = tape[0].grad_fn(given[3])
+        return drawn, given, out, grads
+
+    def test_cases_cover_chunk_layouts(self):
+        def chunks(case):
+            q_off, kv_off, _, heads = self.CASES[case]
+            return nn._segment_chunks(np.diff(q_off), np.diff(kv_off), heads)
+        assert any(isinstance(c[0], np.ndarray) for c in chunks("non_contiguous_groups"))
+        assert len(chunks("several_chunks")) > 1
+        assert {c[3] for c in chunks("one_row_queries")} == {1}
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_textbook_softmax(self, rng, case):
+        q_off, kv_off, _, heads = self.CASES[case]
+        drawn, _, out, grads = self.run(rng, case)
+        expected = textbook_attention(*drawn, heads, q_off, kv_off)
+        for got, want in zip((out, *grads), expected):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("case", ["one_row_queries", "one_head", "unequal_lengths"])
+    def test_inputs_and_upstream_gradient_unmodified(self, rng, case):
+        # one-row query segments and a single head give chunks whose head
+        # blocks are already contiguous: a scale or divide in place would
+        # write through to the caller's arrays
+        drawn, given, _, _ = self.run(rng, case)
+        for a, b in zip(given, drawn):
+            assert np.array_equal(a, b)
 
 
 class TestReadoutBlock:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -290,6 +291,22 @@ class TestDct1:
             T.read_dct1(path)
         path.write_bytes(raw + data.draw(st.binary(min_size=1, max_size=24), label="extra"))
         with pytest.raises(ValueError):
+            T.read_dct1(path)
+
+    @pytest.mark.parametrize("raw, cause", [
+        (b"NOPE" + b"\x00" * 16, "bad magic b'NOPE', expected DCT1"),
+        (b"DCT1\x02\x00", "truncated DCT1 header: 6 bytes, no rank"),
+        (b"DCT1" + (2).to_bytes(4, "little") + b"\x01\x00\x00\x00",
+         "truncated DCT1 header: rank 2 needs 16 bytes, file has 12"),
+        (b"DCT1" + (1).to_bytes(4, "little") + (3).to_bytes(4, "little") + b"\x00" * 8,
+         "truncated DCT1 payload: dims [3] need 36 bytes, file has 20"),
+        (b"DCT1" + (1).to_bytes(4, "little") + (1).to_bytes(4, "little") + b"\x00" * 8 + b"junk",
+         "4 trailing bytes after the DCT1 payload of dims [1]"),
+    ], ids=["magic", "no_rank", "header", "payload", "trailing"])
+    def test_error_names_the_file(self, tmp_path, raw, cause):
+        path = tmp_path / "named.dct1"
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {cause}")):
             T.read_dct1(path)
 
     def test_dims_checked_against_file_size_before_reading(self, tmp_path):
