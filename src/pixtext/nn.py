@@ -132,6 +132,13 @@ def _segment_lengths(offsets, rows: int, what: str) -> np.ndarray:
 # elementwise softmax passes then run at memory speed.
 _CHUNK_BYTES = 1 << 19
 
+# Largest score bound B at which the softmax skips its row-max shift.
+# With every |s| <= B, e = exp(s) lies in [e^-B, e^B] and each row sum in
+# [e^-B, Lk e^B]. At B = 300, e^(+-2B) ~ 10^(+-261) is inside the normal
+# float64 range (10^-308 to 10^308), so neither e, z, (e v) / z nor the
+# backward's g / z and its products with e overflow or go subnormal.
+_NO_SHIFT_BOUND = 300.0
+
 
 def _segment_chunks(lq: np.ndarray, lk: np.ndarray, heads: int):
     """Split the (query, key/value) segment pairs into chunks of equal lengths.
@@ -174,11 +181,15 @@ def attention_heads(q: Tensor, k: Tensor, v: Tensor, heads: int,
 
     Segments with equal lengths run together, a cache-sized chunk at a
     time, as contiguous (segments, heads, rows, head_dim) blocks; no score
-    matrix spans two segments. The forward exponentiates the shifted
-    scores e = exp(s - rowmax) in place and normalises after the value
-    product, o = (e v) / z with z the row sums of e, so no pass over the
-    scores scales or divides them. One tape node; it saves e and z per
-    chunk, and its backward reads o from the op's own output.
+    matrix spans two segments. The forward exponentiates the scores in
+    place and normalises after the value product, o = (e v) / z with z the
+    row sums of e, so no pass over the scores scales or divides them.
+
+    Every score obeys |s| <= B = sqrt(head_dim) max|q| max|k|. When B is at
+    most `_NO_SHIFT_BOUND`, e = exp(s) cannot overflow and the kernel skips
+    the row-max pass; otherwise, and for non-finite inputs, it shifts,
+    e = exp(s - rowmax). Both give the same e / z. One tape node; it saves
+    e and z per chunk, and its backward reads o from the op's own output.
     """
     if q.shape[1] != k.shape[1] or k.shape != v.shape:
         raise ShapeError(f"attention shapes: q {q.shape}, k {k.shape}, v {v.shape}")
@@ -210,12 +221,15 @@ def attention_heads(q: Tensor, k: Tensor, v: Tensor, heads: int,
     def fresh(op, x, by):
         return op(x, by, out=np.empty(x.shape))
 
+    bound = math.sqrt(hd) * max(qd.max(), -qd.min()) * max(kd.max(), -kd.min())
+    shift = not bound <= _NO_SHIFT_BOUND  # NaN and inf bounds shift
     out = np.empty((q.shape[0], dim))
     saved = []
     for q_rows, kv_rows, count, lq, lk in chunks:
         e = np.matmul(fresh(np.multiply, split(qd, q_rows, count, lq), scale),
                       np.ascontiguousarray(tr(split(kd, kv_rows, count, lk))))
-        e -= e.max(axis=-1, keepdims=True)
+        if shift:
+            e -= e.max(axis=-1, keepdims=True)
         np.exp(e, out=e)
         z = e.sum(axis=-1, keepdims=True)
         o = np.matmul(e, np.ascontiguousarray(split(vd, kv_rows, count, lk)))

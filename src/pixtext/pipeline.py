@@ -20,6 +20,7 @@ segment. A single image is the batch of one.
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 import zlib
@@ -507,7 +508,8 @@ def build_pipeline(cfg: PipelineConfig, class_names, seed: int) -> DensePredPipe
 
 
 def swap_backbone(pipe: DensePredPipeline, new_encoder: ToyImageEncoder) -> DensePredPipeline:
-    """Same text path, head and losses on top of a different visual backbone.
+    """Copies of the text path and head, with the same losses, on top of a
+    different visual backbone; training the swap leaves `pipe` as it was.
 
     If the new backbone emits a different feature dim, a linear adapter is
     inserted so the matching and fusion contracts still hold.
@@ -519,8 +521,8 @@ def swap_backbone(pipe: DensePredPipeline, new_encoder: ToyImageEncoder) -> Dens
         cfg=pipe.cfg,
         class_names=pipe.class_names,
         image_encoder=new_encoder,
-        text_path=pipe.text_path,
-        head=pipe.head,
+        text_path=copy.deepcopy(pipe.text_path),
+        head=copy.deepcopy(pipe.head),
         seed=pipe.seed,
         backbone_adapter=adapter,
     )
@@ -563,9 +565,12 @@ def load_checkpoint(ckpt_dir) -> DensePredPipeline:
     for name, entry in manifest["params"].items():
         if name not in params:
             raise KeyError(f"checkpoint parameter {name} not in rebuilt pipeline")
-        arr = read_dct1(os.path.join(ckpt_dir, entry["file"]))
+        path = os.path.join(ckpt_dir, entry["file"])
+        arr = read_dct1(path)
         if arr.shape != params[name].shape:
             raise ShapeError(f"checkpoint shape mismatch on {name}")
+        if not np.all(np.isfinite(arr)):
+            raise ContractError(f"checkpoint parameter {name} has non-finite values in {path}")
         params[name].data = arr
     return pipe
 

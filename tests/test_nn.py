@@ -296,7 +296,12 @@ class TestAttentionReference:
         "train_self_32x64": (nn.block_offsets(32, 64), nn.block_offsets(32, 64), 32, 4),
         "train_cross_32x8_65": (nn.block_offsets(32, 8), nn.block_offsets(32, 65), 32, 4),
         "pool_1x257": ([0, 257], [0, 257], 32, 4),
+        "shift_path_1x257": ([0, 257], [0, 257], 32, 4),
+        "no_shift_near_bound_1x257": ([0, 257], [0, 257], 32, 4),
     }
+    # q and k of these cases are multiplied by the factor, which puts the
+    # score bound above and just under the kernel's no-shift limit
+    SCALES = {"shift_path_1x257": 3.0, "no_shift_near_bound_1x257": 2.4}
 
     @staticmethod
     def run(rng, case):
@@ -306,6 +311,9 @@ class TestAttentionReference:
         q_off, kv_off, dim, heads = TestAttentionReference.CASES[case]
         q = rng.standard_normal((q_off[-1], dim))
         k, v = rng.standard_normal((2, kv_off[-1], dim))
+        if case in TestAttentionReference.SCALES:
+            q *= TestAttentionReference.SCALES[case]
+            k *= TestAttentionReference.SCALES[case]
         given = (q, k, v, rng.standard_normal(q.shape))
         drawn = [a.copy() for a in given]
         tq, tk, tv = (T.Tensor(a, requires_grad=True) for a in given[:3])
@@ -322,13 +330,58 @@ class TestAttentionReference:
         assert len(chunks("several_chunks")) > 1
         assert {c[3] for c in chunks("one_row_queries")} == {1}
 
+    @pytest.mark.parametrize("case, lo, hi", [
+        ("shift_path_1x257", nn._NO_SHIFT_BOUND, np.inf),
+        ("no_shift_near_bound_1x257", 0.95 * nn._NO_SHIFT_BOUND, nn._NO_SHIFT_BOUND),
+    ])
+    def test_cases_cover_score_bounds(self, rng, case, lo, hi):
+        # the bound the kernel tests: |s| <= sqrt(head_dim) max|q| max|k|
+        _, _, dim, heads = self.CASES[case]
+        (q, k, _, _), _, _, _ = self.run(rng, case)
+        bound = np.sqrt(dim // heads) * np.abs(q).max() * np.abs(k).max()
+        assert lo < bound <= hi
+
     @pytest.mark.parametrize("case", CASES)
     def test_matches_textbook_softmax(self, rng, case):
         q_off, kv_off, _, heads = self.CASES[case]
         drawn, _, out, grads = self.run(rng, case)
         expected = textbook_attention(*drawn, heads, q_off, kv_off)
         for got, want in zip((out, *grads), expected):
+            assert np.all(np.isfinite(got))
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("reach", [nn._NO_SHIFT_BOUND, 750.0], ids=["at_bound", "past_exp"])
+    def test_extreme_scores_stay_finite(self, reach, sign):
+        # k is parallel to q, so the bound is tight: the scores run from
+        # sign * (reach - 10) to sign * reach. At the no-shift limit the
+        # unshifted e reaches e^(+-300); exp(750) overflows unless the
+        # kernel shifts. With every key parallel to q, dq is a near-total
+        # cancellation (condition about reach / 10), so it gets 1e-10.
+        a = np.sqrt(reach / 2)
+        q = np.full((1, 4), sign * a)
+        k = np.linspace(a * (1 - 10 / reach), a, 257)[:, None] * np.ones(4)
+        assert (np.sqrt(4) * a * a <= nn._NO_SHIFT_BOUND) == (reach <= nn._NO_SHIFT_BOUND)
+        v = np.random.default_rng(0).standard_normal((257, 4))
+        g = np.ones((1, 4))
+        expected = textbook_attention(q, k, v, g, 1, [0, 1], [0, 257])
+        tensors = [T.Tensor(x, requires_grad=True) for x in (q, k, v)]
+        with T.fresh_tape() as tape:
+            out = nn.attention_heads(*tensors, 1, [0, 1], [0, 257]).data
+            grads = tape[0].grad_fn(g)
+        for got, want, tol in zip((out, *grads), expected, (1e-12, 1e-10, 1e-12, 1e-12)):
+            assert np.all(np.isfinite(got))
+            assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("where, value", [("q", np.nan), ("k", np.inf)])
+    def test_non_finite_inputs_give_non_finite_output(self, rng, where, value):
+        q, k, v = rng.standard_normal((3, 9, 8))
+        (q if where == "q" else k)[4, 2] = value
+        with np.errstate(invalid="ignore"):
+            out = nn.attention_heads(T.Tensor(q), T.Tensor(k), T.Tensor(v), 2, [0, 4, 9]).data
+            expected = textbook_attention(q, k, v, np.zeros_like(q), 2, [0, 4, 9], [0, 4, 9])[0]
+        assert not np.all(np.isfinite(out))
+        assert np.array_equal(np.isfinite(out), np.isfinite(expected))
 
     @pytest.mark.parametrize("case", ["one_row_queries", "one_head", "unequal_lengths"])
     def test_inputs_and_upstream_gradient_unmodified(self, rng, case):

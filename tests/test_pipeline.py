@@ -181,7 +181,7 @@ class TestSwapBackbone:
         swapped = swap_backbone(pipe, new_enc)
         t_after = swapped.text_path.base_embeddings().t.data
         assert np.array_equal(t_before, t_after)
-        assert swapped.text_path is pipe.text_path
+        assert swapped.text_path is not pipe.text_path
 
     def test_adapter_inserted_for_mismatched_dims(self, micro_spec, micro_sample):
         pipe = build_pipeline(micro_config("coop"), micro_spec.class_names, seed=1)
@@ -195,6 +195,20 @@ class TestSwapBackbone:
         fm, _ = swapped.encode_image(micro_sample.image)
         fused = fuse_features(fm, out.score)
         assert fused.c == 8 + 2  # shared dim + classes, independent of backbone width
+
+    @pytest.mark.parametrize("width", [12, 8], ids=["adapter", "no_adapter"])
+    def test_training_the_swap_leaves_the_source_unchanged(self, micro_spec, width):
+        pipe = build_pipeline(micro_config("post"), micro_spec.class_names, seed=1)
+        before = {name: p.data.copy() for name, p, _ in pipe.parameters()}
+        swapped = swap_backbone(pipe, ToyImageEncoder(
+            ImageEncoderConfig(patch=4, width=width, blocks=1, heads=2, out_dim=width),
+            rng_for(99, "swapped"),
+        ))
+        samples = generate(micro_spec, 4, seed=5)
+        train(swapped, (samples, samples[:1]), OptimConfig(steps=2, seed=1))
+        assert not np.array_equal(swapped.head.fc1.weight.data, before["head.fc1.weight"])
+        for name, p, _ in pipe.parameters():
+            assert np.array_equal(p.data, before[name]), name
 
     def test_matching_dims_need_no_adapter(self, micro_spec):
         pipe = build_pipeline(micro_config("coop"), micro_spec.class_names, seed=1)
@@ -445,6 +459,15 @@ class TestInputChecks:
 
 
 class TestCheckpointMissingParameter:
+    def test_non_finite_parameter_named(self, tmp_path, micro_spec):
+        pipe = build_pipeline(micro_config("coop"), micro_spec.class_names, seed=2)
+        save_checkpoint(pipe, tmp_path / "ckpt")
+        weight = pipe.head.fc1.weight.data.copy()
+        weight[0, 0] = np.nan
+        T.write_dct1(tmp_path / "ckpt" / "head.fc1.weight.dct1", T.Tensor(weight))
+        with pytest.raises(ContractError, match=r"head\.fc1\.weight .*head\.fc1\.weight\.dct1"):
+            load_checkpoint(tmp_path / "ckpt")
+
     def test_missing_parameter_named(self, tmp_path, micro_spec):
         pipe = build_pipeline(micro_config("coop"), micro_spec.class_names, seed=2)
         save_checkpoint(pipe, tmp_path / "ckpt")
