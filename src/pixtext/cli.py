@@ -15,8 +15,10 @@ import os
 import sys
 
 from .datagen import TaskSpec, default_task, generate, load_dataset, save_dataset, split
-from .harness import evaluate_miou, load_run, run_ablation, train, write_ablation_csv
+from .harness import (load_run, miou_from_pairs, predict_samples, run_ablation, train,
+                      write_ablation_csv)
 from .pipeline import build_pipeline, export_prediction, load_checkpoint, save_checkpoint
+from .tensor import ContractError
 from .verification import format_results, run_gradient_suite
 
 __all__ = ["main"]
@@ -63,9 +65,13 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     pipe = load_checkpoint(args.ckpt)
     spec, samples = load_dataset(args.data)
+    if spec.class_names != pipe.class_names:
+        raise ContractError(f"dataset {args.data} has classes {spec.class_names}, "
+                            f"checkpoint {args.ckpt} {pipe.class_names}")
     pipe.cache_text()
     before = pipe.text_sequence_count()
-    per_class, miou = evaluate_miou(pipe, samples)
+    preds = predict_samples(pipe, samples)
+    per_class, miou = miou_from_pairs(zip((s.mask for s in samples), preds), pipe.k)
     report = {
         "miou": miou,
         "per_class_iou": per_class,
@@ -78,8 +84,7 @@ def _cmd_eval(args) -> int:
     if args.export_predictions:
         os.makedirs(args.export_predictions, exist_ok=True)
         ext = "json" if args.format == "json" else "pgm"
-        for i, s in enumerate(samples):
-            pred = pipe.predict(s.image)
+        for i, (s, pred) in enumerate(zip(samples, preds)):
             h, w, _ = s.image.shape
             export_prediction(
                 pred, h, w,

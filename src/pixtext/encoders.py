@@ -191,10 +191,11 @@ class ToyImageEncoder:
         self._patch_index_cache[key] = idx
         return idx
 
-    def _trunk(self, images: Tensor) -> FeatureMap:
-        """Patch embedding and transformer blocks: width-channel features of
-        one H x W x 3 image or an (N, H, W, 3) batch; every image is a
-        segment of the stacked rows."""
+    def encode(self, images: Tensor, pool: bool = True) -> tuple[FeatureMap, PooledFeatures | None]:
+        """The projected feature map and pooled features of one H x W x 3
+        image or an (N, H, W, 3) batch; every image is a segment of the
+        stacked rows. With `pool` false the attention pool does not run and
+        the pooled features come back None."""
         if images.data.ndim not in (3, 4) or images.shape[-1] != 3:
             raise ShapeError(f"expected H x W x 3 image or N x H x W x 3 batch, got {images.shape}")
         n = images.shape[0] if images.data.ndim == 4 else 1
@@ -210,20 +211,12 @@ class ToyImageEncoder:
         offsets = block_offsets(n, h4 * w4)
         for block in self.blocks:
             x = block(x, offsets)
-        return FeatureMap(h4=h4, w4=w4, c=self.cfg.width, values=x, n=n)
-
-    def features(self, images: Tensor) -> FeatureMap:
-        """The projected feature map alone: `encode` without the attention pool."""
-        x4 = self._trunk(images)
-        return replace(x4, c=self.cfg.out_dim, values=self.proj(x4.values))
-
-    def encode(self, images: Tensor) -> tuple[FeatureMap, PooledFeatures]:
-        """The projected feature map and pooled features of one H x W x 3
-        image or an (N, H, W, 3) batch."""
-        x4 = self._trunk(images)
-        pooled = attention_pool(self.pool, x4)
-        fm = replace(x4, c=self.cfg.out_dim, values=self.proj(x4.values))
-        return fm, PooledFeatures(memory=self.proj(pooled.memory), n=x4.n)
+        x4 = FeatureMap(h4=h4, w4=w4, c=self.cfg.width, values=x, n=n)
+        pooled = attention_pool(self.pool, x4) if pool else None
+        fm = replace(x4, c=self.cfg.out_dim, values=self.proj(x))
+        if pooled is not None:
+            pooled = PooledFeatures(memory=self.proj(pooled.memory), n=n)
+        return fm, pooled
 
     def parameters(self):
         for name, p in self.patch_embed.parameters():

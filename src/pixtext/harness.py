@@ -30,6 +30,7 @@ __all__ = [
     "RunReport",
     "train",
     "evaluate_miou",
+    "predict_samples",
     "miou_from_pairs",
     "load_run",
     "run_ablation",
@@ -206,17 +207,21 @@ def miou_from_pairs(pairs, k: int) -> tuple[list, float]:
     return ious, mean
 
 
-EVAL_BATCH = 32  # images per forward pass in evaluate_miou
+EVAL_BATCH = 32  # images per forward pass in predict_samples
+
+
+def predict_samples(pipe: DensePredPipeline, samples) -> list[np.ndarray]:
+    """Each sample's per-pixel class ids, (H*W,), predicted EVAL_BATCH
+    images at a time."""
+    preds = []
+    for start in range(0, len(samples), EVAL_BATCH):
+        preds.extend(pipe.predict([s.image for s in samples[start : start + EVAL_BATCH]]))
+    return preds
 
 
 def evaluate_miou(pipe: DensePredPipeline, samples) -> tuple[list, float]:
-    """Per-class IoU over the pooled pixels of all samples, predicted
-    EVAL_BATCH images at a time."""
-    pairs = []
-    for start in range(0, len(samples), EVAL_BATCH):
-        batch = samples[start : start + EVAL_BATCH]
-        pairs += zip((s.mask for s in batch), pipe.predict([s.image for s in batch]))
-    return miou_from_pairs(pairs, pipe.k)
+    """Per-class IoU over the pooled pixels of all samples."""
+    return miou_from_pairs(zip((s.mask for s in samples), predict_samples(pipe, samples)), pipe.k)
 
 
 def _target_for(pipe: DensePredPipeline, sample: SyntheticSample):

@@ -24,7 +24,7 @@ import copy
 import json
 import os
 import zlib
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -275,10 +275,7 @@ class DensePredPipeline:
         Without a language path nothing reads the pooled features, so the
         attention pool does not run and they come back None.
         """
-        if self.text_path is None:
-            fm, pooled = self.image_encoder.features(images), None
-        else:
-            fm, pooled = self.image_encoder.encode(images)
+        fm, pooled = self.image_encoder.encode(images, pool=self.text_path is not None)
         if self.backbone_adapter is not None:
             fm = replace(fm, c=self.cfg.shared_dim, values=self.backbone_adapter(fm.values))
             if pooled is not None:
@@ -517,7 +514,7 @@ def swap_backbone(pipe: DensePredPipeline, new_encoder: ToyImageEncoder) -> Dens
     adapter = None
     if new_encoder.out_dim != pipe.cfg.shared_dim:
         adapter = Linear(new_encoder.out_dim, pipe.cfg.shared_dim, rng_for(pipe.seed, "backbone_adapter"))
-    swapped = DensePredPipeline(
+    return DensePredPipeline(
         cfg=pipe.cfg,
         class_names=pipe.class_names,
         image_encoder=new_encoder,
@@ -526,7 +523,6 @@ def swap_backbone(pipe: DensePredPipeline, new_encoder: ToyImageEncoder) -> Dens
         seed=pipe.seed,
         backbone_adapter=adapter,
     )
-    return swapped
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +540,7 @@ def save_checkpoint(pipe: DensePredPipeline, out_dir):
         "config": pipe.cfg.to_dict(),
         "class_names": pipe.class_names,
         "seed": pipe.seed,
-        "has_backbone_adapter": pipe.backbone_adapter is not None,
+        "backbone": asdict(pipe.image_encoder.cfg),
         "params": entries,
     }
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
@@ -552,12 +548,25 @@ def save_checkpoint(pipe: DensePredPipeline, out_dir):
 
 
 def load_checkpoint(ckpt_dir) -> DensePredPipeline:
-    with open(os.path.join(ckpt_dir, "manifest.json")) as fh:
+    """Rebuild the pipeline from the manifest and load its parameters. A
+    backbone other than `config.image` is put back with `swap_backbone`,
+    so a swapped pipeline restores with its adapter, if it has one."""
+    manifest_path = os.path.join(ckpt_dir, "manifest.json")
+    with open(manifest_path) as fh:
         manifest = json.load(fh)
+    if "backbone" not in manifest:
+        raise ContractError(f"{manifest_path} lacks the 'backbone' key")
+    keys, given = {f.name for f in fields(ImageEncoderConfig)}, set(manifest["backbone"])
+    unknown, missing = sorted(given - keys), sorted(keys - given)
+    if unknown or missing:
+        raise ContractError(f"backbone in {manifest_path}: unknown key(s) {unknown}, "
+                            f"missing key(s) {missing}")
     cfg = PipelineConfig.from_dict(manifest["config"])
-    pipe = build_pipeline(cfg, manifest["class_names"], manifest["seed"])
-    if manifest.get("has_backbone_adapter"):
-        raise ContractError("checkpoints of adapter-swapped pipelines are not restorable")
+    seed = manifest["seed"]
+    pipe = build_pipeline(cfg, manifest["class_names"], seed)
+    backbone = ImageEncoderConfig(**manifest["backbone"])
+    if backbone != cfg.image:
+        pipe = swap_backbone(pipe, ToyImageEncoder(backbone, rng_for(seed, "swapped_backbone")))
     params = {name: p for name, p, _ in pipe.parameters()}
     for name in params:
         if name not in manifest["params"]:

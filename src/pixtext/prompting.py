@@ -32,7 +32,6 @@ __all__ = [
     "pre_model_prompt",
     "post_model_prompt",
     "TextPath",
-    "export_cached_embeddings",
 ]
 
 
@@ -190,16 +189,3 @@ class TextPath:
                 yield f"decoder.{i}.{name}", p
         if self.gate_learnable:
             yield "gate.gamma", self.gamma
-
-
-def export_cached_embeddings(path: "TextPath", path_prefix):
-    """Write `<prefix>.dct1` plus a `<prefix>.json` class-name sidecar."""
-    import json
-
-    from .tensor import write_dct1
-
-    t = path.cached if path.cached is not None else path.cache()
-    write_dct1(f"{path_prefix}.dct1", t)
-    with open(f"{path_prefix}.json", "w") as fh:
-        json.dump({"class_names": path.class_names, "mode": path.mode}, fh,
-                  indent=1, sort_keys=True)

@@ -1,14 +1,15 @@
 import json
 import os
+import re
 from pathlib import Path
 
 import pytest
 
 from pixtext.cli import main
-from pixtext.datagen import TaskSpec, generate, save_dataset
-from pixtext.harness import load_run
-from pixtext.pipeline import micro_config, toy_config
-from pixtext.tensor import read_dct1
+from pixtext.datagen import TaskSpec, generate, load_dataset, save_dataset
+from pixtext.harness import load_run, miou_from_pairs
+from pixtext.pipeline import DensePredPipeline, micro_config, toy_config
+from pixtext.tensor import ContractError, read_dct1
 
 
 @pytest.fixture()
@@ -86,6 +87,46 @@ class TestTrainEval:
         files = sorted(os.listdir(preds))
         assert files[0] == "pred_0000.pgm"
         assert (preds / files[0]).read_text().startswith("P2\n8 8\n")
+
+    def test_eval_exports_the_predictions_it_scored(self, tmp_path, micro_dataset_dir,
+                                                     monkeypatch):
+        cfg = run_config(tmp_path, steps=1)
+        ckpt = tmp_path / "ckpt"
+        main(["train", "--data", str(micro_dataset_dir), "--config", str(cfg),
+              "--out", str(ckpt), "--report", str(tmp_path / "r.json")])
+        predicted = []
+        predict = DensePredPipeline.predict
+
+        def counting(pipe, images):
+            predicted.append(len(images) if isinstance(images, list) else 1)
+            return predict(pipe, images)
+
+        monkeypatch.setattr(DensePredPipeline, "predict", counting)
+        preds = tmp_path / "preds"
+        main(["eval", "--data", str(micro_dataset_dir), "--ckpt", str(ckpt),
+              "--report", str(tmp_path / "e.json"), "--export-predictions", str(preds)])
+        assert sum(predicted) == 8
+        _, samples = load_dataset(micro_dataset_dir)
+        exported = [json.loads((preds / f"pred_{i:04d}.json").read_text())["classes"]
+                    for i in range(len(samples))]
+        _, miou = miou_from_pairs(zip((s.mask for s in samples), exported), 2)
+        assert miou == json.loads((tmp_path / "e.json").read_text())["miou"]
+
+    @pytest.mark.parametrize("names", [["sky", "ground"], ["background", "object_1", "object_2"]],
+                             ids=["same_count", "more_classes"])
+    def test_eval_rejects_other_class_names(self, tmp_path, micro_dataset_dir, names):
+        cfg = run_config(tmp_path, steps=1)
+        ckpt = tmp_path / "ckpt"
+        main(["train", "--data", str(micro_dataset_dir), "--config", str(cfg),
+              "--out", str(ckpt), "--report", str(tmp_path / "r.json")])
+        spec = TaskSpec(k=len(names), height=8, width=8, min_shapes=1, max_shapes=1,
+                        shape_min_px=3, shape_max_px=5, seed=3, class_names=names)
+        save_dataset(spec, generate(spec, 2, seed=4), tmp_path / "other")
+        with pytest.raises(ContractError, match=re.escape(f"{names}") + ".*"
+                           + re.escape("['background', 'object_1']")):
+            main(["eval", "--data", str(tmp_path / "other"), "--ckpt", str(ckpt),
+                  "--report", str(tmp_path / "e.json")])
+        assert not (tmp_path / "e.json").exists()
 
     def test_seed_env_override(self, tmp_path, micro_dataset_dir, monkeypatch):
         cfg = run_config(tmp_path, steps=1, seed=1)

@@ -85,7 +85,8 @@ class TestImageEncoder:
         images = T.Tensor(rng.standard_normal((2, 8, 8, 3)))
         fm, _ = enc.encode(images)
         monkeypatch.setattr(encoders, "attention_pool", None)  # the pool must not run
-        alone = enc.features(images)
+        alone, pooled = enc.encode(images, pool=False)
+        assert pooled is None
         assert (alone.h4, alone.w4, alone.c, alone.n) == (fm.h4, fm.w4, 6, 2)
         assert np.array_equal(alone.values.data, fm.values.data)
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from pixtext import encoders
 from pixtext import tensor as T
 from pixtext.datagen import TaskSpec, generate
 from pixtext.encoders import ImageEncoderConfig, ToyImageEncoder
@@ -56,7 +57,7 @@ class TestForwardShapes:
                 rng_for(99, "swapped"),
             ))
         calls = []
-        monkeypatch.setattr(pipe.image_encoder, "encode", lambda *a: calls.append(a))
+        monkeypatch.setattr(encoders, "attention_pool", lambda *a: calls.append(a))
         fm, pooled = pipe.encode_image(micro_sample.image)
         assert pooled is None and fm.c == 8
         pipe.forward([micro_sample.image], [micro_sample.mask])
@@ -272,6 +273,50 @@ class TestCheckpoint:
         groups = {e["group"] for e in manifest["params"].values()}
         assert groups == {"image_encoder", "text_encoder", "other"}
         assert manifest["config"]["loss"]["temperature"] == 0.07
+
+
+class TestSwappedCheckpoint:
+    """The manifest records the backbone, so a swapped pipeline restores
+    through `load_checkpoint` with its adapter, if it has one."""
+
+    @pytest.mark.parametrize("mode", ["post", None], ids=["post", "none"])
+    @pytest.mark.parametrize("out_dim", [40, 32], ids=["adapter", "no_adapter"])
+    def test_roundtrip_is_bitwise(self, tmp_path, toy_spec, toy_samples, mode, out_dim):
+        pipe = build_pipeline(toy_config(mode), toy_spec.class_names, seed=3)
+        backbone = ImageEncoderConfig(patch=4, width=40, blocks=2, heads=4, out_dim=out_dim,
+                                      ffn_mult=2)
+        swapped = swap_backbone(pipe, ToyImageEncoder(backbone, rng_for(3, "swapped_backbone")))
+        assert (swapped.backbone_adapter is not None) == (out_dim != 32)
+        train(swapped, (toy_samples[:4], toy_samples[4:6]), OptimConfig(steps=2, seed=3))
+        save_checkpoint(swapped, tmp_path / "ckpt")
+        manifest = json.loads((tmp_path / "ckpt" / "manifest.json").read_text())
+        assert manifest["backbone"]["out_dim"] == out_dim
+        back = load_checkpoint(tmp_path / "ckpt")
+        saved = list(swapped.parameters())
+        restored = list(back.parameters())
+        assert [(n, g) for n, _, g in restored] == [(n, g) for n, _, g in saved]
+        for (name, p1, _), (_, p2, _) in zip(saved, restored):
+            assert np.array_equal(p1.data, p2.data), name
+        back.cache_text()
+        images = [s.image for s in toy_samples[6:]]
+        assert np.array_equal(swapped.logits(images).data, back.logits(images).data)
+        assert np.array_equal(swapped.predict(images), back.predict(images))
+
+    def test_missing_backbone_named(self, tmp_path, micro_spec):
+        save_checkpoint(build_pipeline(micro_config("coop"), micro_spec.class_names, 2), tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        del manifest["backbone"]
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ContractError, match=r"manifest\.json lacks the 'backbone' key"):
+            load_checkpoint(tmp_path)
+
+    def test_unknown_backbone_key_named(self, tmp_path, micro_spec):
+        save_checkpoint(build_pipeline(micro_config("coop"), micro_spec.class_names, 2), tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest["backbone"]["depth"] = 3
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ContractError, match=r"manifest\.json: unknown key\(s\) \['depth'\]"):
+            load_checkpoint(tmp_path)
 
 
 class TestConfigKeys:

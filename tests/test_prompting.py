@@ -7,7 +7,6 @@ from pixtext.nn import decoder_forward
 from pixtext.pipeline import build_pipeline, micro_config
 from pixtext.prompting import (
     GATE_PRESETS,
-    export_cached_embeddings,
     post_model_prompt,
 )
 from pixtext.tensor import ContractError
@@ -218,21 +217,6 @@ class TestCaching:
         assert not snap.requires_grad
         t = pipe.text_path.cache()
         assert np.array_equal(t.data, snap.data)
-
-    def test_export_cached_embeddings(self, micro_spec, tmp_path):
-        import json
-
-        from pixtext.tensor import read_dct1
-
-        pipe = micro_pipe("coop", micro_spec)
-        prefix = tmp_path / "cached"
-        export_cached_embeddings(pipe.text_path, prefix)
-        arr = read_dct1(f"{prefix}.dct1")
-        assert arr.shape == (2, 8)
-        assert np.array_equal(arr, pipe.text_path.cached.data)
-        sidecar = json.loads((tmp_path / "cached.json").read_text())
-        assert sidecar["class_names"] == micro_spec.class_names
-        assert sidecar["mode"] == "coop"
 
 
 class TestGateAblationPresets:
