@@ -28,10 +28,8 @@ from .harness import (
 )
 from .matching import (
     BoxAnnotation,
-    DetTarget,
     LossConfig,
     ScoreMap,
-    SegTarget,
     compute_score_map,
     det_aux_loss,
     fuse_features,

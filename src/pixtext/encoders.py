@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .nn import Linear, MultiHeadAttention, TransformerBlock, block_offsets, init_uniform
-from .tensor import ContractError, ShapeError, Tensor, concat, gather_flat, mean_rows, take
+from .tensor import ContractError, ShapeError, Tensor, concat, mean_rows, patchify, take
 
 __all__ = [
     "FeatureMap",
@@ -169,27 +169,10 @@ class ToyImageEncoder:
         ]
         self.pool = MultiHeadAttention(cfg.width, cfg.heads, rng)
         self.proj = Linear(cfg.width, cfg.out_dim, rng)
-        self._patch_index_cache: dict[tuple[int, int], np.ndarray] = {}
 
     @property
     def out_dim(self) -> int:
         return self.cfg.out_dim
-
-    def _patch_indices(self, h: int, w: int) -> np.ndarray:
-        key = (h, w)
-        cached = self._patch_index_cache.get(key)
-        if cached is not None:
-            return cached
-        f = self.cfg.patch
-        flat = np.arange(h * w * 3).reshape(h, w, 3)
-        rows = []
-        for pr in range(h // f):
-            for pc in range(w // f):
-                block = flat[pr * f : (pr + 1) * f, pc * f : (pc + 1) * f, :]
-                rows.append(block.reshape(-1))
-        idx = np.stack(rows)
-        self._patch_index_cache[key] = idx
-        return idx
 
     def encode(self, images: Tensor, pool: bool = True) -> tuple[FeatureMap, PooledFeatures | None]:
         """The projected feature map and pooled features of one H x W x 3
@@ -199,15 +182,9 @@ class ToyImageEncoder:
         if images.data.ndim not in (3, 4) or images.shape[-1] != 3:
             raise ShapeError(f"expected H x W x 3 image or N x H x W x 3 batch, got {images.shape}")
         n = images.shape[0] if images.data.ndim == 4 else 1
-        h, w = images.shape[-3:-1]
         f = self.cfg.patch
-        if h % f or w % f:
-            raise ShapeError(f"image {h}x{w} not divisible by patch {f}")
-        per_image = self._patch_indices(h, w)
-        starts = np.arange(n)[:, None, None] * (h * w * 3)
-        patches = gather_flat(images, (per_image[None] + starts).reshape(-1, per_image.shape[1]))
-        x = self.patch_embed(patches)
-        h4, w4 = h // f, w // f
+        x = self.patch_embed(patchify(images, f))
+        h4, w4 = images.shape[-3] // f, images.shape[-2] // f
         offsets = block_offsets(n, h4 * w4)
         for block in self.blocks:
             x = block(x, offsets)

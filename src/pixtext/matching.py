@@ -27,8 +27,6 @@ from .tensor import (
 
 __all__ = [
     "ScoreMap",
-    "SegTarget",
-    "DetTarget",
     "BoxAnnotation",
     "LossConfig",
     "compute_score_map",
@@ -59,30 +57,6 @@ class ScoreMap:
             np.all(self.s.data >= -1.0) and np.all(self.s.data <= 1.0)
         ):
             raise ContractError("score map entries must lie in [-1, 1]")
-
-
-@dataclass
-class SegTarget:
-    """Coarse per-cell class ids aligned with a score map."""
-
-    y: np.ndarray
-
-    def __post_init__(self):
-        self.y = np.asarray(self.y, dtype=np.intp)
-        if self.y.ndim != 1:
-            raise ShapeError("segmentation target must be flat")
-
-
-@dataclass
-class DetTarget:
-    """Binary per-cell per-class targets built from box annotations."""
-
-    y: np.ndarray
-
-    def __post_init__(self):
-        self.y = np.asarray(self.y, dtype=np.float64)
-        if not np.all((self.y == 0.0) | (self.y == 1.0)):
-            raise ContractError("detection target must be binary")
 
 
 @dataclass(frozen=True)
@@ -146,48 +120,33 @@ def fuse_features(x4: FeatureMap, score: ScoreMap) -> FeatureMap:
             f"spatial mismatch: features {x4.n}x{x4.h4}x{x4.w4} "
             f"vs scores {score.n}x{score.h4}x{score.w4}"
         )
-    if score.k == 0:
-        fused = x4.values
-    else:
-        fused = concat([x4.values, score.s], axis=1)
+    fused = concat([x4.values, score.s], axis=1)
     return FeatureMap(h4=x4.h4, w4=x4.w4, c=x4.c + score.k, values=fused, n=x4.n)
 
 
-def seg_aux_loss(score: ScoreMap, target: SegTarget, cfg: LossConfig) -> Tensor:
-    """Cross-entropy of the temperature-scaled scores against coarse labels."""
-    if target.y.shape[0] != score.s.shape[0]:
-        raise ShapeError("segmentation target length != score map cells")
-    if target.y.size and (target.y.min() < 0 or target.y.max() >= score.k):
-        raise IndexError(f"label outside [0, {score.k})")
-    return cross_entropy(mul(score.s, 1.0 / cfg.temperature), target.y)
+def seg_aux_loss(score: ScoreMap, labels, cfg: LossConfig) -> Tensor:
+    """Cross-entropy of the temperature-scaled scores against per-cell class ids."""
+    return cross_entropy(mul(score.s, 1.0 / cfg.temperature), labels)
 
 
-def rasterize_boxes(boxes, h4: int, w4: int, k: int) -> DetTarget:
-    """Binary target: cell (r, c) is positive for class j iff the cell center
-    lies inside some class-j box. Containment is half-open: min <= center < max.
-    """
+def rasterize_boxes(boxes, h4: int, w4: int, k: int) -> np.ndarray:
+    """Binary (h4*w4, k) target: cell (r, c) is positive for class j iff its
+    center lies inside some class-j box, half-open: min <= center < max."""
     y = np.zeros((h4 * w4, k), dtype=np.float64)
-    if not boxes:
-        return DetTarget(y=y)
     cx = (np.arange(w4) + 0.5) / w4
     cy = (np.arange(h4) + 0.5) / h4
     for box in boxes:
-        if not isinstance(box, BoxAnnotation):
-            box = BoxAnnotation(*box)
         if not (0 <= box.class_id < k):
             raise ValueError(f"box class {box.class_id} outside [0, {k})")
         in_x = (cx >= box.x_min) & (cx < box.x_max)
         in_y = (cy >= box.y_min) & (cy < box.y_max)
-        cells = np.outer(in_y, in_x).reshape(-1)
-        y[cells, box.class_id] = 1.0
-    return DetTarget(y=y)
+        y[np.outer(in_y, in_x).reshape(-1), box.class_id] = 1.0
+    return y
 
 
-def det_aux_loss(score: ScoreMap, target: DetTarget, cfg: LossConfig) -> Tensor:
-    """Stable binary cross-entropy of temperature-scaled scores vs box targets."""
-    if target.y.shape != score.s.shape:
-        raise ShapeError(f"target {target.y.shape} vs scores {score.s.shape}")
-    return bce_with_logits(mul(score.s, 1.0 / cfg.temperature), target.y)
+def det_aux_loss(score: ScoreMap, y, cfg: LossConfig) -> Tensor:
+    """Stable binary cross-entropy of temperature-scaled scores vs 0/1 box targets."""
+    return bce_with_logits(mul(score.s, 1.0 / cfg.temperature), y)
 
 
 def export_score_map(score: ScoreMap, class_names, path_prefix):

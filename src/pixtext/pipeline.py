@@ -10,8 +10,10 @@ the decode head.
 Nearest upsampling copies a cell's logits to each of its pixels, so the
 per-pixel mean cross-entropy equals a cell-level cross-entropy weighted
 by each cell's pixel label counts. The main loss is computed that way,
-and pixel-level arrays never enter the tape: per-pixel logits and class
-ids are expanded from the cells by plain indexing.
+and pixel-level arrays never enter the tape. Pixels map to cells in one
+layout, (N, h4, f, w4, f): a broadcast of the cell ids gives each pixel's
+cell, and the centre pixel of every f x f block gives a cell's auxiliary
+label.
 
 A minibatch runs as one pass on one tape: the images' cells are stacked
 row blocks, and attention, pooling, prompting and scoring work per image
@@ -25,7 +27,6 @@ import json
 import os
 import zlib
 from dataclasses import asdict, dataclass, field, fields, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -40,10 +41,8 @@ from .encoders import (
     build_vocab,
 )
 from .matching import (
-    DetTarget,
     LossConfig,
     ScoreMap,
-    SegTarget,
     compute_score_map,
     det_aux_loss,
     fuse_features,
@@ -114,6 +113,9 @@ def rng_for(seed: int, name: str) -> np.random.Generator:
     )
 
 
+_SECTIONS = {"image": ImageEncoderConfig, "text": TextEncoderConfig, "loss": LossConfig}
+
+
 @dataclass
 class PipelineConfig:
     """Bare defaults follow the full-scale recipe (context length 8,
@@ -145,8 +147,8 @@ class PipelineConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "PipelineConfig":
-        sections = {"image": ImageEncoderConfig, "text": TextEncoderConfig, "loss": LossConfig}
-        return PipelineConfig(**{k: sections[k](**v) if k in sections else v for k, v in d.items()})
+        return PipelineConfig(**{k: _SECTIONS[k](**v) if k in _SECTIONS else v
+                                 for k, v in d.items()})
 
 
 def toy_config(prompt_mode: str | None = "coop") -> PipelineConfig:
@@ -198,22 +200,12 @@ class DecodeHead:
 @dataclass
 class PipelineOutput:
     """`cell_logits` are the decode head's stacked (N*h4*w4, K) logits (None
-    in detection-aux mode); `pixel_index` gives each of the N*H*W pixels
-    its cell row."""
+    in detection-aux mode)."""
 
     cell_logits: Tensor | None
     score: ScoreMap | None
     loss: Tensor
     breakdown: dict
-    pixel_index: np.ndarray | None = None
-
-    @cached_property
-    def main_logits(self) -> Tensor | None:
-        """Per-pixel logits (N*H*W, K), expanded from the cells on first
-        read; not on the tape."""
-        if self.cell_logits is None:
-            return None
-        return Tensor(self.cell_logits.data[self.pixel_index])
 
 
 class DensePredPipeline:
@@ -239,33 +231,17 @@ class DensePredPipeline:
         self.seed = seed
         self.backbone_adapter = backbone_adapter
         self.loss_cfg = cfg.loss
-        self._index_cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         if head is None and text_path is None:
             raise ContractError("detection-aux mode needs the language path")
 
-    # -- geometry helpers ---------------------------------------------------
-
-    def _maps_for(self, h: int, w: int):
-        key = (h, w)
-        if key in self._index_cache:
-            return self._index_cache[key]
-        f = self.image_encoder.cfg.patch
-        h4, w4 = h // f, w // f
-        rows = np.arange(h) // f
-        cols = np.arange(w) // f
-        fine_to_coarse = (rows[:, None] * w4 + cols[None, :]).reshape(-1)
-        centers_r = np.arange(h4) * f + f // 2
-        centers_c = np.arange(w4) * f + f // 2
-        coarse_centers = (centers_r[:, None] * w + centers_c[None, :]).reshape(-1)
-        self._index_cache[key] = (fine_to_coarse, coarse_centers)
-        return self._index_cache[key]
-
     def _pixel_index(self, n: int, h: int, w: int) -> np.ndarray:
         """Row of the stacked cell logits that each of the N*H*W pixels of a
-        batch reads under nearest upsampling."""
-        fine_to_coarse, _ = self._maps_for(h, w)
+        batch reads under nearest upsampling: the cell ids broadcast over
+        the (N, h4, f, w4, f) pixel layout."""
         f = self.image_encoder.cfg.patch
-        return (np.arange(n)[:, None] * ((h // f) * (w // f)) + fine_to_coarse).reshape(-1)
+        h4, w4 = h // f, w // f
+        cells = np.arange(n * h4 * w4).reshape(n, h4, 1, w4, 1)
+        return np.broadcast_to(cells, (n, h4, f, w4, f)).reshape(-1)
 
     # -- encoding -----------------------------------------------------------
 
@@ -285,9 +261,9 @@ class DensePredPipeline:
     # -- forward ------------------------------------------------------------
 
     def _run(self, batch: Tensor) -> tuple[ScoreMap | None, Tensor | None]:
-        """The one forward path of forward, logits and predict: the score
-        maps of a stacked batch (None without a language path) and its
-        stacked cell logits (None in detection-aux mode)."""
+        """The one forward path of forward and predict: the score maps of a
+        stacked batch (None without a language path) and its stacked cell
+        logits (None in detection-aux mode)."""
         fm, pooled = self.encode_image(batch)
         score = None
         if self.text_path is not None:
@@ -321,10 +297,8 @@ class DensePredPipeline:
 
         if self.head is None:
             score, _ = self._run(batch)
-            det_y = np.concatenate(
-                [rasterize_boxes(boxes, score.h4, score.w4, self.k).y for boxes in targets]
-            )
-            aux = det_aux_loss(score, DetTarget(y=det_y), self.loss_cfg)
+            y = [rasterize_boxes(boxes, score.h4, score.w4, self.k) for boxes in targets]
+            aux = det_aux_loss(score, np.concatenate(y), self.loss_cfg)
             return PipelineOutput(
                 cell_logits=None,
                 score=score,
@@ -344,16 +318,15 @@ class DensePredPipeline:
         if masks.min() < 0 or masks.max() >= self.k:
             raise IndexError(f"label out of range [0, {self.k})")
         score, cells = self._run(batch)
-        pixel_index = self._pixel_index(n, h, w)
-        counts = np.bincount(pixel_index * self.k + masks.reshape(-1),
+        counts = np.bincount(self._pixel_index(n, h, w) * self.k + masks.reshape(-1),
                              minlength=cells.shape[0] * self.k)
         main = count_cross_entropy(cells, counts.reshape(-1, self.k))
         aux = None
         total = main
         if score is not None:
-            _, coarse_centers = self._maps_for(h, w)
-            aux = seg_aux_loss(score, SegTarget(y=masks[:, coarse_centers].reshape(-1)),
-                               self.loss_cfg)
+            f = self.image_encoder.cfg.patch
+            centres = masks.reshape(n, h // f, f, w // f, f)[:, :, f // 2, :, f // 2]
+            aux = seg_aux_loss(score, centres.reshape(-1), self.loss_cfg)
             total = add(main, mul(aux, self.loss_cfg.aux_weight))
         return PipelineOutput(
             cell_logits=cells,
@@ -364,34 +337,20 @@ class DensePredPipeline:
                 "aux": aux.item() if aux is not None else 0.0,
                 "total": total.item(),
             },
-            pixel_index=pixel_index,
         )
-
-    def _cells(self, images) -> tuple[np.ndarray, np.ndarray]:
-        """Stacked cell logits of a list of images, without recording, and
-        each pixel's row in them."""
-        if self.head is None:
-            raise ContractError("prediction requires segmentation mode")
-        batch = stack_images(images)
-        with no_grad():
-            cells = self._run(batch)[1].data
-        n, h, w, _ = batch.shape
-        return cells, self._pixel_index(n, h, w)
-
-    def logits(self, images) -> Tensor:
-        """Stacked per-pixel logits of a list of images, (N*H*W, K), without
-        recording."""
-        cells, pixel_index = self._cells(images)
-        return Tensor(cells[pixel_index])
 
     def predict(self, images) -> np.ndarray:
         """Per-pixel class ids of one image, (H*W,), or of a list of images,
-        (N, H*W). Each cell's argmax (ties resolve to the lowest class id)
-        is expanded to its pixels, bitwise the argmax of `logits`."""
+        (N, H*W), without recording. Each cell's argmax (ties resolve to the
+        lowest class id) is expanded to its pixels."""
+        if self.head is None:
+            raise ContractError("prediction requires segmentation mode")
         single = not isinstance(images, (list, tuple))
-        batch = [images] if single else images
-        cells, pixel_index = self._cells(batch)
-        pred = np.argmax(cells, axis=1)[pixel_index].reshape(len(batch), -1)
+        batch = stack_images([images] if single else images)
+        with no_grad():
+            cells = self._run(batch)[1].data
+        n, h, w, _ = batch.shape
+        pred = np.argmax(cells, axis=1)[self._pixel_index(n, h, w)].reshape(n, -1)
         return pred[0] if single else pred
 
     # -- bookkeeping ----------------------------------------------------------
@@ -547,6 +506,16 @@ def save_checkpoint(pipe: DensePredPipeline, out_dir):
         json.dump(manifest, fh, indent=1, sort_keys=True)
 
 
+def _check_keys(manifest_path, section: str, given: dict, cls):
+    """A manifest section must carry exactly the fields of `cls`: a missing
+    key is never filled with its default."""
+    keys = {f.name for f in fields(cls)}
+    unknown, missing = sorted(set(given) - keys), sorted(keys - set(given))
+    if unknown or missing:
+        raise ContractError(f"{section} in {manifest_path}: unknown key(s) {unknown}, "
+                            f"missing key(s) {missing}")
+
+
 def load_checkpoint(ckpt_dir) -> DensePredPipeline:
     """Rebuild the pipeline from the manifest and load its parameters. A
     backbone other than `config.image` is put back with `swap_backbone`,
@@ -554,13 +523,13 @@ def load_checkpoint(ckpt_dir) -> DensePredPipeline:
     manifest_path = os.path.join(ckpt_dir, "manifest.json")
     with open(manifest_path) as fh:
         manifest = json.load(fh)
-    if "backbone" not in manifest:
-        raise ContractError(f"{manifest_path} lacks the 'backbone' key")
-    keys, given = {f.name for f in fields(ImageEncoderConfig)}, set(manifest["backbone"])
-    unknown, missing = sorted(given - keys), sorted(keys - given)
-    if unknown or missing:
-        raise ContractError(f"backbone in {manifest_path}: unknown key(s) {unknown}, "
-                            f"missing key(s) {missing}")
+    for key in ("config", "backbone"):
+        if key not in manifest:
+            raise ContractError(f"{manifest_path} lacks the {key!r} key")
+    _check_keys(manifest_path, "config", manifest["config"], PipelineConfig)
+    for name, cls in _SECTIONS.items():
+        _check_keys(manifest_path, f"config.{name}", manifest["config"][name], cls)
+    _check_keys(manifest_path, "backbone", manifest["backbone"], ImageEncoderConfig)
     cfg = PipelineConfig.from_dict(manifest["config"])
     seed = manifest["seed"]
     pipe = build_pipeline(cfg, manifest["class_names"], seed)

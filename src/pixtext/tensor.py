@@ -34,7 +34,7 @@ __all__ = [
     "concat",
     "stack",
     "take",
-    "gather_flat",
+    "patchify",
     "tsum",
     "mean_rows",
     "tanh",
@@ -304,23 +304,26 @@ def take(a: Tensor, indices) -> Tensor:
     return record([a], a.data[idx], grad_fn)
 
 
-def gather_flat(a: Tensor, indices) -> Tensor:
-    """Gather from the flattened tensor with an arbitrary-shape index array.
-
-    Used to patchify images: out.shape == indices.shape, out = a.flat[indices].
+def patchify(images: Tensor, f: int) -> Tensor:
+    """Cut an H x W x C image, or an (N, H, W, C) batch, into f x f patches:
+    row (i, r, c) of the (N*h4*w4, f*f*C) result is the patch of image i
+    at cell (r, c), flattened in (dy, dx, channel) order. One tape node;
+    the forward is a transpose-copy, the backward the inverse transpose.
     """
-    a = tensor(a)
-    idx = np.asarray(indices, dtype=np.intp)
-    flat = a.data.reshape(-1)
-    if idx.size and (idx.min() < 0 or idx.max() >= flat.size):
-        raise IndexError("gather_flat index out of range")
+    images = tensor(images)
+    if images.data.ndim not in (3, 4):
+        raise ShapeError(f"patchify expects H x W x C or N x H x W x C, got {images.shape}")
+    h, w, ch = images.shape[-3:]
+    if h % f or w % f:
+        raise ShapeError(f"image {h}x{w} not divisible by patch {f}")
+    h4, w4 = h // f, w // f
+    out = images.data.reshape(-1, h4, f, w4, f, ch).transpose(0, 1, 3, 2, 4, 5)
 
     def grad_fn(g):
-        full = np.bincount(idx.reshape(-1), weights=g.reshape(-1),
-                           minlength=flat.size)
-        return [full.reshape(a.data.shape)]
+        g = g.reshape(-1, h4, w4, f, f, ch).transpose(0, 1, 3, 2, 4, 5)
+        return [g.reshape(images.shape)]
 
-    return record([a], flat[idx], grad_fn)
+    return record([images], out.reshape(-1, f * f * ch), grad_fn)
 
 
 def tsum(a: Tensor) -> Tensor:

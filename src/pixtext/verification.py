@@ -14,7 +14,7 @@ import numpy as np
 
 from . import datagen, nn, tensor as T
 from .encoders import FeatureMap, attention_pool
-from .matching import DetTarget, LossConfig, ScoreMap, SegTarget, det_aux_loss, seg_aux_loss
+from .matching import LossConfig, ScoreMap, det_aux_loss, seg_aux_loss
 from .pipeline import build_pipeline, micro_config
 
 __all__ = ["CheckResult", "run_gradient_suite", "format_results"]
@@ -94,9 +94,11 @@ def run_gradient_suite(op_tol: float = 1e-5, e2e_tol: float = 1e-4,
         check(f"linear_op[{i}]", _probe_loss(T.linear),
               [rand((n, m)), rand((n + 1, m)), rand((n + 1,))])
 
-    flat_idx = rng.integers(0, 24, size=(3, 4))
-    check("gather_flat", _probe_loss(lambda x: T.gather_flat(x, flat_idx)),
-          [T.Tensor(rng.standard_normal((2, 4, 3)))])
+    # patchify draws its own data; rng skips this slot's draws, so later checks keep theirs
+    rng.integers(0, 24, size=(3, 4))
+    rng.standard_normal((2, 4, 3))
+    check("patchify", _probe_loss(lambda x: T.patchify(x, 2)),
+          [T.Tensor(np.random.default_rng(24).standard_normal((2, 4, 6, 3)))])
     check("stack", _probe_loss(lambda x, y: T.stack([x, y])), [rand((2, 3)), rand((2, 3))])
     check("block_matmul_t", _probe_loss(lambda a, b: T.block_matmul_t(a, b, 2)),
           [rand((4, 3)), rand((6, 3))])
@@ -197,11 +199,11 @@ def run_gradient_suite(op_tol: float = 1e-5, e2e_tol: float = 1e-4,
     cfg_loss = LossConfig()
     sm_raw = rand((6, 3))
     labels6 = rng.integers(0, 3, size=6)
-    det_targets = DetTarget(y=(rng.random((6, 3)) < 0.5).astype(float))
+    det_targets = (rng.random((6, 3)) < 0.5).astype(float)
 
     def seg_loss(s):
         score = ScoreMap(s=T.clamp(T.tanh(s), -1.0, 1.0), h4=2, w4=3, k=3)
-        return seg_aux_loss(score, SegTarget(y=labels6), cfg_loss)
+        return seg_aux_loss(score, labels6, cfg_loss)
 
     def det_loss(s):
         score = ScoreMap(s=T.clamp(T.tanh(s), -1.0, 1.0), h4=2, w4=3, k=3)

@@ -17,7 +17,7 @@ from pixtext import tensor as T
 from pixtext.datagen import default_task, generate, split
 from pixtext.encoders import FeatureMap, ImageEncoderConfig, TextEmbeddings, ToyImageEncoder
 from pixtext.harness import AdamW, OptimConfig, train
-from pixtext.matching import BoxAnnotation, DetTarget, LossConfig, ScoreMap, SegTarget
+from pixtext.matching import BoxAnnotation, LossConfig, ScoreMap
 from pixtext.matching import compute_score_map, det_aux_loss, rasterize_boxes, seg_aux_loss
 from pixtext.nn import MultiHeadAttention
 from pixtext.encoders import attention_pool
@@ -133,11 +133,11 @@ def test_c03_attention_pool_equivariance():
 def test_c04_analytic_loss_anchors(task_dataset, ablation_reports):
     for k in (2, 8, 150):
         score = ScoreMap(s=T.Tensor(np.full((6, k), 0.3)), h4=2, w4=3, k=k)
-        loss = seg_aux_loss(score, SegTarget(y=np.arange(6) % k), LossConfig())
+        loss = seg_aux_loss(score, np.arange(6) % k, LossConfig())
         assert abs(loss.item() - math.log(k)) < 1e-9, f"K={k}"
     det = det_aux_loss(
         ScoreMap(s=T.Tensor(np.zeros((5, 4))), h4=1, w4=5, k=4),
-        DetTarget(y=np.eye(5, 4)),
+        np.eye(5, 4),
         LossConfig(),
     )
     assert abs(det.item() - math.log(2.0)) < 1e-9
@@ -168,7 +168,7 @@ def test_c05_rasterization_oracle():
                 for b in boxes:
                     if b.x_min <= cx < b.x_max and b.y_min <= cy < b.y_max:
                         expected[r * w4 + c, b.class_id] = 1.0
-        assert np.array_equal(target.y, expected), f"case {case}"
+        assert np.array_equal(target, expected), f"case {case}"
     report_pass(5, "200 randomized box sets match cell-center brute force exactly")
 
 
@@ -181,7 +181,7 @@ def test_c06_ablation_identity_bitwise(task_dataset):
         a = coop.forward(s.image, s.mask)
         b = post.forward(s.image, s.mask)
         assert a.loss.item() == b.loss.item()
-        assert np.array_equal(a.main_logits.data, b.main_logits.data)
+        assert np.array_equal(a.cell_logits.data, b.cell_logits.data)
         assert np.array_equal(a.score.s.data, b.score.s.data)
     report_pass(6, "post-model with zero gate reproduces language-only bitwise")
 

@@ -9,10 +9,8 @@ from pixtext import tensor as T
 from pixtext.encoders import FeatureMap, TextEmbeddings
 from pixtext.matching import (
     BoxAnnotation,
-    DetTarget,
     LossConfig,
     ScoreMap,
-    SegTarget,
     compute_score_map,
     det_aux_loss,
     fuse_features,
@@ -116,7 +114,7 @@ class TestSegAuxLoss:
     def test_uniform_scores_give_log_k(self, k):
         cells = 6
         score = ScoreMap(s=T.Tensor(np.full((cells, k), 0.25)), h4=2, w4=3, k=k)
-        target = SegTarget(y=np.arange(cells) % k)
+        target = np.arange(cells) % k
         for tau in (0.07, 1.0):
             loss = seg_aux_loss(score, target, LossConfig(temperature=tau))
             assert abs(loss.item() - math.log(k)) < 1e-9
@@ -126,7 +124,7 @@ class TestSegAuxLoss:
         s = np.full((4, 3), 0.1)
         s[:, 1] = 0.3
         score = ScoreMap(s=T.Tensor(s), h4=2, w4=2, k=3)
-        target = SegTarget(y=np.full(4, 1))
+        target = np.full(4, 1)
         sharp = seg_aux_loss(score, target, LossConfig(temperature=0.07)).item()
         soft = seg_aux_loss(score, target, LossConfig(temperature=1.0)).item()
         assert sharp < soft
@@ -137,24 +135,23 @@ class TestSegAuxLoss:
         s = np.full((cells, k), -1.0)
         s[np.arange(cells), y] = 1.0
         score = ScoreMap(s=T.Tensor(s), h4=2, w4=4, k=k)
-        loss = seg_aux_loss(score, SegTarget(y=y), LossConfig(temperature=0.07))
+        loss = seg_aux_loss(score, y, LossConfig(temperature=0.07))
         assert loss.item() < 1e-10
 
     def test_label_out_of_range(self):
         score = ScoreMap(s=T.Tensor(np.zeros((2, 3))), h4=1, w4=2, k=3)
         with pytest.raises(IndexError):
-            seg_aux_loss(score, SegTarget(y=np.array([0, 3])), LossConfig())
+            seg_aux_loss(score, np.array([0, 3]), LossConfig())
 
     def test_raising_true_class_score_lowers_loss(self, rng):
         s = np.clip(rng.uniform(-0.5, 0.5, (5, 4)), -1, 1)
         y = rng.integers(0, 4, size=5)
         cfg = LossConfig()
-        base = seg_aux_loss(ScoreMap(s=T.Tensor(s), h4=1, w4=5, k=4), SegTarget(y=y), cfg).item()
+        base = seg_aux_loss(ScoreMap(s=T.Tensor(s), h4=1, w4=5, k=4), y, cfg).item()
         for i in range(5):
             bumped = s.copy()
             bumped[i, y[i]] = min(1.0, bumped[i, y[i]] + 0.1)
-            loss = seg_aux_loss(ScoreMap(s=T.Tensor(bumped), h4=1, w4=5, k=4),
-                                SegTarget(y=y), cfg).item()
+            loss = seg_aux_loss(ScoreMap(s=T.Tensor(bumped), h4=1, w4=5, k=4), y, cfg).item()
             assert loss < base
 
     def test_gradcheck_wrt_scores(self, rng):
@@ -162,7 +159,7 @@ class TestSegAuxLoss:
 
         def f(s):
             return seg_aux_loss(ScoreMap(s=T.clamp(T.tanh(s), -1, 1), h4=2, w4=2, k=3),
-                                SegTarget(y=y), LossConfig())
+                                y, LossConfig())
 
         report = T.grad_check(f, [T.Tensor(rng.standard_normal((4, 3)))], tol=1e-5)
         assert report.passed
@@ -171,13 +168,13 @@ class TestSegAuxLoss:
 class TestRasterize:
     def test_full_cover_box(self):
         target = rasterize_boxes([BoxAnnotation(3, 0.0, 0.0, 1.0, 1.0)], 4, 4, 5)
-        assert np.all(target.y[:, 3] == 1.0)
-        other = np.delete(target.y, 3, axis=1)
+        assert np.all(target[:, 3] == 1.0)
+        other = np.delete(target, 3, axis=1)
         assert np.all(other == 0.0)
 
     def test_empty_list_gives_zeros(self):
         target = rasterize_boxes([], 3, 3, 4)
-        assert np.all(target.y == 0.0)
+        assert np.all(target == 0.0)
 
     def test_overlapping_classes_set_multiple_columns(self):
         boxes = [BoxAnnotation(0, 0.0, 0.0, 0.6, 0.6), BoxAnnotation(1, 0.4, 0.4, 1.0, 1.0)]
@@ -185,7 +182,7 @@ class TestRasterize:
         # the lower-right cell center (0.75, 0.75) is in box 1 only; the
         # upper-left (0.25, 0.25) in box 0 only; the off-diagonal cells in both?
         expected = brute_force_rasterize(boxes, 2, 2, 2)
-        assert np.array_equal(target.y, expected)
+        assert np.array_equal(target, expected)
 
     @given(st.integers(min_value=1, max_value=16), st.integers(min_value=1, max_value=16),
            st.data())
@@ -200,7 +197,7 @@ class TestRasterize:
                 continue
             boxes.append(BoxAnnotation(int(rng.integers(0, 3)), x0, y0, x1, y1))
         target = rasterize_boxes(boxes, h4, w4, 3)
-        assert np.array_equal(target.y, brute_force_rasterize(boxes, h4, w4, 3))
+        assert np.array_equal(target, brute_force_rasterize(boxes, h4, w4, 3))
 
     def test_malformed_box_rejected(self):
         with pytest.raises(ValueError):
@@ -214,7 +211,7 @@ class TestRasterize:
 class TestDetAuxLoss:
     def test_zero_scores_give_log_two(self, rng):
         score = ScoreMap(s=T.Tensor(np.zeros((4, 3))), h4=2, w4=2, k=3)
-        target = DetTarget(y=(rng.random((4, 3)) < 0.5).astype(float))
+        target = (rng.random((4, 3)) < 0.5).astype(float)
         loss = det_aux_loss(score, target, LossConfig())
         assert abs(loss.item() - math.log(2.0)) < 1e-9
 
@@ -222,7 +219,7 @@ class TestDetAuxLoss:
         y = np.array([[1.0, 0.0], [0.0, 1.0]])
         s = np.where(y == 1.0, 1.0, -1.0)
         score = ScoreMap(s=T.Tensor(s), h4=1, w4=2, k=2)
-        loss = det_aux_loss(score, DetTarget(y=y), LossConfig(temperature=0.07))
+        loss = det_aux_loss(score, y, LossConfig(temperature=0.07))
         # sigma(+-1/0.07) saturates; direct evaluation gives ~6.3e-7
         assert loss.item() < 1e-6
 
@@ -233,13 +230,13 @@ class TestDetAuxLoss:
         x = s / cfg.temperature
         sig = 1.0 / (1.0 + np.exp(-x))
         expected = -(y * np.log(sig) + (1 - y) * np.log(1 - sig)).mean()
-        loss = det_aux_loss(ScoreMap(s=T.Tensor(s), h4=1, w4=3, k=4), DetTarget(y=y), cfg)
+        loss = det_aux_loss(ScoreMap(s=T.Tensor(s), h4=1, w4=3, k=4), y, cfg)
         assert abs(loss.item() - expected) < 1e-10
 
     def test_shape_mismatch_rejected(self):
         score = ScoreMap(s=T.Tensor(np.zeros((2, 2))), h4=1, w4=2, k=2)
         with pytest.raises(T.ShapeError):
-            det_aux_loss(score, DetTarget(y=np.zeros((3, 2))), LossConfig())
+            det_aux_loss(score, np.zeros((3, 2)), LossConfig())
 
 
 class TestScoreMapExport:

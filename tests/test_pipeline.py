@@ -3,12 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from pixtext import encoders
+from pixtext import encoders, pipeline
 from pixtext import tensor as T
 from pixtext.datagen import TaskSpec, generate
 from pixtext.encoders import ImageEncoderConfig, ToyImageEncoder
 from pixtext.harness import OptimConfig, train
-from pixtext.matching import SegTarget, compute_score_map, fuse_features, seg_aux_loss
+from pixtext.matching import compute_score_map, fuse_features, seg_aux_loss
 from pixtext.pipeline import (
     PipelineConfig,
     build_pipeline,
@@ -28,7 +28,8 @@ class TestForwardShapes:
         pipe = build_pipeline(toy_config("coop"), toy_spec.class_names, seed=0)
         out = pipe.forward([toy_samples[0].image], [toy_samples[0].mask])
         assert out.score.s.shape == (64, 8)
-        assert out.main_logits.shape == (1024, 8)
+        assert out.cell_logits.shape == (64, 8)
+        assert pipe.predict(toy_samples[0].image).shape == (1024,)
         fm, _ = pipe.encode_image(toy_samples[0].image)
         fused = fuse_features(fm, out.score)
         assert fused.c == 32 + 8
@@ -76,7 +77,7 @@ class TestDetectionAux:
         cfg.task_mode = "detection"
         pipe = build_pipeline(cfg, micro_spec.class_names, seed=1)
         out = pipe.forward([micro_sample.image], [micro_sample.boxes])
-        assert out.main_logits is None
+        assert out.cell_logits is None
         assert pipe.head is None
         assert out.breakdown["total"] == out.breakdown["aux"]
 
@@ -98,16 +99,15 @@ class TestSharedScorePath:
         pipe = build_pipeline(micro_config("coop"), micro_spec.class_names, seed=1)
         path = pipe.text_path
         fm, pooled = pipe.encode_image(micro_sample.image)
-        fine_to_coarse, coarse_centers = pipe._maps_for(8, 8)
+        pixel_cells, centres = _nearest_index(1, 8, 8), _centre_index(1, 8, 8)
 
         def build_losses():
             t = path.embeddings(pooled)
             score = compute_score_map(pooled.dense, t, fm.h4, fm.w4)
             fused = fuse_features(fm, score)
-            logits = T.take(pipe.head(fused.values), fine_to_coarse)
+            logits = T.take(pipe.head(fused.values), pixel_cells)
             main = cross_entropy(logits, micro_sample.mask)
-            aux = seg_aux_loss(score, SegTarget(y=micro_sample.mask[coarse_centers]),
-                               pipe.loss_cfg)
+            aux = seg_aux_loss(score, micro_sample.mask[centres], pipe.loss_cfg)
             return main, aux
 
         main, _ = build_losses()
@@ -133,7 +133,7 @@ class TestAblationIdentity:
             a = coop.forward([s.image], [s.mask])
             b = post.forward([s.image], [s.mask])
             assert a.loss.item() == b.loss.item()
-            assert np.array_equal(a.main_logits.data, b.main_logits.data)
+            assert np.array_equal(a.cell_logits.data, b.cell_logits.data)
             assert np.array_equal(a.score.s.data, b.score.s.data)
 
     def test_post_with_zero_gate_matches_coop_bitwise_on_a_batch(self, toy_spec, toy_samples):
@@ -144,7 +144,7 @@ class TestAblationIdentity:
         images, masks = [s.image for s in toy_samples[:4]], [s.mask for s in toy_samples[:4]]
         a, b = coop.forward(images, masks), post.forward(images, masks)
         assert a.loss.item() == b.loss.item()
-        assert np.array_equal(a.main_logits.data, b.main_logits.data)
+        assert np.array_equal(a.cell_logits.data, b.cell_logits.data)
         assert np.array_equal(a.score.s.data, b.score.s.data)
 
 
@@ -298,8 +298,10 @@ class TestSwappedCheckpoint:
         for (name, p1, _), (_, p2, _) in zip(saved, restored):
             assert np.array_equal(p1.data, p2.data), name
         back.cache_text()
-        images = [s.image for s in toy_samples[6:]]
-        assert np.array_equal(swapped.logits(images).data, back.logits(images).data)
+        images, masks = [s.image for s in toy_samples[6:]], [s.mask for s in toy_samples[6:]]
+        with T.no_grad():
+            cells = [p.forward(images, masks).cell_logits.data for p in (swapped, back)]
+        assert np.array_equal(*cells)
         assert np.array_equal(swapped.predict(images), back.predict(images))
 
     def test_missing_backbone_named(self, tmp_path, micro_spec):
@@ -319,26 +321,45 @@ class TestSwappedCheckpoint:
             load_checkpoint(tmp_path)
 
 
+def _edit_manifest(path, edit):
+    manifest = json.loads((path / "manifest.json").read_text())
+    edit(manifest["config"])
+    (path / "manifest.json").write_text(json.dumps(manifest))
+
+
 class TestConfigKeys:
     """Settings `build_pipeline` used to overwrite, force or ignore are gone;
-    a dict (or checkpoint manifest) that carries one fails naming it."""
+    a dict (or checkpoint manifest) that carries one fails naming it. A
+    manifest must also carry every setting: none is filled with a default."""
 
-    @pytest.mark.parametrize("edit, key", [
-        (lambda d: d.update(shared_dim=8), "shared_dim"),
-        (lambda d: d.update(context_init="random"), "context_init"),
-        (lambda d: d["text"].update(out_dim=3), "out_dim"),
-        (lambda d: d["text"].update(vocab_size=5), "vocab_size"),
+    @pytest.mark.parametrize("edit, section, key", [
+        (lambda d: d.update(shared_dim=8), "config", "shared_dim"),
+        (lambda d: d.update(context_init="random"), "config", "context_init"),
+        (lambda d: d["text"].update(out_dim=3), "config.text", "out_dim"),
+        (lambda d: d["text"].update(vocab_size=5), "config.text", "vocab_size"),
     ], ids=["shared_dim", "context_init", "text.out_dim", "text.vocab_size"])
-    def test_deleted_key_named(self, tmp_path, micro_spec, edit, key):
+    def test_deleted_key_named(self, tmp_path, micro_spec, edit, section, key):
         d = micro_config("coop").to_dict()
         edit(d)
         with pytest.raises(TypeError, match=key):
             PipelineConfig.from_dict(d)
         save_checkpoint(build_pipeline(micro_config("coop"), micro_spec.class_names, 2), tmp_path)
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        edit(manifest["config"])
-        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(TypeError, match=key):
+        _edit_manifest(tmp_path, edit)
+        pattern = rf"^{section} in .*manifest\.json: unknown key\(s\) \['{key}'\]"
+        with pytest.raises(ContractError, match=pattern):
+            load_checkpoint(tmp_path)
+
+    @pytest.mark.parametrize("edit, section, key", [
+        (lambda d: d.pop("head_hidden"), "config", "head_hidden"),
+        (lambda d: d["image"].pop("patch"), "config.image", "patch"),
+        (lambda d: d["loss"].pop("aux_weight"), "config.loss", "aux_weight"),
+    ], ids=["head_hidden", "image.patch", "loss.aux_weight"])
+    def test_missing_key_named(self, tmp_path, micro_spec, edit, section, key):
+        save_checkpoint(build_pipeline(micro_config("coop"), micro_spec.class_names, 2), tmp_path)
+        _edit_manifest(tmp_path, edit)
+        pattern = (rf"^{section} in .*manifest\.json: unknown key\(s\) \[\], "
+                   rf"missing key\(s\) \['{key}'\]$")
+        with pytest.raises(ContractError, match=pattern):
             load_checkpoint(tmp_path)
 
     def test_shared_width_is_the_image_out_dim(self, micro_spec):
@@ -424,9 +445,9 @@ class TestBatchEquivalence:
 
         losses = [o.loss.item() for o, _ in singles]
         assert _rel(np.array(out.loss.item()), np.array(np.mean(losses))) <= 1e-12
-        if out.main_logits is not None:
-            stacked = np.concatenate([o.main_logits.data for o, _ in singles])
-            assert _rel(out.main_logits.data, stacked) <= 1e-12
+        if out.cell_logits is not None:
+            stacked = np.concatenate([o.cell_logits.data for o, _ in singles])
+            assert _rel(out.cell_logits.data, stacked) <= 1e-12
         if out.score is not None:
             stacked = np.concatenate([o.score.s.data for o, _ in singles])
             assert out.score.n == len(samples)
@@ -452,9 +473,11 @@ class TestBatchEquivalence:
                 assert err <= 1e-9 * np.max(np.abs(ref)), name
 
         if pipe.head is not None:
-            batched = np.argmax(pipe.logits([s.image for s in samples]).data, axis=1)
+            index = _nearest_index(len(samples), micro_spec.height, micro_spec.width)
+            batched = np.argmax(out.cell_logits.data[index], axis=1).reshape(len(samples), -1)
+            assert np.array_equal(batched, pipe.predict([s.image for s in samples]))
             for i, s in enumerate(samples):
-                assert np.array_equal(batched.reshape(len(samples), -1)[i], pipe.predict(s.image))
+                assert np.array_equal(batched[i], pipe.predict(s.image))
 
     def test_tape_length_does_not_grow_with_the_batch(self, micro_spec):
         pipe = build_pipeline(micro_config("post"), micro_spec.class_names, seed=5)
@@ -489,7 +512,7 @@ class TestInputChecks:
     def test_mixed_shapes_named_by_index(self, micro_spec, micro_sample):
         big = T.Tensor(np.zeros((16, 8, 3)))
         with pytest.raises(T.ShapeError, match="image 2 has shape"):
-            self.pipe(micro_spec).logits([micro_sample.image, micro_sample.image, big])
+            self.pipe(micro_spec).predict([micro_sample.image, micro_sample.image, big])
 
     def test_target_count_and_mask_shape(self, micro_spec, micro_sample):
         pipe = self.pipe(micro_spec)
@@ -531,6 +554,46 @@ def _nearest_index(n, h, w, f=4):
     return (np.arange(n)[:, None] * ((h // f) * (w // f)) + per_image).reshape(-1)
 
 
+def _centre_index(n, h, w, f=4):
+    """Flat index, in n stacked H*W masks, of each cell's centre pixel
+    (r*f + f//2, c*f + f//2), built by hand."""
+    return np.array([i * h * w + (r * f + f // 2) * w + c * f + f // 2
+                     for i in range(n) for r in range(h // f) for c in range(w // f)])
+
+
+class TestCellGrid:
+    """Pixels map to cells in one (N, h4, f, w4, f) layout."""
+
+    @staticmethod
+    def pipe(f, class_names):
+        cfg = micro_config("coop")
+        cfg.image.patch = f
+        return build_pipeline(cfg, class_names, seed=1)
+
+    @pytest.mark.parametrize("f", [2, 4])
+    @pytest.mark.parametrize("n, h, w", [(1, 8, 8), (3, 12, 8), (2, 8, 16)])
+    def test_pixel_index_matches_hand_built(self, micro_spec, f, n, h, w):
+        index = self.pipe(f, micro_spec.class_names)._pixel_index(n, h, w)
+        assert np.array_equal(index, _nearest_index(n, h, w, f))
+
+    @pytest.mark.parametrize("f", [2, 4])
+    def test_aux_labels_are_the_centre_pixels(self, monkeypatch, f):
+        spec = TaskSpec(k=3, height=12, width=8, shape_min_px=2, shape_max_px=6, seed=3)
+        samples = generate(spec, 3, seed=2)
+        seen = []
+
+        def recording(score, labels, cfg):
+            seen.append(labels)
+            return seg_aux_loss(score, labels, cfg)
+
+        monkeypatch.setattr(pipeline, "seg_aux_loss", recording)
+        self.pipe(f, spec.class_names).forward([s.image for s in samples],
+                                                [s.mask for s in samples])
+        hand = np.concatenate([s.mask for s in samples])[_centre_index(3, 12, 8, f)]
+        assert len(seen) == 1 and np.array_equal(seen[0], hand)
+        assert len(np.unique(hand)) > 1
+
+
 class TestCellLoss:
     """The main loss runs on cells with per-cell label counts; it equals the
     per-pixel cross-entropy of the nearest-upsampled logits."""
@@ -549,7 +612,6 @@ class TestCellLoss:
         counts = np.zeros(cells.shape, dtype=np.int64)
         np.add.at(counts, (index, labels), 1)
         assert np.any((counts > 0).sum(axis=1) > 1)  # some cells mix labels
-        assert np.array_equal(out.pixel_index, index)
 
         x_pixel = T.Tensor(cells.copy(), requires_grad=True)
         x_cell = T.Tensor(cells.copy(), requires_grad=True)
@@ -561,19 +623,21 @@ class TestCellLoss:
         assert abs(cell.item() - ref.item()) <= 1e-12 * abs(ref.item())
         assert abs(out.breakdown["main"] - ref.item()) <= 1e-12 * abs(ref.item())
         assert _rel(x_cell.grad, x_pixel.grad) <= 1e-12
-        assert np.array_equal(out.main_logits.data, cells[index])
 
     @pytest.mark.parametrize("size", [32, 64])
     def test_predict_is_the_argmax_of_logits(self, size):
         spec = TaskSpec(height=size, width=size)
-        images = [s.image for s in generate(spec, 2, seed=6)]
+        samples = generate(spec, 2, seed=6)
+        images = [s.image for s in samples]
         pipe = build_pipeline(toy_config("coop"), spec.class_names, seed=5)
         tied = build_pipeline(toy_config("coop"), spec.class_names, seed=5)
         tied.head.fc2.weight.data[:] = 0.0
         tied.head.fc2.bias.data[:] = 0.0
         tied.head.fc2.bias.data[[2, 5]] = 1.0  # every pixel ties between classes 2 and 5
         for p in (pipe, tied):
-            ref = np.argmax(p.logits(images).data, axis=1).reshape(2, -1)
+            with T.no_grad():
+                cells = p.forward(images, [s.mask for s in samples]).cell_logits.data
+            ref = np.argmax(cells[_nearest_index(2, size, size)], axis=1).reshape(2, -1)
             pred = p.predict(images)
             assert pred.dtype == ref.dtype and pred.tobytes() == ref.tobytes()
             assert p.predict(images[1]).tobytes() == ref[1].tobytes()

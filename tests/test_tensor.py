@@ -188,12 +188,6 @@ class TestStructuralOps:
         T.backward(T.tsum(out))
         assert np.array_equal(x.grad, [[2, 2], [0, 0], [1, 1]])
 
-    def test_gather_flat_patchifies(self):
-        img = T.Tensor(np.arange(12.0).reshape(2, 2, 3))
-        idx = np.array([[0, 3], [6, 9]])
-        out = T.gather_flat(img, idx)
-        assert np.array_equal(out.data, [[0, 3], [6, 9]])
-
     def test_clamp_limits_and_grad_mask(self):
         x = T.Tensor(np.array([-2.0, 0.5, 2.0]), requires_grad=True)
         out = T.clamp(x, -1.0, 1.0)
@@ -350,7 +344,7 @@ def _add_at(shape, idx, g):
 
 
 class TestScatterGradients:
-    """take and gather_flat gradients equal the np.add.at sums bitwise."""
+    """take gradients equal the np.add.at sums bitwise."""
 
     @pytest.mark.parametrize("repeated", [False, True])
     def test_take_backward_matches_add_at(self, rng, repeated):
@@ -362,17 +356,51 @@ class TestScatterGradients:
             T.backward(T.tsum(T.mul(T.take(x, idx), T.Tensor(g))))
         assert x.grad.tobytes() == _add_at((5, 3), idx, g).tobytes()
 
-    @pytest.mark.parametrize("repeated", [False, True])
-    def test_gather_flat_backward_matches_add_at(self, rng, repeated):
-        idx = (rng.integers(0, 24, size=(30, 4)) if repeated
-               else rng.permutation(24)[:12].reshape(3, 4))
-        x = T.Tensor(rng.standard_normal((2, 4, 3)), requires_grad=True)
-        g = rng.standard_normal(idx.shape)
-        g[0, 0] = -0.0
-        with T.fresh_tape():
-            T.backward(T.tsum(T.mul(T.gather_flat(x, idx), T.Tensor(g))))
-        ref = _add_at(24, idx.reshape(-1), g.reshape(-1)).reshape(2, 4, 3)
-        assert x.grad.tobytes() == ref.tobytes()
+
+def _patch_index_loop(n, h, w, f):
+    """Flat indices of every f x f patch of n stacked h x w x 3 images, one
+    row per cell, image by image in row-major order, cut by slicing."""
+    flat = np.arange(n * h * w * 3).reshape(n, h, w, 3)
+    rows = []
+    for i in range(n):
+        for pr in range(h // f):
+            for pc in range(w // f):
+                rows.append(flat[i, pr * f : (pr + 1) * f, pc * f : (pc + 1) * f].reshape(-1))
+    return np.stack(rows)
+
+
+class TestPatchify:
+    """patchify equals the slice loop's gather; its backward scatters back."""
+
+    CASES = {
+        "image": (None, 8, 8, 4),
+        "batch": (3, 8, 8, 4),
+        "h_ne_w": (2, 12, 8, 4),
+        "f2": (2, 6, 4, 2),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_slice_loop(self, rng, case):
+        n, h, w, f = self.CASES[case]
+        x = rng.standard_normal((h, w, 3) if n is None else (n, h, w, 3))
+        ref = x.reshape(-1)[_patch_index_loop(n or 1, h, w, f)]
+        out = T.patchify(T.Tensor(x), f)
+        assert out.data.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_backward_is_the_inverse_permutation(self, rng, case):
+        n, h, w, f = self.CASES[case]
+        x = T.Tensor(rng.standard_normal((h, w, 3) if n is None else (n, h, w, 3)),
+                     requires_grad=True)
+        g = rng.standard_normal(((n or 1) * (h // f) * (w // f), f * f * 3))
+        g[0, :3] = -0.0  # a permutation keeps the sign of zero
+        with T.fresh_tape() as tape:
+            T.patchify(x, f)
+        assert len(tape) == 1
+        (grad,) = tape[0].grad_fn(g)
+        ref = np.empty(x.size)
+        ref[_patch_index_loop(n or 1, h, w, f)] = g
+        assert grad.tobytes() == ref.reshape(x.shape).tobytes()
 
 
 class TestCountCrossEntropy:
