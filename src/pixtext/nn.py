@@ -61,6 +61,14 @@ class Linear:
         yield "bias", self.bias
 
 
+def _row_mean(a: np.ndarray) -> np.ndarray:
+    """`a.mean(axis=1, keepdims=True)`: the same sum and in-place division,
+    without np.mean's Python wrapper."""
+    m = a.sum(axis=1, keepdims=True)
+    m /= a.shape[1]
+    return m
+
+
 def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, eps: float = 1e-5) -> Tensor:
     """Per-row standardization followed by the affine (scale, shift).
 
@@ -75,12 +83,11 @@ def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, eps: float = 1e-5) -> Te
     c = xd.shape[1]
     if scale.shape != (c,) or shift.shape != (c,):
         raise ShapeError("layer_norm affine params must match the channel dim")
-    mu = xd.mean(axis=1, keepdims=True)
-    xc = xd - mu
-    var = (xc * xc).mean(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xh = xc * inv
-    out = xh * scale.data[None, :] + shift.data[None, :]
+    xc = xd - _row_mean(xd)
+    inv = 1.0 / np.sqrt(_row_mean(xc * xc) + eps)
+    xh = np.multiply(xc, inv, out=xc)
+    out = xh * scale.data[None, :]
+    out += shift.data[None, :]
 
     def grad_fn(g):
         gscale = (g * xh).sum(axis=0) if scale.requires_grad else None
@@ -88,8 +95,8 @@ def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, eps: float = 1e-5) -> Te
         if not x.requires_grad:
             return [None, gscale, gshift]
         gxh = g * scale.data[None, :]
-        m1 = gxh.mean(axis=1, keepdims=True)
-        m2 = (gxh * xh).mean(axis=1, keepdims=True)
+        m1 = _row_mean(gxh)
+        m2 = _row_mean(gxh * xh)
         gx = (gxh - m1 - xh * m2) * inv
         return [gx, gscale, gshift]
 

@@ -166,8 +166,9 @@ def record(inputs, out_data: np.ndarray, grad_fn) -> Tensor:
     use this same entry point so everything shares one tape.
     """
     out = Tensor(out_data)
-    needs = any(isinstance(t, Tensor) and t.requires_grad for t in inputs)
-    if needs and _STATE.recording:
+    if not _STATE.recording:
+        return out
+    if any(isinstance(t, Tensor) and t.requires_grad for t in inputs):
         out.requires_grad = True
         out.is_leaf = False
         active_tape().append(_Node(tuple(inputs), out, grad_fn))
@@ -630,16 +631,18 @@ def grad_check(f, xs, step: float = 1e-5, tol: float = 1e-5) -> GradCheckReport:
 
 # ---------------------------------------------------------------------------
 # DCT1 dump format: magic, u32 LE rank, rank x u32 dims, f64 LE payload.
+# Both directions move the payload between the file and the array's own
+# buffer: a write makes no copy of a contiguous float64 array, a read fills
+# the returned array in place.
 
 
 def write_dct1(path, arr):
-    arr = arr.data if isinstance(arr, Tensor) else np.asarray(arr, dtype=np.float64)
+    arr = arr.data if isinstance(arr, Tensor) else np.asarray(arr)
+    # the header comes from arr itself: ascontiguousarray turns 0-d into 1-d
+    header = struct.pack(f"<4sI{arr.ndim}I", b"DCT1", arr.ndim, *arr.shape)
     with open(path, "wb") as fh:
-        fh.write(b"DCT1")
-        fh.write(struct.pack("<I", arr.ndim))
-        for dim in arr.shape:
-            fh.write(struct.pack("<I", dim))
-        fh.write(arr.astype("<f8").tobytes(order="C"))
+        fh.write(header)
+        fh.write(np.ascontiguousarray(arr, dtype="<f8"))
 
 
 def read_dct1(path) -> np.ndarray:
@@ -664,5 +667,8 @@ def read_dct1(path) -> np.ndarray:
         if expected < size:
             raise ValueError(f"{path}: {size - expected} trailing bytes after the DCT1 payload "
                              f"of dims {dims}")
-        arr = np.frombuffer(fh.read(expected - 8 - 4 * rank), dtype="<f8").astype(np.float64)
-    return arr.reshape(dims)
+        flat = np.empty(math.prod(dims), dtype="<f8")
+        got = fh.readinto(flat)
+        if got != flat.nbytes:
+            raise ValueError(f"{path}: short DCT1 read: {got} of {flat.nbytes} payload bytes")
+    return flat.astype(np.float64, copy=False).reshape(dims)

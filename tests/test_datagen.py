@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -91,6 +92,57 @@ class TestGenerate:
         for i in range(spec.k):
             for j in range(i + 1, spec.k):
                 assert np.linalg.norm(means[i] - means[j]) > 0.2
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+# Hashes of (images, masks, boxes) and of every file save_dataset writes,
+# taken from the generator that recomputed each class pattern per shape.
+GOLDEN = {
+    "default": (
+        lambda: (default_task(), generate(default_task(), 6, seed=1)),
+        ("568f1cb2d0549a19926266490163a44c687fcf8aff7b55b8ee74ab8422abdfc1",
+         "23282012575595e68be9a024c1719454de66305e5a1da93667e2c533dd24adcd",
+         "bf6431355a12a9db97b8ab4587d020b40ed0231a003fe419f9482744aa97a9a8"),
+        {"boxes.json": "2a4e8c98c2f526884f52a48f0a25bbd6844b74746274b44a9541193094cb8c3f",
+         "images.dct1": "2418b9e828a02631aba67f7a4b964a80a0d63cab5ea73d740c7e568903b81a07",
+         "masks.dct1": "8a7144d57b39b3c57fe8f3efa5a0db01f961372b8b1fc9a92bfc8ac6cbdc6f55",
+         "spec.json": "123fa74e3051aa1d70b16791882d56f0bf322e4a8071b1b950a652d1dfb25a52"},
+    ),
+    "64x64": (  # draws rects and discs
+        lambda: (spec := TaskSpec(height=64, width=64, shape_min_px=12, shape_max_px=32),
+                 generate(spec, 6, seed=2)),
+        ("83126dcfa76141ba0af9bd4bb6023459b0d732eff69ac73835a33bf4acdbf1f4",
+         "14f4dad6bb5c01797336125c0447e8d008ceb0bdbde0cc47a8da3beb4deb05be",
+         "f8ba22785009ac4c03aea97d00fc9e5e96ec29cf3f18227963fc914d697e030c"),
+        {"boxes.json": "a646fa5985dc706c0b390e2bd98d28e668c1bce4a0b8bdf011cf2c07d3f7436a",
+         "images.dct1": "0eb6126aad0474dbc7266f89eab2e6b8944f7e3f22c5c8d97f8a7f610696e73c",
+         "masks.dct1": "43c6d527297eb6ce2b3c890a4e380b35ebdc2c1fc964e12b8c34fbedd392c3c4",
+         "spec.json": "4d3a0ff348006ad80f2f886ba603f8012eb8ee0e3010e967608431b7907501ea"},
+    ),
+}
+
+
+class TestGolden:
+    @pytest.mark.parametrize("case", list(GOLDEN))
+    def test_samples_pinned(self, case):
+        make, expected, _ = GOLDEN[case]
+        _, samples = make()
+        images = sha256(b"".join(s.image.data.tobytes() for s in samples))
+        masks = sha256(b"".join(s.mask.astype("<i8").tobytes() for s in samples))
+        boxes = sha256(b"".join(
+            repr([(b.class_id, float(b.x_min), float(b.y_min), float(b.x_max), float(b.y_max))
+                  for b in s.boxes]).encode()
+            for s in samples))
+        assert (images, masks, boxes) == expected
+
+    @pytest.mark.parametrize("case", list(GOLDEN))
+    def test_dataset_files_pinned(self, tmp_path, case):
+        make, _, expected = GOLDEN[case]
+        save_dataset(*make(), tmp_path)
+        assert {p.name: sha256(p.read_bytes()) for p in tmp_path.iterdir()} == expected
 
 
 class TestSplit:

@@ -80,6 +80,26 @@ class TestLayerNorm:
         )
         assert report.passed
 
+    def test_bitwise_equal_to_textbook_expression(self, rng):
+        x = rng.standard_normal((7, 12)) * 3.0 + 0.4
+        scale, shift = rng.uniform(0.5, 1.5, 12), rng.standard_normal(12)
+        g = rng.standard_normal((7, 12))
+        mu = x.mean(axis=1, keepdims=True)
+        var = ((x - mu) * (x - mu)).mean(axis=1, keepdims=True)
+        inv = 1.0 / np.sqrt(var + 1e-5)
+        xh = (x - mu) * inv
+        gxh = g * scale[None, :]
+        expected_gx = (gxh - gxh.mean(axis=1, keepdims=True)
+                       - xh * (gxh * xh).mean(axis=1, keepdims=True)) * inv
+        xt, st, bt = (T.Tensor(a, requires_grad=True) for a in (x, scale, shift))
+        with T.fresh_tape():
+            out = nn.layer_norm(xt, st, bt)
+            T.backward(T.tsum(T.mul(out, T.Tensor(g))))
+        assert out.data.tobytes() == (xh * scale[None, :] + shift[None, :]).tobytes()
+        assert xt.grad.tobytes() == expected_gx.tobytes()
+        assert st.grad.tobytes() == (g * xh).sum(axis=0).tobytes()
+        assert bt.grad.tobytes() == g.sum(axis=0).tobytes()
+
 
 class TestMhsa:
     def test_single_token_reduces_to_projections(self, rng):

@@ -1,5 +1,6 @@
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -211,6 +212,15 @@ class TestTape:
             T.mul(x, 2.0)
             assert len(tape) == 1
 
+    def test_record_under_no_grad_reads_no_input(self):
+        def inputs():
+            raise AssertionError("inputs scanned under no_grad")
+            yield
+
+        with T.fresh_tape() as tape, T.no_grad():
+            out = T.record(inputs(), np.ones(2), lambda g: [g])
+        assert not out.requires_grad and out.is_leaf and len(tape) == 0
+
     def test_reset_clears_nodes(self):
         with T.fresh_tape() as tape:
             x = T.Tensor(np.ones(2), requires_grad=True)
@@ -243,6 +253,36 @@ class TestDct1:
         assert raw[8:12] == (1).to_bytes(4, "little")
         assert raw[12:16] == (2).to_bytes(4, "little")
         assert np.frombuffer(raw[16:], dtype="<f8").tolist() == [1.0, 2.0]
+
+    @pytest.mark.parametrize("make", [
+        lambda: np.array(2.5),
+        lambda: np.zeros((0, 3)),
+        lambda: np.arange(12.0).reshape(3, 4).T,
+        lambda: np.array([[0, 3], [7, 1]], dtype=np.intp),
+        lambda: T.Tensor(np.arange(6.0).reshape(2, 3)),
+    ], ids=["0-d", "empty", "transposed", "int_mask", "tensor"])
+    def test_file_bytes_are_header_plus_f8_payload(self, tmp_path, make):
+        arr = make()
+        data = arr.data if isinstance(arr, T.Tensor) else arr
+        header = b"DCT1" + b"".join(n.to_bytes(4, "little") for n in (data.ndim, *data.shape))
+        path = tmp_path / "dump.dct1"
+        T.write_dct1(path, arr)
+        assert path.read_bytes() == header + data.astype("<f8").tobytes()
+        back = T.read_dct1(path)
+        assert back.dtype == np.float64 and back.shape == data.shape
+        assert back.flags.c_contiguous and back.flags.writeable
+        assert np.array_equal(back, data)
+
+    def test_short_read_names_the_file(self, tmp_path, monkeypatch):
+        # the file shrinks between the size check and the payload read
+        path = tmp_path / "shrunk.dct1"
+        T.write_dct1(path, np.arange(4.0))
+        full = path.stat().st_size
+        path.write_bytes(path.read_bytes()[:-8])
+        monkeypatch.setattr(T.os, "fstat", lambda fd: SimpleNamespace(st_size=full))
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{path}: short DCT1 read: 24 of 32 payload bytes")):
+            T.read_dct1(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.dct1"
