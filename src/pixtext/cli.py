@@ -27,7 +27,10 @@ __all__ = ["main"]
 def _seed_override(seed: int) -> int:
     env = os.environ.get("DENSECLIP_SEED")
     if env is not None and env != "":
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise ValueError(f"DENSECLIP_SEED={env!r} is not an integer seed") from None
     return seed
 
 

@@ -217,10 +217,14 @@ def generate(spec: TaskSpec, n: int, seed: int | None = None) -> list[SyntheticS
 
 
 def split(samples, train_fraction: float):
-    """Deterministic positional split into (train, eval)."""
+    """Deterministic positional split into (train, eval). Neither side may
+    be empty; as int(n * f) < n for f < 1, only the train side can be."""
     if not (0.0 < train_fraction < 1.0):
         raise ValueError("train fraction must be in (0, 1)")
     cut = int(len(samples) * train_fraction)
+    if cut == 0:
+        raise ValueError(f"train fraction {train_fraction} of n={len(samples)} samples "
+                         "leaves the train side empty")
     return list(samples[:cut]), list(samples[cut:])
 
 

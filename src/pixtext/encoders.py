@@ -119,11 +119,15 @@ class Vocabulary:
 
 
 def build_vocab(class_names, template_len: int = 8) -> Vocabulary:
-    """Deterministic table: template ids first, then 1-3 token ids per class."""
+    """Deterministic table: template ids first, then 1-3 token ids per class.
+    Class names must be distinct: two classes with one name would share
+    their tokens and so their text embedding."""
     template_ids = list(range(template_len))
     next_id = template_len
     class_tokens = {}
     for i, name in enumerate(class_names):
+        if str(name) in class_tokens:
+            raise ValueError(f"class name {str(name)!r} appears more than once")
         width = 1 + (i % 3)
         class_tokens[str(name)] = list(range(next_id, next_id + width))
         next_id += width

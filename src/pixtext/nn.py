@@ -9,6 +9,7 @@ is symmetric uniform scaled by 1/sqrt(fan_in); biases start at zero.
 from __future__ import annotations
 
 import math
+import zlib
 from itertools import accumulate
 
 import numpy as np
@@ -34,12 +35,21 @@ __all__ = [
     "TransformerDecoderLayer",
     "decoder_forward",
     "init_uniform",
+    "rng_for",
 ]
 
 
 def init_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     bound = 1.0 / math.sqrt(max(fan_in, 1))
     return rng.uniform(-bound, bound, size=shape)
+
+
+def rng_for(seed: int, name: str) -> np.random.Generator:
+    """Independent, order-free stream per component: adding or removing a
+    component never shifts the initialization of the others."""
+    return np.random.default_rng(
+        np.random.SeedSequence([int(seed) & 0xFFFFFFFF, zlib.crc32(name.encode())])
+    )
 
 
 class Linear:

@@ -25,7 +25,6 @@ from __future__ import annotations
 import copy
 import json
 import os
-import zlib
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -36,9 +35,6 @@ from .encoders import (
     PooledFeatures,
     TextEncoderConfig,
     ToyImageEncoder,
-    ToyTextEncoder,
-    Vocabulary,
-    build_vocab,
 )
 from .matching import (
     LossConfig,
@@ -49,8 +45,8 @@ from .matching import (
     rasterize_boxes,
     seg_aux_loss,
 )
-from .nn import Linear, TransformerDecoderLayer, init_uniform
-from .prompting import GATE_PRESETS, PROMPT_MODES, TextPath
+from .nn import Linear, rng_for
+from .prompting import GATE_PRESETS, TextPath
 from .tensor import (
     ContractError,
     ShapeError,
@@ -103,14 +99,6 @@ def stack_images(images) -> Tensor:
         if not np.all(np.isfinite(img.data)):
             raise ContractError(f"image {i} has non-finite pixel values")
     return stack(images)
-
-
-def rng_for(seed: int, name: str) -> np.random.Generator:
-    """Independent, order-free stream per component: adding or removing a
-    component never shifts the initialization of the others."""
-    return np.random.default_rng(
-        np.random.SeedSequence([int(seed) & 0xFFFFFFFF, zlib.crc32(name.encode())])
-    )
 
 
 _SECTIONS = {"image": ImageEncoderConfig, "text": TextEncoderConfig, "loss": LossConfig}
@@ -390,65 +378,17 @@ class DensePredPipeline:
             self.text_path.cache()
 
 
-def _build_text_path(cfg: PipelineConfig, class_names, vocab: Vocabulary, seed: int) -> TextPath:
-    mode = cfg.prompt_mode
-    encoder = ToyTextEncoder(cfg.text, vocab.size, cfg.shared_dim, rng_for(seed, "text_encoder"))
-
-    contexts = queries = adapter = gamma = None
-    decoder_layers = []
-    if mode in ("coop", "post"):
-        # build_pipeline guarantees at least one template id
-        ids = (vocab.template_ids * (cfg.context_len // len(vocab.template_ids) + 1))[
-            : cfg.context_len
-        ]
-        contexts = Tensor(encoder.table.data[np.asarray(ids, dtype=np.intp)].copy(),
-                          requires_grad=True)
-    if mode in ("pre", "post"):
-        rng_dec = rng_for(seed, "prompt_decoder")
-        decoder_layers = [
-            TransformerDecoderLayer(
-                cfg.shared_dim, cfg.prompt_decoder_heads,
-                cfg.shared_dim * cfg.prompt_ffn_mult, rng_dec,
-            )
-            for _ in range(cfg.prompt_decoder_depth)
-        ]
-    if mode == "pre":
-        queries = Tensor(init_uniform(rng_for(seed, "queries"), (cfg.context_len, cfg.shared_dim),
-                                      cfg.shared_dim), requires_grad=True)
-        adapter = Linear(cfg.shared_dim, encoder.width, rng_for(seed, "pre_adapter"))
-    if mode == "post":
-        init_value, learnable = GATE_PRESETS[cfg.gate_preset]
-        gamma = Tensor(np.full(cfg.shared_dim, init_value), requires_grad=learnable)
-
-    return TextPath(
-        mode=mode,
-        encoder=encoder,
-        vocab=vocab,
-        class_names=class_names,
-        contexts=contexts,
-        queries=queries,
-        adapter=adapter,
-        decoder_layers=decoder_layers,
-        gamma=gamma,
-    )
-
-
 def build_pipeline(cfg: PipelineConfig, class_names, seed: int) -> DensePredPipeline:
-    if cfg.prompt_mode not in (None, *PROMPT_MODES):
-        raise ValueError(f"unknown prompt mode {cfg.prompt_mode!r}; "
-                         f"use {'|'.join(PROMPT_MODES)}, or None for no language path")
+    """The pipeline of `cfg`; `TextPath` builds the language path and
+    checks the prompt-mode settings."""
     if cfg.task_mode not in ("segmentation", "detection"):
         raise ValueError(f"unknown task mode {cfg.task_mode!r}; use segmentation|detection")
-    if cfg.prompt_mode in ("coop", "pre", "post") and cfg.context_len < 1:
-        raise ValueError(f"{cfg.prompt_mode} mode learns context_len rows; "
-                         f"context_len is {cfg.context_len}")
-    if cfg.prompt_mode in ("coop", "post") and cfg.template_len < 1:
-        raise ValueError(f"{cfg.prompt_mode} mode initializes its context_len={cfg.context_len} "
-                         f"contexts from the template; template_len is {cfg.template_len}")
+    if cfg.gate_preset not in GATE_PRESETS:
+        raise ValueError(f"unknown gate_preset {cfg.gate_preset!r}; "
+                         f"use one of GATE_PRESETS: {'|'.join(GATE_PRESETS)}")
     class_names = [str(n) for n in class_names]
-    vocab = build_vocab(class_names, template_len=cfg.template_len)
     image_encoder = ToyImageEncoder(cfg.image, rng_for(seed, "image_encoder"))
-    text_path = None if cfg.prompt_mode is None else _build_text_path(cfg, class_names, vocab, seed)
+    text_path = None if cfg.prompt_mode is None else TextPath(cfg, class_names, seed)
     k = len(class_names)
     head = None
     if cfg.task_mode == "segmentation":
@@ -492,9 +432,8 @@ def save_checkpoint(pipe: DensePredPipeline, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     entries = {}
     for name, p, group in pipe.parameters():
-        fname = name.replace("/", "_") + ".dct1"
-        write_dct1(os.path.join(out_dir, fname), p)
-        entries[name] = {"file": fname, "group": group}
+        write_dct1(os.path.join(out_dir, f"{name}.dct1"), p)
+        entries[name] = {"file": f"{name}.dct1", "group": group}
     manifest = {
         "config": pipe.cfg.to_dict(),
         "class_names": pipe.class_names,
@@ -523,7 +462,7 @@ def load_checkpoint(ckpt_dir) -> DensePredPipeline:
     manifest_path = os.path.join(ckpt_dir, "manifest.json")
     with open(manifest_path) as fh:
         manifest = json.load(fh)
-    for key in ("config", "backbone"):
+    for key in ("config", "class_names", "seed", "backbone", "params"):
         if key not in manifest:
             raise ContractError(f"{manifest_path} lacks the {key!r} key")
     _check_keys(manifest_path, "config", manifest["config"], PipelineConfig)
@@ -543,6 +482,9 @@ def load_checkpoint(ckpt_dir) -> DensePredPipeline:
     for name, entry in manifest["params"].items():
         if name not in params:
             raise KeyError(f"checkpoint parameter {name} not in rebuilt pipeline")
+        if entry.get("file") != f"{name}.dct1":
+            raise ContractError(f"checkpoint parameter {name} in {manifest_path} names file "
+                                f"{entry.get('file')!r}; expected {name}.dct1 in the directory")
         path = os.path.join(ckpt_dir, entry["file"])
         arr = read_dct1(path)
         if arr.shape != params[name].shape:

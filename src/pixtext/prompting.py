@@ -22,8 +22,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .encoders import PooledFeatures, TextEmbeddings, ToyTextEncoder, Vocabulary
-from .nn import Linear, block_offsets, decoder_forward
+from .encoders import PooledFeatures, TextEmbeddings, ToyTextEncoder, build_vocab
+from .nn import (Linear, TransformerDecoderLayer, block_offsets, decoder_forward, init_uniform,
+                 rng_for)
 from .tensor import ContractError, ShapeError, Tensor, add, mul_rowvec, take
 
 __all__ = [
@@ -92,40 +93,50 @@ def post_model_prompt(
 
 
 class TextPath:
-    """Everything on the language side of the pipeline for one prompt mode."""
+    """Everything on the language side of the pipeline for one prompt mode,
+    built from a `PipelineConfig`: the vocabulary and text encoder, plus
+    the mode's contexts (coop, post), queries and adapter (pre), decoder
+    (pre, post) and gate (post). Every part draws its initial values from
+    its own `rng_for(seed, name)` stream. Learnable contexts start from the
+    template tokens' embedding rows."""
 
-    def __init__(
-        self,
-        mode: str,
-        encoder: ToyTextEncoder,
-        vocab: Vocabulary,
-        class_names,
-        contexts: Tensor | None = None,
-        queries: Tensor | None = None,
-        adapter: Linear | None = None,
-        decoder_layers=None,
-        gamma: Tensor | None = None,
-    ):
+    def __init__(self, cfg, class_names, seed: int):
+        mode = cfg.prompt_mode
+        if mode not in PROMPT_MODES:
+            raise ValueError(f"unknown prompt mode {mode!r}; "
+                             f"use {'|'.join(PROMPT_MODES)}, or None for no language path")
+        if mode != "template" and cfg.context_len < 1:
+            raise ValueError(f"{mode} mode learns context_len rows; "
+                             f"context_len is {cfg.context_len}")
+        d = cfg.shared_dim
         self.mode = mode
-        self.encoder = encoder
-        self.vocab = vocab
         self.class_names = list(class_names)
-        self.class_tokens = vocab.tokens_for(self.class_names)
-        self.contexts = contexts
-        self.queries = queries
-        self.adapter = adapter
-        self.decoder_layers = decoder_layers or []
-        self.gamma = gamma
-        self.gate_learnable = gamma is not None and gamma.requires_grad
+        self.vocab = build_vocab(self.class_names, template_len=cfg.template_len)
+        self.class_tokens = self.vocab.tokens_for(self.class_names)
+        self.encoder = ToyTextEncoder(cfg.text, self.vocab.size, d, rng_for(seed, "text_encoder"))
+        self.contexts = self.queries = self.adapter = self.gamma = None
+        self.decoder_layers = []
+        self.gate_learnable = False
         self.cached: Tensor | None = None
-        if mode in ("coop", "post") and contexts is None:
-            raise ContractError(f"{mode} mode needs learnable contexts")
-        if mode == "pre" and (
-            queries is None or adapter is None or not self.decoder_layers
-        ):
-            raise ContractError("pre mode needs queries, adapter and a decoder")
-        if mode == "post" and (gamma is None or not self.decoder_layers):
-            raise ContractError("post mode needs a gate and a decoder")
+        if mode in ("coop", "post"):
+            if cfg.template_len < 1:
+                raise ValueError(f"{mode} mode initializes its context_len={cfg.context_len} "
+                                 f"contexts from the template; template_len is {cfg.template_len}")
+            ids = np.resize(self.vocab.template_ids, cfg.context_len)
+            self.contexts = Tensor(self.encoder.table.data[ids], requires_grad=True)
+        if mode in ("pre", "post"):
+            rng = rng_for(seed, "prompt_decoder")
+            self.decoder_layers = [
+                TransformerDecoderLayer(d, cfg.prompt_decoder_heads, d * cfg.prompt_ffn_mult, rng)
+                for _ in range(cfg.prompt_decoder_depth)
+            ]
+        if mode == "pre":
+            self.queries = Tensor(init_uniform(rng_for(seed, "queries"), (cfg.context_len, d), d),
+                                  requires_grad=True)
+            self.adapter = Linear(d, self.encoder.width, rng_for(seed, "pre_adapter"))
+        if mode == "post":
+            init_value, self.gate_learnable = GATE_PRESETS[cfg.gate_preset]
+            self.gamma = Tensor(np.full(d, init_value), requires_grad=self.gate_learnable)
 
     @property
     def k(self) -> int:

@@ -137,6 +137,14 @@ class TestTrainEval:
         report = json.loads(report_path.read_text())
         assert report["seed"] == 77
 
+    def test_bad_seed_env_named(self, tmp_path, micro_dataset_dir, monkeypatch):
+        cfg = run_config(tmp_path, steps=1, seed=1)
+        monkeypatch.setenv("DENSECLIP_SEED", "seven")
+        with pytest.raises(ValueError, match="DENSECLIP_SEED='seven' is not an integer"):
+            main(["train", "--data", str(micro_dataset_dir), "--config", str(cfg),
+                  "--out", str(tmp_path / "ckpt"), "--report", str(tmp_path / "r.json")])
+        assert not (tmp_path / "ckpt").exists()
+
     def test_determinism_across_invocations(self, tmp_path, micro_dataset_dir):
         reports = []
         for tag in ("a", "b"):

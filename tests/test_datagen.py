@@ -171,6 +171,15 @@ class TestSplit:
         with pytest.raises(ValueError):
             split([1, 2], 1.0)
 
+    @pytest.mark.parametrize("n, fraction", [(2, 0.4), (1, 0.5), (0, 0.5), (9, 0.1)])
+    def test_empty_train_side_named(self, n, fraction):
+        with pytest.raises(ValueError, match=rf"train fraction {fraction} of n={n} samples "
+                                             "leaves the train side empty"):
+            split(list(range(n)), fraction)
+
+    def test_smallest_split(self):
+        assert split([1, 2], 0.5) == ([1], [2])
+
 
 class TestDatasetIO:
     def test_roundtrip_bitwise(self, tmp_path, toy_spec):

@@ -184,6 +184,11 @@ class TestVocabulary:
         with pytest.raises(KeyError):
             vocab.tokens_for(["nope"])
 
+    def test_duplicate_class_named(self):
+        # two "y" classes would share their tokens and so their embedding
+        with pytest.raises(ValueError, match="class name 'y' appears more than once"):
+            build_vocab(["x", "y", "z", "y"])
+
 
 def _text_outputs(pipe, images):
     """Class embeddings for a batch of images and the gradient of a fixed

@@ -547,6 +547,39 @@ class TestCheckpointMissingParameter:
             load_checkpoint(tmp_path / "ckpt")
 
 
+class TestManifestChecks:
+    """`load_checkpoint` checks every top-level key of the manifest and reads
+    each parameter only from the `<name>.dct1` that `save_checkpoint` wrote."""
+
+    @pytest.mark.parametrize("key", ["config", "class_names", "seed", "params"])
+    def test_missing_key_named(self, tmp_path, micro_spec, key):
+        save_checkpoint(build_pipeline(micro_config("coop"), micro_spec.class_names, 2), tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        del manifest[key]
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ContractError, match=rf"manifest\.json lacks the '{key}' key"):
+            load_checkpoint(tmp_path)
+
+    @pytest.mark.parametrize("where", ["absolute", "parent", "sibling", "missing"])
+    def test_file_outside_its_own_name_rejected(self, tmp_path, micro_spec, where):
+        ckpt, other = tmp_path / "ckpt", tmp_path / "other"
+        pipe = build_pipeline(micro_config("coop"), micro_spec.class_names, seed=2)
+        save_checkpoint(pipe, ckpt)
+        save_checkpoint(pipe, other)  # loadable files of the right shapes outside `ckpt`
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        entry = manifest["params"]["head.fc1.bias"]
+        if where == "missing":
+            del entry["file"]
+        else:
+            entry["file"] = {"absolute": str(other / "head.fc1.bias.dct1"),
+                             "parent": "../other/head.fc1.bias.dct1",
+                             "sibling": "head.fc2.bias.dct1"}[where]
+        (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ContractError, match=r"head\.fc1\.bias in .*manifest\.json names file "
+                                                r".*expected head\.fc1\.bias\.dct1"):
+            load_checkpoint(ckpt)
+
+
 def _nearest_index(n, h, w, f=4):
     """Each pixel's row in n stacked (h/f x w/f) cell grids, built by hand."""
     r, c = np.meshgrid(np.arange(h) // f, np.arange(w) // f, indexing="ij")

@@ -1,12 +1,15 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from pixtext import tensor as T
 from pixtext.datagen import generate
 from pixtext.nn import decoder_forward
-from pixtext.pipeline import build_pipeline, micro_config
+from pixtext.pipeline import build_pipeline, micro_config, toy_config
 from pixtext.prompting import (
     GATE_PRESETS,
+    TextPath,
     post_model_prompt,
 )
 from pixtext.tensor import ContractError
@@ -53,6 +56,61 @@ class TestPromptMode:
             t = pipe.text_path.embeddings(pooled)
             shapes.add(t.t.shape)
         assert shapes == {(2, 8)}
+
+
+def _init_hash(pipe):
+    h = hashlib.sha256()
+    for name, p, group in pipe.parameters():
+        h.update(f"{name}:{group}:{p.shape}:{p.requires_grad};".encode())
+        h.update(p.data.tobytes())
+    return h.hexdigest()
+
+
+class TestBuild:
+    """`TextPath(cfg, class_names, seed)` builds the whole language path."""
+
+    # sha256 of every parameter's name, group, shape, trainability and bytes
+    # at seed 3 on the default task, as built before `TextPath` built itself
+    @pytest.mark.parametrize("mode, edits, digest", [
+        (None, {}, "c8364d8ebaf7a92c95ec3f16272f86a2728800bfcfe1759b88e24fdb13762559"),
+        ("template", {}, "39196dadc0c4690f75952728a11eec1f5ff274a2a986e0eba9589997d9270f10"),
+        ("coop", {}, "35c1af882a26dc9e17385616e1130d46769bc9164be3a01bb2a7cbf1ebb801c0"),
+        ("pre", {}, "6027d79a1b6f6cf4e3a404e1af0cbe12582b4a3737854030bd5f9785c3378e33"),
+        ("post", {}, "cd3096bd69aa3c2bc6982c3f2c9d0dbfead45c4f2aa40c2deb48dc4835bf0b8c"),
+        ("post", {"gate_preset": "fixed_small"},
+         "cf6acf2408651cd30e9aa758e36bd768ec0678a334813f8fe6c131f7b6e8edc5"),
+        ("coop", {"context_len": 5, "template_len": 2},
+         "fc2c689976da306d633ea621fab6f91de14b84bb64c68be2da73facbf8ec6609"),
+        ("post", {"context_len": 5, "template_len": 2},
+         "f2ce7841947ce678efcaf8c317a4b93a783f2d0595616671ffbd686e39c05b18"),
+    ], ids=["none", "template", "coop", "pre", "post", "post_fixed", "coop_5_2", "post_5_2"])
+    def test_initial_values_pinned(self, toy_spec, mode, edits, digest):
+        cfg = toy_config(mode)
+        for key, val in edits.items():
+            setattr(cfg, key, val)
+        assert _init_hash(build_pipeline(cfg, toy_spec.class_names, 3)) == digest
+
+    @pytest.mark.parametrize("mode", ["template", "coop", "pre", "post"])
+    def test_direct_build_matches_the_pipeline(self, micro_spec, mode):
+        path = TextPath(micro_config(mode), micro_spec.class_names, 11)
+        expected = micro_pipe(mode, micro_spec).text_path.parameters()
+        assert [(n, p.data.tobytes()) for n, p in path.parameters()] == [
+            (n, p.data.tobytes()) for n, p in expected]
+
+    @pytest.mark.parametrize("preset", sorted(GATE_PRESETS))
+    def test_gate_trainability_is_the_preset(self, micro_spec, preset):
+        path = micro_pipe("post", micro_spec, gate_preset=preset).text_path
+        assert path.gate_learnable == path.gamma.requires_grad == GATE_PRESETS[preset][1]
+
+    @pytest.mark.parametrize("mode", [None, "coop", "post"], ids=["none", "coop", "post"])
+    def test_unknown_gate_preset_named(self, micro_spec, mode):
+        with pytest.raises(ValueError, match=r"'bogus'.*GATE_PRESETS: "
+                                             r"fixed_small\|learnable_small\|learnable_one"):
+            micro_pipe(mode, micro_spec, gate_preset="bogus")
+
+    def test_duplicate_class_name_rejected(self):
+        with pytest.raises(ValueError, match="class name 'cat' appears more than once"):
+            build_pipeline(micro_config("coop"), ["background", "cat", "cat"], 0)
 
 
 class TestTemplate:
