@@ -114,13 +114,13 @@ class AdamW:
             m = self._m.get(name)
             v = self._v.get(name)
             if m is None:
-                m = np.zeros_like(p.data)
-                v = np.zeros_like(p.data)
+                m = self._m[name] = np.zeros_like(p.data)
+                v = self._v[name] = np.zeros_like(p.data)
             with np.errstate(over="ignore", invalid="ignore"):
-                m = c.beta1 * m + (1.0 - c.beta1) * g
-                v = c.beta2 * v + (1.0 - c.beta2) * g * g
-                self._m[name] = m
-                self._v[name] = v
+                m *= c.beta1
+                m += (1.0 - c.beta1) * g
+                v *= c.beta2
+                v += (1.0 - c.beta2) * g * g
                 update = (m / bc1) / (np.sqrt(v / bc2) + c.eps)
                 p.data = p.data - lr_eff * update - lr_eff * c.weight_decay * p.data
 

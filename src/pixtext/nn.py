@@ -84,8 +84,8 @@ def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, eps: float = 1e-5) -> Te
 
     Fused op: the whole Jacobian is hand-derived so a single tape node
     covers mean/variance/affine. Variance-zero rows are handled by eps.
-    Backward computes only the gradients of the inputs that require one
-    at that time; a frozen affine gets None.
+    Only the gradients of the inputs that require one when the op records
+    are formed; a frozen affine gets None.
     """
     xd = x.data
     if xd.ndim != 2:
@@ -98,13 +98,15 @@ def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, eps: float = 1e-5) -> Te
     xh = np.multiply(xc, inv, out=xc)
     out = xh * scale.data[None, :]
     out += shift.data[None, :]
+    scale_grad, shift_grad = scale.requires_grad, shift.requires_grad
+    sd = scale.data[None, :] if x.requires_grad else None
 
     def grad_fn(g):
-        gscale = (g * xh).sum(axis=0) if scale.requires_grad else None
-        gshift = g.sum(axis=0) if shift.requires_grad else None
-        if not x.requires_grad:
+        gscale = (g * xh).sum(axis=0) if scale_grad else None
+        gshift = g.sum(axis=0) if shift_grad else None
+        if sd is None:
             return [None, gscale, gshift]
-        gxh = g * scale.data[None, :]
+        gxh = g * sd
         m1 = _row_mean(gxh)
         m2 = _row_mean(gxh * xh)
         gx = (gxh - m1 - xh * m2) * inv

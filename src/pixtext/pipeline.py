@@ -471,27 +471,39 @@ def load_checkpoint(ckpt_dir) -> DensePredPipeline:
     _check_keys(manifest_path, "backbone", manifest["backbone"], ImageEncoderConfig)
     cfg = PipelineConfig.from_dict(manifest["config"])
     seed = manifest["seed"]
+    if type(seed) is not int:  # a JSON true is a bool, not a seed
+        raise ContractError(f"seed in {manifest_path} must be an integer, got {seed!r}")
     pipe = build_pipeline(cfg, manifest["class_names"], seed)
     backbone = ImageEncoderConfig(**manifest["backbone"])
     if backbone != cfg.image:
         pipe = swap_backbone(pipe, ToyImageEncoder(backbone, rng_for(seed, "swapped_backbone")))
-    params = {name: p for name, p, _ in pipe.parameters()}
+    if not isinstance(manifest["params"], dict):
+        raise ContractError(f"params in {manifest_path} must map parameter names to entries")
+    params = {name: (p, group) for name, p, group in pipe.parameters()}
     for name in params:
         if name not in manifest["params"]:
             raise KeyError(f"checkpoint lacks parameter {name}")
     for name, entry in manifest["params"].items():
         if name not in params:
             raise KeyError(f"checkpoint parameter {name} not in rebuilt pipeline")
+        param, group = params[name]
+        if not isinstance(entry, dict):
+            raise ContractError(f"checkpoint parameter {name} in {manifest_path} is {entry!r}, "
+                                f"not an entry with 'file' and 'group'")
+        if entry.get("group") != group:
+            raise ContractError(f"checkpoint parameter {name} in {manifest_path} is in group "
+                                f"{entry.get('group')!r}; the rebuilt pipeline puts it in "
+                                f"{group!r}")
         if entry.get("file") != f"{name}.dct1":
             raise ContractError(f"checkpoint parameter {name} in {manifest_path} names file "
                                 f"{entry.get('file')!r}; expected {name}.dct1 in the directory")
         path = os.path.join(ckpt_dir, entry["file"])
         arr = read_dct1(path)
-        if arr.shape != params[name].shape:
+        if arr.shape != param.shape:
             raise ShapeError(f"checkpoint shape mismatch on {name}")
         if not np.all(np.isfinite(arr)):
             raise ContractError(f"checkpoint parameter {name} has non-finite values in {path}")
-        params[name].data = arr
+        param.data = arr
     return pipe
 
 

@@ -69,14 +69,18 @@ class Tensor:
     touches `.grad`.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "is_leaf")
+    __slots__ = ("data", "requires_grad", "grad", "node")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad = None
-        self.is_leaf = True
+        self.node = None  # the tape node that produced this tensor
+
+    @property
+    def is_leaf(self) -> bool:
+        return self.node is None
 
     @property
     def shape(self):
@@ -107,11 +111,15 @@ def tensor(data, requires_grad: bool = False) -> Tensor:
 
 
 class _Node:
-    __slots__ = ("inputs", "output", "grad_fn")
+    """One recorded op. It holds no arrays itself: per input, `sources` has
+    the leaf Tensor or the node that produced the input; `shape` is the
+    output's shape; `grad_fn` keeps only the arrays its rule reads."""
 
-    def __init__(self, inputs, output, grad_fn):
-        self.inputs = inputs
-        self.output = output
+    __slots__ = ("sources", "shape", "grad_fn")
+
+    def __init__(self, sources, shape, grad_fn):
+        self.sources = sources
+        self.shape = shape
         self.grad_fn = grad_fn
 
 
@@ -133,8 +141,17 @@ def active_tape() -> list[_Node]:
 
 
 def reset_tape():
-    """Drop every recorded node on the active tape. Called by the trainer each step."""
-    active_tape().clear()
+    """Drop every recorded node on the active tape. Called by the trainer each step.
+
+    Each node also lets go of its sources and rule: a tensor of the last
+    step, such as its loss, still holds its node, and through it every
+    array that step saved for backward.
+    """
+    tape = active_tape()
+    for node in tape:
+        node.sources = ()
+        node.grad_fn = None
+    tape.clear()
 
 
 @contextmanager
@@ -162,16 +179,22 @@ def record(inputs, out_data: np.ndarray, grad_fn) -> Tensor:
     """Create the output tensor of an op and register its gradient rule.
 
     `grad_fn(g_out)` must return one array (or None) per input, in order.
-    Fused ops outside this module (layer_norm lives with the nn blocks)
-    use this same entry point so everything shares one tape.
+    It reads `requires_grad` when the op records, returns None for each
+    input that needs no gradient, and captures only the arrays it reads:
+    the tape holds nothing else. Fused ops outside this module (layer_norm
+    lives with the nn blocks) use this same entry point so everything
+    shares one tape.
     """
     out = Tensor(out_data)
     if not _STATE.recording:
         return out
+    inputs = tuple(inputs)
     if any(isinstance(t, Tensor) and t.requires_grad for t in inputs):
         out.requires_grad = True
-        out.is_leaf = False
-        active_tape().append(_Node(tuple(inputs), out, grad_fn))
+        sources = tuple((t if t.node is None else t.node) if isinstance(t, Tensor) else None
+                        for t in inputs)
+        out.node = _Node(sources, out.data.shape, grad_fn)
+        active_tape().append(out.node)
     return out
 
 
@@ -202,7 +225,10 @@ def mul(a: Tensor, b) -> Tensor:
     a, b, scalar = _as_operands(a, b, "mul")
     if scalar:
         return record([a], a.data * b, lambda g: [g * b])
-    return record([a, b], a.data * b.data, lambda g: [g * b.data, g * a.data])
+    ad = a.data if b.requires_grad else None
+    bd = b.data if a.requires_grad else None
+    return record([a, b], a.data * b.data,
+                  lambda g: [None if bd is None else g * bd, None if ad is None else g * ad])
 
 
 def block_matmul_t(a: Tensor, b: Tensor, n: int) -> Tensor:
@@ -218,37 +244,42 @@ def block_matmul_t(a: Tensor, b: Tensor, n: int) -> Tensor:
         raise ShapeError(f"block_matmul_t: {a.shape[0]} and {b.shape[0]} rows in {n} blocks")
     m, k, d = a.shape[0] // n, b.shape[0] // n, a.shape[1]
     a3, b3 = a.data.reshape(n, m, d), b.data.reshape(n, k, d)
+    out = np.matmul(a3, b3.transpose(0, 2, 1)).reshape(n * m, k)
+    keep_a = a3 if b.requires_grad else None  # dB reads a
+    keep_b = b3 if a.requires_grad else None  # dA reads b
 
     def grad_fn(g):
         g3 = g.reshape(n, m, k)
         return [
-            np.matmul(g3, b3).reshape(n * m, d),
-            np.matmul(g3.transpose(0, 2, 1), a3).reshape(n * k, d),
+            None if keep_b is None else np.matmul(g3, keep_b).reshape(n * m, d),
+            None if keep_a is None else np.matmul(g3.transpose(0, 2, 1), keep_a).reshape(n * k, d),
         ]
 
-    return record([a, b], np.matmul(a3, b3.transpose(0, 2, 1)).reshape(n * m, k), grad_fn)
+    return record([a, b], out, grad_fn)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Fused x W^T + b; one tape node instead of three.
 
     weight is (out, in), bias (out,). Gradients: dX = g W, dW = g^T X,
-    db = column sums of g. Backward computes only the gradients of the
-    inputs that require one at that time (frozen weights, raw image
-    patches get None).
+    db = column sums of g. Only the gradients of the inputs that require
+    one when the op records are formed (frozen weights, raw image patches
+    get None), and x is kept only for a weight that needs a gradient.
     """
     x, weight, bias = tensor(x), tensor(weight), tensor(bias)
     if x.data.ndim != 2 or x.shape[1] != weight.shape[1] or bias.shape != (weight.shape[0],):
         raise ShapeError(f"linear: x {x.shape}, weight {weight.shape}, bias {bias.shape}")
-    xd, wd = x.data, weight.data
-    out = xd @ wd.T
+    out = x.data @ weight.data.T
     out += bias.data
+    wd = weight.data if x.requires_grad else None
+    xd = x.data if weight.requires_grad else None
+    bias_grad = bias.requires_grad
 
     def grad_fn(g):
         return [
-            g @ wd if x.requires_grad else None,
-            g.T @ xd if weight.requires_grad else None,
-            g.sum(axis=0) if bias.requires_grad else None,
+            None if wd is None else g @ wd,
+            None if xd is None else g.T @ xd,
+            g.sum(axis=0) if bias_grad else None,
         ]
 
     return record([x, weight, bias], out, grad_fn)
@@ -261,11 +292,12 @@ def concat(parts, axis: int = 0) -> Tensor:
     sizes = [p.shape[axis] for p in parts]
     out = np.concatenate([p.data for p in parts], axis=axis)
     offsets = np.cumsum([0] + sizes)
+    count = len(parts)
 
     def grad_fn(g):
         return [
             np.take(g, np.arange(offsets[i], offsets[i + 1]), axis=axis)
-            for i in range(len(parts))
+            for i in range(count)
         ]
 
     return record(parts, out, grad_fn)
@@ -297,7 +329,7 @@ def take(a: Tensor, indices) -> Tensor:
     def grad_fn(g):
         # One bincount per column adds in index order, as np.add.at does,
         # so the sums are bitwise the same.
-        full = np.empty_like(a.data)
+        full = np.empty((rows, cols))
         for j in range(cols):
             full[:, j] = np.bincount(idx, weights=g[:, j], minlength=rows)
         return [full]
@@ -318,11 +350,12 @@ def patchify(images: Tensor, f: int) -> Tensor:
     if h % f or w % f:
         raise ShapeError(f"image {h}x{w} not divisible by patch {f}")
     h4, w4 = h // f, w // f
+    shape = images.shape
     out = images.data.reshape(-1, h4, f, w4, f, ch).transpose(0, 1, 3, 2, 4, 5)
 
     def grad_fn(g):
         g = g.reshape(-1, h4, w4, f, f, ch).transpose(0, 1, 3, 2, 4, 5)
-        return [g.reshape(images.shape)]
+        return [g.reshape(shape)]
 
     return record([images], out.reshape(-1, f * f * ch), grad_fn)
 
@@ -330,7 +363,8 @@ def patchify(images: Tensor, f: int) -> Tensor:
 def tsum(a: Tensor) -> Tensor:
     """Sum of every entry, a scalar."""
     a = tensor(a)
-    return record([a], a.data.sum(), lambda g: [np.broadcast_to(g, a.data.shape).copy()])
+    shape = a.shape
+    return record([a], a.data.sum(), lambda g: [np.broadcast_to(g, shape).copy()])
 
 
 def mean_rows(a: Tensor, blocks: int = 1) -> Tensor:
@@ -356,7 +390,11 @@ _GELU_A = 0.044715
 
 
 def gelu(a: Tensor) -> Tensor:
-    """Smooth Gaussian-error-style activation (tanh form)."""
+    """Smooth Gaussian-error-style activation (tanh form).
+
+    A recorded gelu saves its derivative, one array in place of x and t;
+    under no_grad it computes none.
+    """
     a = tensor(a)
     x = a.data
     # In-place steps keep one temporary per output: batched activations are
@@ -372,24 +410,21 @@ def gelu(a: Tensor) -> Tensor:
     out = t + 1.0
     out *= x
     out *= 0.5
-
-    def grad_fn(g):
-        d = t * t
-        np.subtract(1.0, d, out=d)
-        d *= x
-        d *= 0.5
-        d *= _GELU_C
-        poly = x * (3.0 * _GELU_A)
-        poly *= x
-        poly += 1.0
-        d *= poly
-        np.add(t, 1.0, out=poly)
-        poly *= 0.5
-        d += poly
-        d *= g
-        return [d]
-
-    return record([a], out, grad_fn)
+    if not (_STATE.recording and a.requires_grad):
+        return Tensor(out)
+    d = t * t
+    np.subtract(1.0, d, out=d)
+    d *= x
+    d *= 0.5
+    d *= _GELU_C
+    poly = x * (3.0 * _GELU_A)
+    poly *= x
+    poly += 1.0
+    d *= poly
+    np.add(t, 1.0, out=poly)
+    poly *= 0.5
+    d += poly
+    return record([a], out, lambda g: [d * g])
 
 
 def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
@@ -404,10 +439,12 @@ def mul_rowvec(a: Tensor, v: Tensor) -> Tensor:
     a, v = tensor(a), tensor(v)
     if a.data.ndim != 2 or v.data.ndim != 1 or a.shape[1] != v.shape[0]:
         raise ShapeError(f"mul_rowvec: {a.shape} * {v.shape}")
+    vd = v.data[None, :] if a.requires_grad else None
+    ad = a.data if v.requires_grad else None
     return record(
         [a, v],
         a.data * v.data[None, :],
-        lambda g: [g * v.data[None, :], (g * a.data).sum(axis=0)],
+        lambda g: [None if vd is None else g * vd, None if ad is None else (g * ad).sum(axis=0)],
     )
 
 
@@ -529,39 +566,37 @@ def bce_with_logits(logits: Tensor, targets) -> Tensor:
 def backward(loss: Tensor):
     """Populate `.grad` on every requires_grad leaf reachable from `loss`.
 
-    Walks the active tape in reverse; repeated calls accumulate.
+    Walks the active tape in reverse, keeping the gradient of each node's
+    output until that node runs; repeated calls accumulate.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
-    tape = active_tape()
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
 
-    def deposit(t: Tensor, g: np.ndarray):
-        if t.is_leaf:
-            if t.grad is None:
-                t.grad = np.zeros_like(t.data)
-            t.grad += g
-        else:
-            key = id(t)
-            if key in grads:
-                grads[key] = grads[key] + g
-            else:
-                grads[key] = g
+    def deposit(leaf: Tensor, g):
+        if leaf.requires_grad:
+            if leaf.grad is None:
+                leaf.grad = np.zeros_like(leaf.data)
+            leaf.grad += np.asarray(g, dtype=np.float64).reshape(leaf.data.shape)
 
     if loss.is_leaf:
         # A bare leaf scalar: nothing recorded downstream of it.
-        if loss.requires_grad:
-            deposit(loss, np.ones_like(loss.data))
+        deposit(loss, np.ones_like(loss.data))
         return
 
-    for node in reversed(tape):
-        g_out = grads.pop(id(node.output), None)
+    grads: dict[_Node, np.ndarray] = {loss.node: np.ones_like(loss.data)}
+    for node in reversed(active_tape()):
+        g_out = grads.pop(node, None)
         if g_out is None:
             continue
-        for inp, g in zip(node.inputs, node.grad_fn(g_out)):
-            if g is None or not isinstance(inp, Tensor) or not inp.requires_grad:
+        for src, g in zip(node.sources, node.grad_fn(g_out)):
+            if g is None or src is None:
                 continue
-            deposit(inp, np.asarray(g, dtype=np.float64).reshape(inp.data.shape))
+            if isinstance(src, Tensor):
+                deposit(src, g)
+                continue
+            g = np.asarray(g, dtype=np.float64).reshape(src.shape)
+            held = grads.get(src)
+            grads[src] = g if held is None else held + g
 
 
 # ---------------------------------------------------------------------------

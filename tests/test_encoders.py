@@ -243,10 +243,10 @@ class TestFrozenEncoderBackward:
         with T.fresh_tape() as tape:
             pipe.forward([s.image for s in pair], [s.mask for s in pair])
             for node in tape:
-                if not any(id(t) in frozen for t in node.inputs):
+                if not any(id(t) in frozen for t in node.sources):
                     continue
-                grads = node.grad_fn(np.ones_like(node.output.data))
-                for inp, g in zip(node.inputs, grads):
+                grads = node.grad_fn(np.ones(node.shape))
+                for inp, g in zip(node.sources, grads):
                     assert (g is None) == (id(inp) in frozen)
                     if g is None:
                         seen.add(id(inp))

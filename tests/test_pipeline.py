@@ -579,6 +579,46 @@ class TestManifestChecks:
                                                 r".*expected head\.fc1\.bias\.dct1"):
             load_checkpoint(ckpt)
 
+    @pytest.mark.parametrize("seed", ["1", True, 1.0])
+    def test_non_integer_seed_rejected(self, tmp_path, micro_spec, seed):
+        save_checkpoint(build_pipeline(micro_config("coop"), micro_spec.class_names, 1), tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest["seed"] = seed
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ContractError, match=r"^seed in .*manifest\.json must be an integer"):
+            load_checkpoint(tmp_path)
+
+    def test_params_that_are_not_a_dict_rejected(self, tmp_path, micro_spec):
+        save_checkpoint(build_pipeline(micro_config("coop"), micro_spec.class_names, 2), tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest["params"] = sorted(manifest["params"])
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ContractError, match=r"^params in .*manifest\.json must map"):
+            load_checkpoint(tmp_path)
+
+    def test_entry_that_is_not_a_dict_named(self, tmp_path, micro_spec):
+        save_checkpoint(build_pipeline(micro_config("coop"), micro_spec.class_names, 2), tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest["params"]["head.fc1.bias"] = "head.fc1.bias.dct1"
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ContractError, match=r"head\.fc1\.bias in .*manifest\.json is "
+                                                r"'head\.fc1\.bias\.dct1', not an entry"):
+            load_checkpoint(tmp_path)
+
+    @pytest.mark.parametrize("group", ["bogus", "image_encoder", None])
+    def test_group_other_than_the_rebuilt_one_named(self, tmp_path, micro_spec, group):
+        save_checkpoint(build_pipeline(micro_config("coop"), micro_spec.class_names, 2), tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        if group is None:
+            del manifest["params"]["head.fc1.bias"]["group"]
+        else:
+            manifest["params"]["head.fc1.bias"]["group"] = group
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ContractError, match=rf"head\.fc1\.bias in .*manifest\.json is in "
+                                                rf"group {group!r}; the rebuilt pipeline puts "
+                                                rf"it in 'other'"):
+            load_checkpoint(tmp_path)
+
 
 def _nearest_index(n, h, w, f=4):
     """Each pixel's row in n stacked (h/f x w/f) cell grids, built by hand."""
@@ -690,5 +730,5 @@ class TestCellLoss:
         batch = toy_samples[:4]
         with T.fresh_tape() as tape:
             pipe.forward([s.image for s in batch], [s.mask for s in batch])
-        rows = {node.output.shape[0] for node in tape if node.output.data.ndim}
+        rows = {node.shape[0] for node in tape if node.shape}
         assert rows and 4 * toy_spec.height * toy_spec.width not in rows

@@ -1,5 +1,6 @@
 import math
 import re
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -232,6 +233,50 @@ class TestTape:
         with T.fresh_tape() as tape:
             T.mul(T.Tensor(np.ones(2)), T.Tensor(np.ones(2)))
             assert len(tape) == 0
+
+
+class TestTapeKeeps:
+    """The tape holds only the arrays a gradient rule reads: an intermediate
+    that no rule reads is freed as soon as the caller drops it."""
+
+    @staticmethod
+    def params(rng, trainable):
+        w = T.Tensor(rng.standard_normal((2, 3)), requires_grad=trainable)
+        return w, T.Tensor(np.zeros(2), requires_grad=trainable)
+
+    def test_linear_output_feeding_gelu_freed(self, rng):
+        x = T.Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+        with T.fresh_tape():
+            h = T.linear(x, *self.params(rng, True))
+            freed = weakref.ref(h.data)
+            y = T.gelu(h)
+            del h
+            assert freed() is None
+            T.backward(T.tsum(y))
+        assert x.grad is not None
+
+    @pytest.mark.parametrize("trainable", [False, True])
+    def test_linear_keeps_its_input_only_for_a_weight_gradient(self, rng, trainable):
+        a = T.Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+        with T.fresh_tape():
+            s = T.add(a, 1.0)
+            kept = weakref.ref(s.data)
+            T.linear(s, *self.params(rng, trainable))
+            del s
+            assert (kept() is not None) == trainable
+
+    def test_reset_frees_saved_arrays_of_a_live_loss(self, rng):
+        x = T.Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+        with T.fresh_tape():
+            h = T.linear(x, *self.params(rng, False))
+            t = T.tanh(h)  # tanh saves its output, not its input
+            unsaved, saved = weakref.ref(h.data), weakref.ref(t.data)
+            loss = T.tsum(t)
+            del h, t
+            assert unsaved() is None and saved() is not None
+            T.reset_tape()
+            assert saved() is None
+        assert loss.node is not None and loss.node.sources == ()
 
 
 class TestDct1:
