@@ -10,7 +10,7 @@ the last position is our stand-in for an end-of-text readout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -65,7 +65,7 @@ class PooledFeatures:
         if self.memory.shape[0] % self.n or self.memory.shape[0] // self.n < 2:
             raise ShapeError(f"pooled memory {self.memory.shape} is not {self.n} segments")
 
-    @property
+    @cached_property
     def offsets(self) -> np.ndarray:
         return block_offsets(self.n, self.memory.shape[0] // self.n)
 
@@ -194,7 +194,7 @@ class ToyImageEncoder:
             x = block(x, offsets)
         x4 = FeatureMap(h4=h4, w4=w4, c=self.cfg.width, values=x, n=n)
         pooled = attention_pool(self.pool, x4) if pool else None
-        fm = replace(x4, c=self.cfg.out_dim, values=self.proj(x))
+        fm = FeatureMap(h4=h4, w4=w4, c=self.cfg.out_dim, values=self.proj(x), n=n)
         if pooled is not None:
             pooled = PooledFeatures(memory=self.proj(pooled.memory), n=n)
         return fm, pooled
@@ -263,11 +263,11 @@ class ToyTextEncoder:
         return self.proj.out_dim
 
     def embed_tokens(self, ids) -> Tensor:
-        ids = list(ids)
-        for tid in ids:
-            if not (0 <= tid < self.table.shape[0]):
-                raise ContractError(f"token id {tid} outside vocabulary")
-        return take(self.table, np.asarray(ids, dtype=np.intp))
+        ids = np.asarray(ids, dtype=np.intp)
+        bad = ids[(ids < 0) | (ids >= self.table.shape[0])]
+        if bad.size:
+            raise ContractError(f"token id {bad[0]} outside vocabulary")
+        return take(self.table, ids)
 
     def encode(self, contexts: Tensor | None, class_token_lists, n: int = 1) -> TextEmbeddings:
         """Encode every class behind each of n context sets.

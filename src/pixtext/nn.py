@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import zlib
-from itertools import accumulate
 
 import numpy as np
 
@@ -56,14 +55,11 @@ class Linear:
     """y = x W^T + b with weight stored (out, in)."""
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
-        self.in_dim = in_dim
         self.out_dim = out_dim
         self.weight = Tensor(init_uniform(rng, (out_dim, in_dim), in_dim), requires_grad=True)
         self.bias = Tensor(np.zeros(out_dim), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        if x.shape[1] != self.in_dim:
-            raise ShapeError(f"linear expects {self.in_dim} columns, got {x.shape}")
         return linear(x, self.weight, self.bias)
 
     def parameters(self):
@@ -73,8 +69,8 @@ class Linear:
 
 def _row_mean(a: np.ndarray) -> np.ndarray:
     """`a.mean(axis=1, keepdims=True)`: the same sum and in-place division,
-    without np.mean's Python wrapper."""
-    m = a.sum(axis=1, keepdims=True)
+    without the Python wrappers of np.mean and ndarray.sum."""
+    m = np.add.reduce(a, axis=1, keepdims=True)
     m /= a.shape[1]
     return m
 
@@ -91,15 +87,15 @@ def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, eps: float = 1e-5) -> Te
     if xd.ndim != 2:
         raise ShapeError(f"layer_norm expects 2-d input, got {x.shape}")
     c = xd.shape[1]
-    if scale.shape != (c,) or shift.shape != (c,):
+    if scale.data.shape != (c,) or shift.data.shape != (c,):
         raise ShapeError("layer_norm affine params must match the channel dim")
     xc = xd - _row_mean(xd)
     inv = 1.0 / np.sqrt(_row_mean(xc * xc) + eps)
     xh = np.multiply(xc, inv, out=xc)
-    out = xh * scale.data[None, :]
-    out += shift.data[None, :]
+    out = xh * scale.data
+    out += shift.data
     scale_grad, shift_grad = scale.requires_grad, shift.requires_grad
-    sd = scale.data[None, :] if x.requires_grad else None
+    sd = scale.data if x.requires_grad else None
 
     def grad_fn(g):
         gscale = (g * xh).sum(axis=0) if scale_grad else None
@@ -135,15 +131,17 @@ def block_offsets(n: int, length: int) -> np.ndarray:
     return np.arange(n + 1, dtype=np.intp) * length
 
 
-def _segment_lengths(offsets, rows: int, what: str) -> np.ndarray:
+def _offsets(offsets, rows: int, what: str) -> list[int]:
+    """Segment offsets as Python ints from one `tolist()`: integers rising
+    from 0 to `rows` in non-empty segments. None is one segment."""
     if offsets is None:
-        return np.array([rows])
-    off = np.asarray(offsets, dtype=np.intp)
-    if off.ndim == 1 and off.size >= 2 and off[0] == 0 and off[-1] == rows:
-        lengths = np.diff(off)
-        if lengths.min() >= 1:
-            return lengths
-    raise ShapeError(f"{what} offsets must rise from 0 to {rows} in non-empty segments")
+        return [0, rows]
+    arr = np.asarray(offsets)
+    off = arr.tolist() if arr.ndim == 1 and arr.dtype.kind in "iu" else []
+    if len(off) < 2 or off[0] != 0 or off[-1] != rows or not all(map(int.__lt__, off, off[1:])):
+        raise ShapeError(f"{what} offsets {offsets!r} must be integers rising from 0 to "
+                         f"{rows} in non-empty segments")
+    return off
 
 
 # Segments are processed in chunks whose attention weights take about this
@@ -159,20 +157,20 @@ _CHUNK_BYTES = 1 << 19
 _NO_SHIFT_BOUND = 300.0
 
 
-def _segment_chunks(lq: np.ndarray, lk: np.ndarray, heads: int):
-    """Split the (query, key/value) segment pairs into chunks of equal lengths.
+def _segment_chunks(q_off: list[int], kv_off: list[int], heads: int):
+    """Split the (query, key/value) segment pairs, given by their offsets,
+    into chunks of equal lengths.
 
     Each chunk is (q_rows, kv_rows, count, lq, lk): the rows of its
     segments in segment order (a slice when they are contiguous, else an
     index array) and their shared lengths.
     """
-    if lq.size != lk.size:
-        raise ShapeError(f"{lq.size} query segments but {lk.size} key/value segments")
-    lq, lk = lq.tolist(), lk.tolist()
-    q_off, kv_off = [0, *accumulate(lq)], [0, *accumulate(lk)]
+    if len(q_off) != len(kv_off):
+        raise ShapeError(f"{len(q_off) - 1} query segments but {len(kv_off) - 1} "
+                         "key/value segments")
     groups: dict[tuple[int, int], list[int]] = {}
-    for s, lengths in enumerate(zip(lq, lk)):
-        groups.setdefault(lengths, []).append(s)
+    for s in range(len(q_off) - 1):
+        groups.setdefault((q_off[s + 1] - q_off[s], kv_off[s + 1] - kv_off[s]), []).append(s)
     chunks = []
     for (a, b), segs in sorted(groups.items()):
         step = max(1, _CHUNK_BYTES // (8 * heads * a * b))
@@ -210,39 +208,48 @@ def attention_heads(q: Tensor, k: Tensor, v: Tensor, heads: int,
     e = exp(s - rowmax). Both give the same e / z. One tape node; it saves
     e and z per chunk, and its backward reads o from the op's own output.
     """
-    if q.shape[1] != k.shape[1] or k.shape != v.shape:
-        raise ShapeError(f"attention shapes: q {q.shape}, k {k.shape}, v {v.shape}")
-    dim = q.shape[1]
+    qd, kd, vd = q.data, k.data, v.data
+    if qd.shape[1] != kd.shape[1] or kd.shape != vd.shape:
+        raise ShapeError(f"attention shapes: q {qd.shape}, k {kd.shape}, v {vd.shape}")
+    rows, dim = qd.shape
     if dim % heads != 0:
         raise ShapeError(f"model dim {dim} not divisible by {heads} heads")
     if kv_offsets is None:
         kv_offsets = q_offsets
-    chunks = _segment_chunks(_segment_lengths(q_offsets, q.shape[0], "query"),
-                             _segment_lengths(kv_offsets, k.shape[0], "key/value"), heads)
+    q_off = _offsets(q_offsets, rows, "query")
+    kv_off = q_off if kv_offsets is q_offsets and kd.shape[0] == rows else _offsets(
+        kv_offsets, kd.shape[0], "key/value")
+    chunks = _segment_chunks(q_off, kv_off, heads)
     hd = dim // heads
     scale = 1.0 / math.sqrt(hd)
-    qd, kd, vd = q.data, k.data, v.data
 
     def split(x, rows, count, length):
         # (count, heads, length, hd) view of the chunk's rows
         return x[rows].reshape(count, length, heads, hd).transpose(0, 2, 1, 3)
 
     def merge(dst, rows, x):
-        dst[rows] = x.transpose(0, 2, 1, 3).reshape(-1, dim)
+        # slice rows: dst[rows] is a view, written by one strided copy; an
+        # index array makes dst[rows] a copy, so those rows are assigned
+        if isinstance(rows, slice):
+            split(dst, rows, x.shape[0], x.shape[2])[...] = x
+        else:
+            dst[rows] = x.transpose(0, 2, 1, 3).reshape(-1, dim)
 
     def tr(x):
         return x.transpose(0, 1, 3, 2)
 
     # Products take contiguous blocks only. A block that is scaled or
-    # divided goes into a new array: np.ascontiguousarray returns a view
-    # when the block already is contiguous (one-row segments, one head),
-    # and an in-place op would then write into the caller's arrays.
+    # divided goes into a new C-ordered array: np.ascontiguousarray returns
+    # a view when the block already is contiguous (one-row segments, one
+    # head), and an in-place op would then write into the caller's arrays.
     def fresh(op, x, by):
-        return op(x, by, out=np.empty(x.shape))
+        return op(x, by, order="C")
 
-    bound = math.sqrt(hd) * max(qd.max(), -qd.min()) * max(kd.max(), -kd.min())
+    # one reduction over |q| and one over |k|, without ndarray.max's wrapper
+    bound = math.sqrt(hd) * np.maximum.reduce(np.abs(qd), None) * np.maximum.reduce(
+        np.abs(kd), None)
     shift = not bound <= _NO_SHIFT_BOUND  # NaN and inf bounds shift
-    out = np.empty((q.shape[0], dim))
+    out = np.empty((rows, dim))
     saved = []
     for q_rows, kv_rows, count, lq, lk in chunks:
         e = np.matmul(fresh(np.multiply, split(qd, q_rows, count, lq), scale),
@@ -250,7 +257,7 @@ def attention_heads(q: Tensor, k: Tensor, v: Tensor, heads: int,
         if shift:
             e -= e.max(axis=-1, keepdims=True)
         np.exp(e, out=e)
-        z = e.sum(axis=-1, keepdims=True)
+        z = np.add.reduce(e, axis=-1, keepdims=True)
         o = np.matmul(e, np.ascontiguousarray(split(vd, kv_rows, count, lk)))
         o /= z
         merge(out, q_rows, o)
@@ -282,9 +289,7 @@ class MultiHeadAttention:
     def __init__(self, dim: int, heads: int, rng: np.random.Generator):
         if dim % heads != 0:
             raise ShapeError(f"model dim {dim} not divisible by {heads} heads")
-        self.dim = dim
         self.heads = heads
-        self.head_dim = dim // heads
         self.q_proj = Linear(dim, dim, rng)
         self.k_proj = Linear(dim, dim, rng)
         self.v_proj = Linear(dim, dim, rng)
@@ -293,12 +298,9 @@ class MultiHeadAttention:
     def __call__(self, queries: Tensor, memory: Tensor | None = None,
                  q_offsets=None, kv_offsets=None) -> Tensor:
         """Self-attention, or cross-attention over `memory`; the offsets
-        split the rows into segments as in `attention_heads`."""
+        split the rows into segments as in `attention_heads`. The projections
+        check the widths."""
         kv = queries if memory is None else memory
-        if queries.shape[1] != self.dim or kv.shape[1] != self.dim:
-            raise ShapeError(
-                f"attention dim mismatch: {queries.shape} / {kv.shape} vs {self.dim}"
-            )
         q = self.q_proj(queries)
         k = self.k_proj(kv)
         v = self.v_proj(kv)
@@ -349,11 +351,10 @@ class TransformerBlock:
         rounding. Keys and values come from ln1 of every row; the query
         projection, attention output, residual, ln2 and feed-forward run on
         the kept rows alone."""
-        lengths = _segment_lengths(offsets, x.shape[0], "readout")
-        off = np.concatenate([[0], np.cumsum(lengths)])
+        off = np.array(_offsets(offsets, x.shape[0], "readout"))
         rows = np.asarray(rows, dtype=np.intp)
-        if rows.shape != lengths.shape or np.any(rows < off[:-1]) or np.any(rows >= off[1:]):
-            raise ShapeError(f"readout needs one row inside each of {lengths.size} segments")
+        if rows.shape != (off.size - 1,) or np.any(rows < off[:-1]) or np.any(rows >= off[1:]):
+            raise ShapeError(f"readout needs one row inside each of {off.size - 1} segments")
         h = self.ln1(x)
         x = take(x, rows)
         x = add(x, self.attn(take(h, rows), h, block_offsets(rows.size, 1), off))

@@ -96,7 +96,7 @@ def stack_images(images) -> Tensor:
         if img.shape != first:
             raise ShapeError(f"image {i} has shape {img.shape}, image 0 {first}: "
                              "a batch shares one shape")
-        if not np.all(np.isfinite(img.data)):
+        if not np.isfinite(img.data).all():
             raise ContractError(f"image {i} has non-finite pixel values")
     return stack(images)
 
@@ -338,7 +338,7 @@ class DensePredPipeline:
         with no_grad():
             cells = self._run(batch)[1].data
         n, h, w, _ = batch.shape
-        pred = np.argmax(cells, axis=1)[self._pixel_index(n, h, w)].reshape(n, -1)
+        pred = cells.argmax(axis=1)[self._pixel_index(n, h, w)].reshape(n, -1)
         return pred[0] if single else pred
 
     # -- bookkeeping ----------------------------------------------------------
@@ -446,8 +446,11 @@ def save_checkpoint(pipe: DensePredPipeline, out_dir):
 
 
 def _check_keys(manifest_path, section: str, given: dict, cls):
-    """A manifest section must carry exactly the fields of `cls`: a missing
-    key is never filled with its default."""
+    """A manifest section must be a JSON object that carries exactly the
+    fields of `cls`: a missing key is never filled with its default."""
+    if not isinstance(given, dict):
+        raise ContractError(f"{section} in {manifest_path} must be a JSON object, "
+                            f"got {type(given).__name__} {given!r}")
     keys = {f.name for f in fields(cls)}
     unknown, missing = sorted(set(given) - keys), sorted(keys - set(given))
     if unknown or missing:

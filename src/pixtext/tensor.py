@@ -16,6 +16,7 @@ import struct
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -61,6 +62,9 @@ class ContractError(RuntimeError):
     """Raised when an operation is called outside its documented contract."""
 
 
+_F64 = np.dtype(np.float64)
+
+
 class Tensor:
     """N-d float64 array plus an optional gradient buffer.
 
@@ -72,8 +76,9 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "node")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data, dtype=np.float64)
-        self.data = arr
+        # an op's float64 result is kept as it is, without np.asarray's call
+        self.data = data if type(data) is np.ndarray and data.dtype is _F64 else np.asarray(
+            data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self.node = None  # the tape node that produced this tensor
@@ -207,7 +212,7 @@ def _as_operands(a, b, opname):
     if isinstance(b, (int, float)):
         return a, float(b), True
     b = tensor(b)
-    if a.shape != b.shape:
+    if a.data.shape != b.data.shape:
         raise ShapeError(f"{opname}: shapes {a.shape} and {b.shape} differ")
     return a, b, False
 
@@ -267,12 +272,15 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     get None), and x is kept only for a weight that needs a gradient.
     """
     x, weight, bias = tensor(x), tensor(weight), tensor(bias)
-    if x.data.ndim != 2 or x.shape[1] != weight.shape[1] or bias.shape != (weight.shape[0],):
-        raise ShapeError(f"linear: x {x.shape}, weight {weight.shape}, bias {bias.shape}")
-    out = x.data @ weight.data.T
-    out += bias.data
-    wd = weight.data if x.requires_grad else None
-    xd = x.data if weight.requires_grad else None
+    xd, w, b = x.data, weight.data, bias.data
+    if xd.ndim != 2 or xd.shape[1] != w.shape[1] or b.shape != w.shape[:1]:
+        raise ShapeError(f"linear: x {xd.shape}, weight {w.shape}, bias {b.shape}")
+    out = xd @ w.T
+    out += b
+    if not _STATE.recording:
+        return Tensor(out)
+    wd = w if x.requires_grad else None
+    xd = xd if weight.requires_grad else None
     bias_grad = bias.requires_grad
 
     def grad_fn(g):
@@ -289,9 +297,8 @@ def concat(parts, axis: int = 0) -> Tensor:
     parts = [tensor(p) for p in parts]
     if not parts:
         raise ShapeError("concat of empty list")
-    sizes = [p.shape[axis] for p in parts]
     out = np.concatenate([p.data for p in parts], axis=axis)
-    offsets = np.cumsum([0] + sizes)
+    offsets = [0, *accumulate(p.data.shape[axis] for p in parts)]
     count = len(parts)
 
     def grad_fn(g):
@@ -311,7 +318,7 @@ def stack(parts) -> Tensor:
     for i, p in enumerate(parts):
         if p.shape != parts[0].shape:
             raise ShapeError(f"stack: part {i} has shape {p.shape}, part 0 {parts[0].shape}")
-    return record(parts, np.stack([p.data for p in parts]), lambda g: list(g))
+    return record(parts, np.array([p.data for p in parts]), lambda g: list(g))
 
 
 def take(a: Tensor, indices) -> Tensor:
@@ -375,7 +382,7 @@ def mean_rows(a: Tensor, blocks: int = 1) -> Tensor:
         raise ShapeError(f"mean_rows: {a.shape} in {blocks} blocks")
     m = a.shape[0] // blocks
     inv = 1.0 / m
-    out = a.data.reshape(blocks, m, a.shape[1]).sum(axis=1) * inv
+    out = np.add.reduce(a.data.reshape(blocks, m, a.shape[1]), axis=1) * inv
     return record([a], out, lambda g: [np.repeat(g * inv, m, axis=0)])
 
 
@@ -428,8 +435,11 @@ def gelu(a: Tensor) -> Tensor:
 
 
 def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
+    """np.clip's values without its wrapper; the mask is built only to record."""
     a = tensor(a)
-    out = np.clip(a.data, lo, hi)
+    out = np.minimum(np.maximum(a.data, lo), hi)
+    if not (_STATE.recording and a.requires_grad):
+        return Tensor(out)
     mask = (a.data >= lo) & (a.data <= hi)
     return record([a], out, lambda g: [g * mask])
 
@@ -453,11 +463,14 @@ def mul_rowvec(a: Tensor, v: Tensor) -> Tensor:
 
 
 def l2_normalize(a: Tensor, axis: int = -1, eps: float = 1e-12) -> Tensor:
-    """Unit-normalize slices along `axis`; norms below eps divide by eps instead."""
+    """Unit-normalize slices along `axis`; norms below eps divide by eps instead
+    (the mask of those is built only when the op records)."""
     a = tensor(a)
-    norm = np.sqrt((a.data**2).sum(axis=axis, keepdims=True))
+    norm = np.sqrt(np.add.reduce(a.data**2, axis=axis, keepdims=True))
     denom = np.maximum(norm, eps)
     out = a.data / denom
+    if not (_STATE.recording and a.requires_grad):
+        return Tensor(out)
     small = norm < eps
 
     def grad_fn(g):

@@ -118,6 +118,13 @@ class TestTextEncoder:
         expected = enc.proj(seq).data
         assert np.allclose(out.t.data, expected, atol=1e-12)
 
+    @pytest.mark.parametrize("bad", [-1, 10, 99])
+    def test_token_outside_vocabulary_named(self, text_encoder, bad):
+        enc, vocab = text_encoder
+        assert vocab.size == 10
+        with pytest.raises(T.ContractError, match=rf"^token id {bad} outside vocabulary$"):
+            enc.embed_tokens([0, bad, 3, bad])
+
     def test_context_rows_prepend(self, text_encoder, rng):
         enc, vocab = text_encoder
         ctx = T.Tensor(rng.standard_normal((8, 8)))

@@ -80,6 +80,17 @@ class TestScoreMap:
         with pytest.raises(T.ShapeError):
             compute_score_map(T.Tensor(np.zeros((2, 4))), embeddings(np.zeros((2, 5))), 1, 2)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, np.nextafter(1.0, 2.0),
+                                       np.nextafter(-1.0, -2.0)])
+    def test_entries_outside_unit_range_rejected(self, value):
+        s = np.zeros((2, 3))
+        s[1, 2] = value
+        with pytest.raises(T.ContractError, match=r"must lie in \[-1, 1\]"):
+            ScoreMap(s=T.Tensor(s), h4=1, w4=2, k=3)
+
+    def test_unit_range_bounds_accepted(self):
+        ScoreMap(s=T.Tensor([[1.0, -1.0, 0.0], [-0.0, 0.5, -1.0]]), h4=1, w4=2, k=3)
+
 
 class TestFuseFeatures:
     def test_channel_counts_add(self, rng):

@@ -1,3 +1,7 @@
+import hashlib
+import re
+from itertools import accumulate
+
 import numpy as np
 import pytest
 
@@ -239,7 +243,7 @@ class TestSegmentedAttention:
                                 (slice(2, 5), slice(2, 5), 1, 3, 3)]),
     ], ids=["single", "equal", "contiguous_groups", "scattered_group"])
     def test_chunk_layout(self, lq, lk, expected):
-        chunks = nn._segment_chunks(np.array(lq), np.array(lk), 2)
+        chunks = nn._segment_chunks([0, *accumulate(lq)], [0, *accumulate(lk)], 2)
         assert len(chunks) == len(expected)
         for got, want in zip(chunks, expected):
             assert got[2:] == want[2:]
@@ -251,7 +255,8 @@ class TestSegmentedAttention:
 
     def test_equal_segments_chunk_at_cache_size(self):
         # 40 segments of 64 x 64 at 2 heads: 8 segments per 512 KiB chunk
-        chunks = nn._segment_chunks(np.full(40, 64), np.full(40, 64), 2)
+        off = nn.block_offsets(40, 64).tolist()
+        chunks = nn._segment_chunks(off, off, 2)
         assert [(c[0], c[2]) for c in chunks] == [(slice(i, i + 512), 8)
                                                   for i in range(0, 2560, 512)]
 
@@ -276,11 +281,21 @@ class TestSegmentedAttention:
         ([0, 2, 2, 4], None),  # empty segment
         ([0, 3], None),  # does not cover every row
         ([1, 4], None),  # does not start at 0
+        ([0, 2.5, 4], None),  # not integers
     ])
     def test_bad_offsets_rejected(self, rng, q_off, kv_off):
         x = T.Tensor(rng.standard_normal((4, 8)))
         with pytest.raises(T.ShapeError):
             nn.attention_heads(x, x, x, 2, q_off, kv_off)
+
+    @pytest.mark.parametrize("off, named", [
+        ([0, 2.5, 4], "[0, 2.5, 4]"),  # a cast to intp would run it as [0, 2, 4]
+        (np.array([0.0, 2.0, 4.0]), "array([0., 2., 4.])"),
+    ])
+    def test_non_integer_offsets_named(self, rng, off, named):
+        x = T.Tensor(rng.standard_normal((4, 8)))
+        with pytest.raises(T.ShapeError, match=re.escape(f"query offsets {named} must be int")):
+            nn.attention_heads(x, x, x, 2, off)
 
 
 def textbook_attention(q, k, v, g, heads, q_off, kv_off):
@@ -345,7 +360,7 @@ class TestAttentionReference:
     def test_cases_cover_chunk_layouts(self):
         def chunks(case):
             q_off, kv_off, _, heads = self.CASES[case]
-            return nn._segment_chunks(np.diff(q_off), np.diff(kv_off), heads)
+            return nn._segment_chunks(list(q_off), list(kv_off), heads)
         assert any(isinstance(c[0], np.ndarray) for c in chunks("non_contiguous_groups"))
         assert len(chunks("several_chunks")) > 1
         assert {c[3] for c in chunks("one_row_queries")} == {1}
@@ -411,6 +426,37 @@ class TestAttentionReference:
         drawn, given, _, _ = self.run(rng, case)
         for a, b in zip(given, drawn):
             assert np.array_equal(a, b)
+
+
+class TestAttentionGolden:
+    """sha256 of the kernel's output and its three gradients, pinned bitwise
+    for the layouts the pipeline runs: equal segments (slice rows), one long
+    segment, and groups whose rows are index arrays."""
+
+    CASES = {
+        "uniform_32x64": (nn.block_offsets(32, 64), None, 32, 4,
+                          "8c634f9b535ea45c04edec99ee6c2e3629675f714c3b8778bea506fd44a3c746"),
+        "one_1x257": ([0, 257], None, 32, 4,
+                      "324441e140c3097c73c4c65692ada83f80980a15f0fec59079a6ac15dd703b5e"),
+        "index_groups": ([0, 2, 5, 7, 10, 12], [0, 3, 4, 7, 9, 12], 8, 2,
+                         "73e2d6266a6be7a2e3fd282dd44f91b44e6666ca788db6a9496eb0de8e418006"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_output_and_gradients(self, case):
+        q_off, kv_off, dim, heads, digest = self.CASES[case]
+        rng = np.random.default_rng(17)
+        q = rng.standard_normal((q_off[-1], dim))
+        k, v = rng.standard_normal((2, (kv_off or q_off)[-1], dim))
+        g = rng.standard_normal(q.shape)
+        tensors = [T.Tensor(a, requires_grad=True) for a in (q, k, v)]
+        with T.fresh_tape() as tape:
+            out = nn.attention_heads(*tensors, heads, q_off, kv_off).data
+            grads = tape[0].grad_fn(g)
+        h = hashlib.sha256()
+        for a in (out, *grads):
+            h.update(a.tobytes())
+        assert h.hexdigest() == digest
 
 
 class TestReadoutBlock:

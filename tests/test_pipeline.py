@@ -1,11 +1,13 @@
+import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
 
 from pixtext import encoders, pipeline
 from pixtext import tensor as T
-from pixtext.datagen import TaskSpec, generate
+from pixtext.datagen import TaskSpec, default_task, generate, split
 from pixtext.encoders import ImageEncoderConfig, ToyImageEncoder
 from pixtext.harness import OptimConfig, train
 from pixtext.matching import compute_score_map, fuse_features, seg_aux_loss
@@ -169,6 +171,49 @@ class TestPredict:
         pipe.head.fc2.bias.data[:] = np.array([0.0, 5.0])
         pred = pipe.predict(micro_sample.image)
         assert np.all(pred == 1)
+
+
+def _sha(a) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+class TestGoldenOutputs:
+    """Predictions and canonical reports of each prompt mode are pinned
+    bitwise: a change to a shared op that claims identical outputs must
+    keep these sha256 digests (micro_config, 2 steps, default task)."""
+
+    # (one image, a list of images, canonical report)
+    DIGESTS = {
+        None: ("9d8f28fbee60aed5ad31d4ee3c8d8b71cb8f6b781880a7dacef20b5940bc54e2",
+               "b6bc7333e429b4bbc2125cc079ea455a92b9bf38f8fe37b6cd9c790768b79998",
+               "85e4ca2a46adf7beb3292443c9b2ae4834e09fa7f643f2d6b312c4d0d81db8b3"),
+        "template": ("8fff798c6833739594b89abc0619fa7c2d4a2d82e1e1cab16544188208c0ee63",
+                     "2db44f24a4fd095c6fb792f6c42c3d1045b598c551b6e4763d5b7c8db23792bf",
+                     "24402b227ef3ea2c02bd087dd26525304cf088591e5818b4a12ceaa9e9b66f46"),
+        "coop": ("c94a86021d0f88d709550c1b049ace09d62734e4fc759fd0ddc06c5c4ef44818",
+                 "0a5e7d1a48facb6283987c22077dc465f8eb65ffdc3f30c1cd46d30a3304998e",
+                 "b6c219b469ef0d7fc5ecb502e78e562af2e9fd7519e82d510b1174e5506b355c"),
+        "pre": ("a6b4a0ea617165e01c0b4587f2cdfa715dbe8fc8fa2afd7c396ffb7ba3ab7200",
+                "37a38e4c289007c7af24009f474be163e40a96c35349edc66005150d43e7e6ea",
+                "f0973bf70e11126478d691f9a37a93cad62a330699660af21a7395059da09b11"),
+        "post": ("8256f0d7bd0e6cb6a4bb05a35d611787099baa90c48878611f833303ba44950d",
+                 "42076da2ce45184fc7f4f8de1c9889c2959d0de0634bcad21645abf8fbdf4226",
+                 "1bbcdbaa840c4939095238d0a89167d47b21b07040dbfd0a8821a58c1549cf26"),
+    }
+
+    @pytest.fixture(scope="class")
+    def dataset(self):
+        return split(generate(default_task(), 24, seed=5), 0.75)
+
+    @pytest.mark.parametrize("mode", list(DIGESTS), ids=str)
+    def test_predictions_and_report(self, dataset, mode):
+        pipe = build_pipeline(micro_config(mode), default_task().class_names, seed=5)
+        report = train(pipe, dataset, OptimConfig(steps=2, seed=5))
+        images = [s.image for s in dataset[1]]
+        got = (_sha(pipe.predict(images[0]).astype(np.int64)),
+               _sha(pipe.predict(images).astype(np.int64)),
+               hashlib.sha256(report.canonical_json().encode()).hexdigest())
+        assert got == self.DIGESTS[mode]
 
 
 class TestSwapBackbone:
@@ -586,6 +631,25 @@ class TestManifestChecks:
         manifest["seed"] = seed
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(ContractError, match=r"^seed in .*manifest\.json must be an integer"):
+            load_checkpoint(tmp_path)
+
+    @pytest.mark.parametrize("path, value, named", [
+        (("backbone",), 5, "int 5"),
+        (("backbone",), "abc", "str 'abc'"),  # not the keys ['a', 'b', 'c']
+        (("config", "image"), 7, "int 7"),
+        (("config",), [], "list []"),
+    ], ids=["backbone_int", "backbone_str", "config.image_int", "config_list"])
+    def test_section_that_is_not_an_object_named(self, tmp_path, micro_spec, path, value, named):
+        save_checkpoint(build_pipeline(micro_config("coop"), micro_spec.class_names, 2), tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        section = manifest
+        for key in path[:-1]:
+            section = section[key]
+        section[path[-1]] = value
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        pattern = (rf"^{re.escape('.'.join(path))} in .*manifest\.json must be a JSON object, "
+                   rf"got {re.escape(named)}$")
+        with pytest.raises(ContractError, match=pattern):
             load_checkpoint(tmp_path)
 
     def test_params_that_are_not_a_dict_rejected(self, tmp_path, micro_spec):

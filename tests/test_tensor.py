@@ -43,6 +43,20 @@ class TestL2Normalize:
         assert report.passed
 
 
+@pytest.mark.parametrize("op", [lambda a: T.clamp(a, -0.5, 0.5),
+                                lambda a: T.l2_normalize(a, axis=1)], ids=["clamp", "l2_normalize"])
+def test_masked_ops_record_no_node_under_no_grad(rng, op):
+    # their gradient masks are built only for a recorded node
+    x = T.Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    with T.fresh_tape() as tape:
+        with T.no_grad():
+            out = op(x)
+        assert out.is_leaf and not out.requires_grad and len(tape) == 0
+        recorded = op(x)
+        assert not recorded.is_leaf and len(tape) == 1
+        assert np.array_equal(recorded.data, out.data)
+
+
 class TestCrossEntropy:
     def test_uniform_logits_gives_log_k(self):
         for k in (2, 8, 150):
