@@ -10,12 +10,12 @@ the last position is our stand-in for an end-of-text readout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
 
-from .nn import Linear, MultiHeadAttention, TransformerBlock, block_offsets, init_uniform
+from .nn import Linear, Module, MultiHeadAttention, TransformerBlock, block_offsets, init_uniform
 from .tensor import ContractError, ShapeError, Tensor, concat, mean_rows, patchify, take
 
 __all__ = [
@@ -138,6 +138,15 @@ def build_vocab(class_names, template_len: int = 8) -> Vocabulary:
 # Image encoder
 
 
+def _check_counts(cfg):
+    """Every field of an encoder config is a count: an int of at least 1."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if type(value) is not int or value < 1:
+            raise ValueError(f"{type(cfg).__name__}.{f.name} must be an integer of at least 1, "
+                             f"got {value!r}")
+
+
 @dataclass
 class ImageEncoderConfig:
     patch: int = 4
@@ -146,6 +155,9 @@ class ImageEncoderConfig:
     heads: int = 4
     out_dim: int = 32
     ffn_mult: int = 2
+
+    def __post_init__(self):
+        _check_counts(self)
 
 
 def attention_pool(pool: MultiHeadAttention, x4: FeatureMap) -> PooledFeatures:
@@ -160,7 +172,7 @@ def attention_pool(pool: MultiHeadAttention, x4: FeatureMap) -> PooledFeatures:
     return PooledFeatures(memory=pool(seq, q_offsets=block_offsets(n, cells + 1)), n=n)
 
 
-class ToyImageEncoder:
+class ToyImageEncoder(Module):
     """Patch embedding, B transformer blocks, attention pool, projection to d."""
 
     def __init__(self, cfg: ImageEncoderConfig, rng: np.random.Generator):
@@ -199,17 +211,6 @@ class ToyImageEncoder:
             pooled = PooledFeatures(memory=self.proj(pooled.memory), n=n)
         return fm, pooled
 
-    def parameters(self):
-        for name, p in self.patch_embed.parameters():
-            yield f"patch_embed.{name}", p
-        for i, block in enumerate(self.blocks):
-            for name, p in block.parameters():
-                yield f"blocks.{i}.{name}", p
-        for name, p in self.pool.parameters():
-            yield f"pool.{name}", p
-        for name, p in self.proj.parameters():
-            yield f"proj.{name}", p
-
 
 # ---------------------------------------------------------------------------
 # Text encoder
@@ -225,8 +226,11 @@ class TextEncoderConfig:
     heads: int = 4
     ffn_mult: int = 2
 
+    def __post_init__(self):
+        _check_counts(self)
 
-class ToyTextEncoder:
+
+class ToyTextEncoder(Module):
     """Per-class transformer over [contexts; class token embeddings].
 
     Row k of the output is the projected final-token state of class k's
@@ -241,8 +245,6 @@ class ToyTextEncoder:
                  rng: np.random.Generator):
         if vocab_size < 1:
             raise ShapeError("text encoder needs a positive vocab size")
-        if cfg.blocks < 1:
-            raise ShapeError("text encoder needs at least one block")
         self.cfg = cfg
         self.table = Tensor(init_uniform(rng, (vocab_size, cfg.width), cfg.width))
         hidden = cfg.width * cfg.ffn_mult
@@ -263,7 +265,9 @@ class ToyTextEncoder:
         return self.proj.out_dim
 
     def embed_tokens(self, ids) -> Tensor:
-        ids = np.asarray(ids, dtype=np.intp)
+        ids = np.asarray(ids)
+        if ids.size and ids.dtype.kind not in "iu":
+            raise ContractError(f"embed_tokens needs integer token ids, got dtype {ids.dtype}")
         bad = ids[(ids < 0) | (ids >= self.table.shape[0])]
         if bad.size:
             raise ContractError(f"token id {bad[0]} outside vocabulary")
@@ -305,12 +309,3 @@ class ToyTextEncoder:
         last = self.blocks[-1].readout(seq, offsets, offsets[1:] - 1)
         self.sequences_encoded += n * len(lists)
         return TextEmbeddings(t=self.proj(last), class_count=len(lists))
-
-    def parameters(self):
-        yield "table", self.table
-        for i, block in enumerate(self.blocks):
-            for name, p in block.parameters():
-                yield f"blocks.{i}.{name}", p
-        for name, p in self.proj.parameters():
-            yield f"proj.{name}", p
-

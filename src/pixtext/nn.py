@@ -1,9 +1,13 @@
 """Neural building blocks: linear, layer norm, multi-head attention,
 transformer encoder/decoder layers.
 
-All blocks expose `parameters()` yielding (name, Tensor) pairs so the
-optimizer and checkpointing can traverse them uniformly. Initialization
-is symmetric uniform scaled by 1/sqrt(fan_in); biases start at zero.
+Every block is a `Module`: its parameters are the Tensor attributes and
+child modules that `__init__` assigns, and `Module.parameters()` yields
+them as (name, Tensor) pairs in assignment order, so the order of the
+assignments in `__init__` is the parameter order that the optimizer and
+checkpoints see. A Module holds no Tensor that is not a parameter.
+Initialization is symmetric uniform scaled by 1/sqrt(fan_in); biases
+start at zero.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from .tensor import (
 )
 
 __all__ = [
+    "Module",
     "Linear",
     "LayerNorm",
     "layer_norm",
@@ -51,7 +56,26 @@ def rng_for(seed: int, name: str) -> np.random.Generator:
     )
 
 
-class Linear:
+class Module:
+    """A block whose parameters are its attributes, walked in the order
+    `__init__` assigned them: a Tensor attribute yields as `attr`, a Module
+    as `attr.<child name>`, a list of modules as `attr.<i>.<child name>`.
+    Any other attribute is a setting and yields nothing."""
+
+    def parameters(self):
+        for attr, value in vars(self).items():
+            if isinstance(value, Tensor):
+                yield attr, value
+            elif isinstance(value, Module):
+                for name, p in value.parameters():
+                    yield f"{attr}.{name}", p
+            elif isinstance(value, list):
+                for i, child in enumerate(value):
+                    for name, p in child.parameters():
+                        yield f"{attr}.{i}.{name}", p
+
+
+class Linear(Module):
     """y = x W^T + b with weight stored (out, in)."""
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
@@ -61,10 +85,6 @@ class Linear:
 
     def __call__(self, x: Tensor) -> Tensor:
         return linear(x, self.weight, self.bias)
-
-    def parameters(self):
-        yield "weight", self.weight
-        yield "bias", self.bias
 
 
 def _row_mean(a: np.ndarray) -> np.ndarray:
@@ -111,7 +131,7 @@ def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, eps: float = 1e-5) -> Te
     return record([x, scale, shift], out, grad_fn)
 
 
-class LayerNorm:
+class LayerNorm(Module):
     def __init__(self, dim: int, eps: float = 1e-5):
         self.dim = dim
         self.eps = eps
@@ -120,10 +140,6 @@ class LayerNorm:
 
     def __call__(self, x: Tensor) -> Tensor:
         return layer_norm(x, self.scale, self.shift, self.eps)
-
-    def parameters(self):
-        yield "scale", self.scale
-        yield "shift", self.shift
 
 
 def block_offsets(n: int, length: int) -> np.ndarray:
@@ -283,7 +299,7 @@ def attention_heads(q: Tensor, k: Tensor, v: Tensor, heads: int,
     return record([q, k, v], out, grad_fn)
 
 
-class MultiHeadAttention:
+class MultiHeadAttention(Module):
     """Scaled dot-product attention, self- or cross-, no masking or dropout."""
 
     def __init__(self, dim: int, heads: int, rng: np.random.Generator):
@@ -306,18 +322,8 @@ class MultiHeadAttention:
         v = self.v_proj(kv)
         return self.out_proj(attention_heads(q, k, v, self.heads, q_offsets, kv_offsets))
 
-    def parameters(self):
-        for tag, layer in (
-            ("q_proj", self.q_proj),
-            ("k_proj", self.k_proj),
-            ("v_proj", self.v_proj),
-            ("out_proj", self.out_proj),
-        ):
-            for name, p in layer.parameters():
-                yield f"{tag}.{name}", p
 
-
-class FeedForward:
+class FeedForward(Module):
     def __init__(self, dim: int, hidden: int, rng: np.random.Generator):
         self.fc1 = Linear(dim, hidden, rng)
         self.fc2 = Linear(hidden, dim, rng)
@@ -325,14 +331,8 @@ class FeedForward:
     def __call__(self, x: Tensor) -> Tensor:
         return self.fc2(gelu(self.fc1(x)))
 
-    def parameters(self):
-        for name, p in self.fc1.parameters():
-            yield f"fc1.{name}", p
-        for name, p in self.fc2.parameters():
-            yield f"fc2.{name}", p
 
-
-class TransformerBlock:
+class TransformerBlock(Module):
     """Pre-norm encoder block: x + attn(ln(x)), then x + ffn(ln(x))."""
 
     def __init__(self, dim: int, heads: int, ffn_hidden: int, rng: np.random.Generator):
@@ -360,13 +360,8 @@ class TransformerBlock:
         x = add(x, self.attn(take(h, rows), h, block_offsets(rows.size, 1), off))
         return add(x, self.ffn(self.ln2(x)))
 
-    def parameters(self):
-        for tag, mod in (("attn", self.attn), ("ffn", self.ffn), ("ln1", self.ln1), ("ln2", self.ln2)):
-            for name, p in mod.parameters():
-                yield f"{tag}.{name}", p
 
-
-class TransformerDecoderLayer:
+class TransformerDecoderLayer(Module):
     """Pre-norm decoder layer: self-attention, cross-attention over memory,
     feed-forward; residuals around each. Memory enters un-normalized."""
 
@@ -384,19 +379,6 @@ class TransformerDecoderLayer:
         q = add(queries, self.self_attn(self.ln1(queries), q_offsets=q_offsets))
         q = add(q, self.cross_attn(self.ln2(q), memory, q_offsets, kv_offsets))
         return add(q, self.ffn(self.ln3(q)))
-
-    def parameters(self):
-        mods = (
-            ("self_attn", self.self_attn),
-            ("cross_attn", self.cross_attn),
-            ("ffn", self.ffn),
-            ("ln1", self.ln1),
-            ("ln2", self.ln2),
-            ("ln3", self.ln3),
-        )
-        for tag, mod in mods:
-            for name, p in mod.parameters():
-                yield f"{tag}.{name}", p
 
 
 def decoder_forward(layers, queries: Tensor, memory: Tensor,

@@ -45,7 +45,7 @@ from .matching import (
     rasterize_boxes,
     seg_aux_loss,
 )
-from .nn import Linear, rng_for
+from .nn import Linear, Module, rng_for
 from .prompting import GATE_PRESETS, TextPath
 from .tensor import (
     ContractError,
@@ -166,7 +166,7 @@ def micro_config(prompt_mode: str | None = "coop") -> PipelineConfig:
     )
 
 
-class DecodeHead:
+class DecodeHead(Module):
     """Two-stage per-cell channel mixer: fused (cells, C) -> (cells, K) logits."""
 
     def __init__(self, in_dim: int, hidden: int, k: int, rng: np.random.Generator):
@@ -177,12 +177,6 @@ class DecodeHead:
 
     def __call__(self, fused: Tensor) -> Tensor:
         return self.fc2(gelu(self.fc1(fused)))
-
-    def parameters(self):
-        for name, p in self.fc1.parameters():
-            yield f"fc1.{name}", p
-        for name, p in self.fc2.parameters():
-            yield f"fc2.{name}", p
 
 
 @dataclass

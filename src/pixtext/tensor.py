@@ -324,7 +324,10 @@ def stack(parts) -> Tensor:
 def take(a: Tensor, indices) -> Tensor:
     """Row gather from a 2-d tensor: out[i] = a[indices[i]]."""
     a = tensor(a)
-    idx = np.asarray(indices, dtype=np.intp)
+    idx = np.asarray(indices)
+    if idx.size and idx.dtype.kind not in "iu":
+        raise ShapeError(f"take needs integer indices, got dtype {idx.dtype}")
+    idx = idx.astype(np.intp, copy=False)
     if idx.ndim != 1:
         raise ShapeError("take expects a flat index list")
     if a.data.ndim != 2:

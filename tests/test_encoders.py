@@ -125,6 +125,12 @@ class TestTextEncoder:
         with pytest.raises(T.ContractError, match=rf"^token id {bad} outside vocabulary$"):
             enc.embed_tokens([0, bad, 3, bad])
 
+    def test_non_integer_token_ids_rejected(self, text_encoder):
+        enc, _ = text_encoder
+        with pytest.raises(T.ContractError, match=r"^embed_tokens needs integer token ids, "
+                                                  r"got dtype float64$"):
+            enc.embed_tokens([2.5])
+
     def test_context_rows_prepend(self, text_encoder, rng):
         enc, vocab = text_encoder
         ctx = T.Tensor(rng.standard_normal((8, 8)))
@@ -232,11 +238,9 @@ class TestReadoutEncoder:
         if mode != "template":
             assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
 
-    def test_zero_blocks_rejected(self, rng):
-        vocab = build_vocab(["a"])
-        cfg = TextEncoderConfig(width=8, blocks=0, heads=2)
-        with pytest.raises(T.ShapeError):
-            ToyTextEncoder(cfg, vocab.size, 4, rng)
+    def test_zero_blocks_rejected(self):
+        with pytest.raises(ValueError, match=r"^TextEncoderConfig\.blocks must be"):
+            TextEncoderConfig(width=8, blocks=0, heads=2)
 
 
 class TestFrozenEncoderBackward:

@@ -50,3 +50,20 @@ def test_unused_import_check_sees_a_stray_import():
     source = ("from __future__ import annotations\nimport os, json as j\nfrom .a import b, c\n"
               "__all__ = ['c']\nprint(os.sep)\n")
     assert unused_imports(source) == ["b (line 3)", "j (line 2)"]
+
+
+def parameter_walkers(source: str) -> list[str]:
+    """Classes that define their own `parameters` method."""
+    classes = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ClassDef)]
+    return sorted(cls.name for cls in classes if any(
+        isinstance(f, ast.FunctionDef) and f.name == "parameters" for f in cls.body))
+
+
+def test_one_module_protocol():
+    """Blocks list their parameters through `nn.Module`. Only `TextPath`
+    (checkpoint names that are not attribute paths, a gate that is a
+    parameter only when learnable) and `DensePredPipeline` (lr groups)
+    walk their own."""
+    walkers = [f"{path.stem}.{cls}" for path in SOURCES
+               for cls in parameter_walkers(path.read_text())]
+    assert sorted(walkers) == ["nn.Module", "pipeline.DensePredPipeline", "prompting.TextPath"]

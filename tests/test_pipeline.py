@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -286,6 +287,38 @@ class TestSeedStreams:
         assert la == lb
 
 
+class TestParameterListing:
+    """Parameter names, order, groups, shapes, trainability and initial
+    values are pinned over every buildable pipeline: micro and toy configs,
+    each prompt mode, both tasks, unswapped and swapped onto a same-width
+    and a wider (adapter) backbone. A renamed or reordered declaration
+    changes the digest; so does a change to any component's rng draws."""
+
+    DIGEST = "a6394bdd674d533c1d65c69f7bb6b1c424af8d27b184f049ffce4f9a464a9841"
+
+    def test_listing_digest(self):
+        names = default_task().class_names
+        digest = hashlib.sha256()
+        for preset in (micro_config, toy_config):
+            for mode in (None, "template", "coop", "pre", "post"):
+                for task in ("segmentation", "detection"):
+                    if mode is None and task == "detection":
+                        continue
+                    cfg = preset(mode)
+                    cfg.task_mode = task
+                    image = cfg.image
+                    for swap in (None, replace(image, width=12, blocks=2),
+                                 replace(image, width=12, blocks=2, out_dim=image.out_dim + 4)):
+                        pipe = build_pipeline(cfg, names, seed=7)
+                        if swap is not None:
+                            pipe = swap_backbone(pipe, ToyImageEncoder(
+                                swap, rng_for(7, "swapped_backbone")))
+                        for name, p, group in pipe.parameters():
+                            digest.update(f"{preset.__name__} {mode} {task} {swap}|{name} {group} "
+                                          f"{p.shape} {p.requires_grad} {_sha(p.data)}\n".encode())
+        assert digest.hexdigest() == self.DIGEST
+
+
 class TestCheckpoint:
     def test_roundtrip_preserves_params_and_predictions(self, tmp_path, micro_spec, micro_sample):
         pipe = build_pipeline(micro_config("post"), micro_spec.class_names, seed=2)
@@ -405,6 +438,28 @@ class TestConfigKeys:
         pattern = (rf"^{section} in .*manifest\.json: unknown key\(s\) \[\], "
                    rf"missing key\(s\) \['{key}'\]$")
         with pytest.raises(ContractError, match=pattern):
+            load_checkpoint(tmp_path)
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("image", "patch", 0), ("image", "patch", 4.0), ("image", "blocks", 0),
+        ("image", "width", True), ("text", "heads", 0), ("text", "blocks", -1),
+    ], ids=["image.patch=0", "image.patch=4.0", "image.blocks=0", "image.width=True",
+            "text.heads=0", "text.blocks=-1"])
+    def test_encoder_count_checked(self, section, key, value):
+        d = micro_config("post").to_dict()
+        d[section][key] = value
+        with pytest.raises(ValueError, match=rf"^\w+EncoderConfig\.{key} must be an integer "
+                                             rf"of at least 1, got {value!r}$"):
+            PipelineConfig.from_dict(d)
+
+    @pytest.mark.parametrize("section", ["config.image", "backbone"])
+    def test_manifest_encoder_count_checked(self, tmp_path, micro_spec, section):
+        save_checkpoint(build_pipeline(micro_config("coop"), micro_spec.class_names, 2), tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        image = manifest["backbone"] if section == "backbone" else manifest["config"]["image"]
+        image["patch"] = 0
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=r"^ImageEncoderConfig\.patch must be"):
             load_checkpoint(tmp_path)
 
     def test_shared_width_is_the_image_out_dim(self, micro_spec):

@@ -204,6 +204,17 @@ class TestStructuralOps:
         T.backward(T.tsum(out))
         assert np.array_equal(x.grad, [[2, 2], [0, 0], [1, 1]])
 
+    @pytest.mark.parametrize("indices", [[1.7], np.array([True, False, True])],
+                             ids=["float", "bool"])
+    def test_take_rejects_non_integer_indices(self, indices):
+        x = T.Tensor(np.arange(6.0).reshape(3, 2))
+        with pytest.raises(T.ShapeError, match=r"^take needs integer indices, got dtype"):
+            T.take(x, indices)
+
+    def test_take_accepts_an_empty_index_list(self):
+        out = T.take(T.Tensor(np.arange(6.0).reshape(3, 2)), [])
+        assert out.shape == (0, 2)
+
     def test_clamp_limits_and_grad_mask(self):
         x = T.Tensor(np.array([-2.0, 0.5, 2.0]), requires_grad=True)
         out = T.clamp(x, -1.0, 1.0)
