@@ -11,7 +11,8 @@ the last position is our stand-in for an end-of-text readout.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -138,12 +139,16 @@ def build_vocab(class_names, template_len: int = 8) -> Vocabulary:
 # Image encoder
 
 
-def _check_counts(cfg):
-    """Every field of an encoder config is a count: an int of at least 1."""
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if type(value) is not int or value < 1:
-            raise ValueError(f"{type(cfg).__name__}.{f.name} must be an integer of at least 1, "
+def _check_counts(cfg, least=None):
+    """Count settings are ints, not bools, of at least their least value.
+    `least` maps field names to that value; by default every field of the
+    config is a count of at least 1, as in the encoder configs. Configs
+    check themselves when built and their users check again, since a field
+    may be assigned later."""
+    for name, low in (least or dict.fromkeys([f.name for f in fields(cfg)], 1)).items():
+        value = getattr(cfg, name)
+        if type(value) is not int or value < low:
+            raise ValueError(f"{type(cfg).__name__}.{name} must be an integer of at least {low}, "
                              f"got {value!r}")
 
 
@@ -176,6 +181,7 @@ class ToyImageEncoder(Module):
     """Patch embedding, B transformer blocks, attention pool, projection to d."""
 
     def __init__(self, cfg: ImageEncoderConfig, rng: np.random.Generator):
+        _check_counts(cfg)
         self.cfg = cfg
         f = cfg.patch
         self.patch_embed = Linear(f * f * 3, cfg.width, rng)
@@ -236,8 +242,12 @@ class ToyTextEncoder(Module):
     Row k of the output is the projected final-token state of class k's
     sequence. All sequences run as segments of one stacked pass; classes
     never attend to each other, so batched encoding equals per-class
-    encoding. `sequences_encoded` counts every class sequence pushed
-    through, which is the cost unit for the pre/post prompting comparison.
+    encoding. The pass orders the sequences by (length, image, class), so
+    those of one length are contiguous rows, and the outputs return in
+    (image, class) order; the row layout is built once per class token
+    lengths, context rows and image count. `sequences_encoded` counts
+    every class sequence pushed through, which is the cost unit for the
+    pre/post prompting comparison.
     Its weights are built off the tape, as the default text multiplier 0 asks.
     """
 
@@ -245,6 +255,7 @@ class ToyTextEncoder(Module):
                  rng: np.random.Generator):
         if vocab_size < 1:
             raise ShapeError("text encoder needs a positive vocab size")
+        _check_counts(cfg)
         self.cfg = cfg
         self.table = Tensor(init_uniform(rng, (vocab_size, cfg.width), cfg.width))
         hidden = cfg.width * cfg.ffn_mult
@@ -281,8 +292,6 @@ class ToyTextEncoder(Module):
         for class k behind context block i.
         """
         lists = [list(ids) for ids in class_token_lists]
-        if any(len(ids) == 0 for ids in lists):
-            raise ContractError("every class needs at least one token")
         c = 0 if contexts is None else contexts.shape[0]
         if c and contexts.shape[1] != self.cfg.width:
             raise ShapeError(
@@ -290,22 +299,52 @@ class ToyTextEncoder(Module):
             )
         if n < 1 or c % n:
             raise ShapeError(f"{c} context rows do not split into {n} blocks")
-        c //= n
+        layout = _text_layout(tuple(map(len, lists)), c // n, n)
         tok = self.embed_tokens([t for ids in lists for t in ids])
-        lens = np.array([len(ids) for ids in lists], dtype=np.intp)
-        # Segment (i, k) is context block i followed by class k's tokens;
-        # `first` indexes the segments of context block 0.
-        tok_start = n * c + np.concatenate([[0], np.cumsum(lens)[:-1]])
-        first = np.concatenate([np.concatenate([np.arange(c), s + np.arange(m)])
-                                for s, m in zip(tok_start, lens)])
-        is_ctx = np.concatenate([np.repeat([1, 0], [c, m]) for m in lens])
-        index = (first + np.arange(n)[:, None] * c * is_ctx).reshape(-1)
-        seq = take(concat([contexts, tok], axis=0) if c else tok, index)
-        offsets = np.concatenate([[0], np.cumsum(np.tile(c + lens, n))])
+        # Gathered in (image, class) order, so take's backward sums each
+        # context row's K contributions in class order; the second take only
+        # permutes, and its backward adds nothing.
+        seq = take(take(concat([contexts, tok], axis=0) if c else tok, layout.index), layout.perm)
         for block in self.blocks[:-1]:
-            seq = block(seq, offsets)
+            seq = block(seq, layout.offsets)
         # Only the last token of each sequence is read out, so the last
         # block runs on those rows alone.
-        last = self.blocks[-1].readout(seq, offsets, offsets[1:] - 1)
+        last = self.blocks[-1].readout(seq, layout.offsets, layout.rows)
         self.sequences_encoded += n * len(lists)
-        return TextEmbeddings(t=self.proj(last), class_count=len(lists))
+        return TextEmbeddings(t=self.proj(take(last, layout.inverse)), class_count=len(lists))
+
+
+class _TextLayout(NamedTuple):
+    index: np.ndarray  # rows of [contexts; tokens] per segment, (image, class) order
+    perm: np.ndarray  # those rows reordered by (length, image, class)
+    offsets: np.ndarray  # segment offsets of the reordered rows
+    rows: np.ndarray  # each reordered segment's last row
+    inverse: np.ndarray  # segment i*K + k of the (image, class) order
+
+
+# Bounded: an entry per batch size, each growing with the batch.
+@lru_cache(maxsize=16)
+def _text_layout(lens: tuple[int, ...], c: int, n: int) -> _TextLayout:
+    """The rows `encode` runs for n context blocks of c rows, each followed
+    by every class's tokens, class k having lens[k] of them.
+
+    Segment (i, k) is context block i followed by class k's tokens. The
+    segments are ordered by (length, image, class), so those of one length
+    are contiguous and every attention chunk reads slice rows. The token ids
+    are in neither the key nor the layout (a float id would hash equal to
+    an int one), so `embed_tokens` checks them on every call.
+    """
+    if min(lens, default=0) < 1:
+        raise ContractError("encode needs at least one class, and every class at least one token")
+    tok_start = n * c + np.cumsum((0,) + lens[:-1])
+    index = np.concatenate([np.r_[i * c : (i + 1) * c, s : s + m]
+                            for i in range(n) for s, m in zip(tok_start, lens)])
+    seg_len = np.tile(np.add(c, lens), n)
+    start = np.cumsum(seg_len) - seg_len
+    order = np.argsort(seg_len, kind="stable")
+    perm = np.concatenate([np.arange(start[s], start[s] + seg_len[s]) for s in order])
+    offsets = np.concatenate([[0], np.cumsum(seg_len[order])])
+    layout = _TextLayout(index, perm, offsets, offsets[1:] - 1, np.argsort(order))
+    for a in layout:
+        a.flags.writeable = False
+    return layout

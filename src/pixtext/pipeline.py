@@ -35,6 +35,7 @@ from .encoders import (
     PooledFeatures,
     TextEncoderConfig,
     ToyImageEncoder,
+    _check_counts,
 )
 from .matching import (
     LossConfig,
@@ -103,6 +104,11 @@ def stack_images(images) -> Tensor:
 
 _SECTIONS = {"image": ImageEncoderConfig, "text": TextEncoderConfig, "loss": LossConfig}
 
+# The least value of each count setting of PipelineConfig. TextPath asks
+# for at least one context and template row in the modes that need them.
+_COUNTS = {"context_len": 0, "template_len": 0, "prompt_decoder_depth": 1,
+           "prompt_decoder_heads": 1, "prompt_ffn_mult": 1, "head_hidden": 1}
+
 
 @dataclass
 class PipelineConfig:
@@ -123,6 +129,9 @@ class PipelineConfig:
     head_hidden: int = 64
     loss: LossConfig = field(default_factory=LossConfig)
     task_mode: str = "segmentation"  # segmentation|detection
+
+    def __post_init__(self):
+        _check_counts(self, _COUNTS)
 
     @property
     def shared_dim(self) -> int:
@@ -375,6 +384,7 @@ class DensePredPipeline:
 def build_pipeline(cfg: PipelineConfig, class_names, seed: int) -> DensePredPipeline:
     """The pipeline of `cfg`; `TextPath` builds the language path and
     checks the prompt-mode settings."""
+    _check_counts(cfg, _COUNTS)
     if cfg.task_mode not in ("segmentation", "detection"):
         raise ValueError(f"unknown task mode {cfg.task_mode!r}; use segmentation|detection")
     if cfg.gate_preset not in GATE_PRESETS:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -161,6 +163,65 @@ class TestTextEncoder:
         before = enc.sequences_encoded
         enc.encode(None, vocab.tokens_for(["bg", "thing", "stuff"]))
         assert enc.sequences_encoded - before == 3
+
+
+class TestTextLayout:
+    """`encode` runs its sequences ordered by (length, image, class), so
+    every attention chunk reads slice rows, and returns them in (image,
+    class) order with the outputs and gradients of that order, bitwise."""
+
+    NAMES = [f"c{i}" for i in range(8)]  # 1, 2, 3, 1, 2, 3, 1, 2 tokens
+
+    # sha256 of the embeddings and the context gradient at toy scale,
+    # computed before the sequences were grouped by length
+    DIGESTS = {1: "baa46acefdc0248118ae2aab27dff1116a883fb7c1f734b38c5d1465f110b320",
+               3: "3b3ecb7493cb09e76b5d61a6ac392ded5d89935ee09ebf2cd46d271bdfc4de40"}
+
+    def encode(self, n):
+        """Embeddings of the 8 classes behind n blocks of 8 context rows and
+        the gradient of a fixed probe of them with respect to the contexts."""
+        vocab = build_vocab(self.NAMES)
+        enc = ToyTextEncoder(toy_config("pre").text, vocab.size, 32, np.random.default_rng(7))
+        ctx = T.Tensor(np.random.default_rng(8).standard_normal((n * 8, 48)), requires_grad=True)
+        with T.fresh_tape():
+            out = enc.encode(ctx, vocab.tokens_for(self.NAMES), n).t
+            probe = T.Tensor(np.random.default_rng(9).standard_normal(out.shape))
+            T.backward(T.tsum(T.mul(out, probe)))
+        return out.data, ctx.grad
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_outputs_and_context_gradient_pinned(self, n):
+        out, grad = self.encode(n)
+        h = hashlib.sha256(out.tobytes())
+        h.update(grad.tobytes())
+        assert h.hexdigest() == self.DIGESTS[n]
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_every_attention_chunk_has_slice_rows(self, monkeypatch, n):
+        attention, chunks = nn.attention_heads, []
+
+        def spy(q, k, v, heads, q_offsets=None, kv_offsets=None):
+            kv_off = q_offsets if kv_offsets is None else kv_offsets
+            chunks.append(nn._segment_chunks(nn._offsets(q_offsets, q.shape[0], "query"),
+                                             nn._offsets(kv_off, k.shape[0], "key/value"), heads))
+            return attention(q, k, v, heads, q_offsets, kv_offsets)
+
+        monkeypatch.setattr(nn, "attention_heads", spy)
+        self.encode(n)
+        # block 0 and the readout; one chunk per sequence length 9, 10, 11
+        assert [len(c) for c in chunks] == [3, 3]
+        assert all(isinstance(q_rows, slice) and isinstance(kv_rows, slice)
+                   for call in chunks for q_rows, kv_rows, *_ in call)
+
+    def test_layout_arrays_are_read_only(self):
+        self.encode(3)
+        layout = encoders._text_layout((1, 2, 3, 1, 2, 3, 1, 2), 8, 3)
+        # nine sequences of 9 rows, nine of 10 and six of 11
+        assert np.diff(layout.offsets).tolist() == [9] * 9 + [10] * 9 + [11] * 6
+        for a in layout:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0
 
 
 class TestFreeze:

@@ -462,6 +462,38 @@ class TestConfigKeys:
         with pytest.raises(ValueError, match=r"^ImageEncoderConfig\.patch must be"):
             load_checkpoint(tmp_path)
 
+    @pytest.mark.parametrize("section, key", [("image", "patch"), ("text", "heads")])
+    def test_encoder_count_assigned_later_checked(self, micro_spec, section, key):
+        # the config checked itself when built; its encoder checks again
+        cfg = micro_config("post")
+        setattr(getattr(cfg, section), key, 0)
+        with pytest.raises(ValueError, match=rf"^\w+EncoderConfig\.{key} must be an integer "
+                                             r"of at least 1, got 0$"):
+            build_pipeline(cfg, micro_spec.class_names, 1)
+
+    @pytest.mark.parametrize("key, value, least", [
+        ("context_len", 2.5, 0), ("context_len", -1, 0), ("template_len", True, 0),
+        ("prompt_decoder_depth", 0, 1), ("prompt_decoder_heads", 0, 1),
+        ("prompt_ffn_mult", 0, 1), ("head_hidden", 0, 1),
+    ])
+    def test_pipeline_count_checked(self, micro_spec, key, value, least):
+        message = rf"^PipelineConfig\.{key} must be an integer of at least {least}, got {value!r}$"
+        d = micro_config("post").to_dict()
+        d[key] = value
+        with pytest.raises(ValueError, match=message):
+            PipelineConfig.from_dict(d)
+        cfg = micro_config("post")
+        setattr(cfg, key, value)
+        with pytest.raises(ValueError, match=message):
+            build_pipeline(cfg, micro_spec.class_names, 1)
+
+    def test_manifest_pipeline_count_checked(self, tmp_path, micro_spec):
+        save_checkpoint(build_pipeline(micro_config("coop"), micro_spec.class_names, 2), tmp_path)
+        _edit_manifest(tmp_path, lambda d: d.update(context_len="2"))
+        with pytest.raises(ValueError, match=r"^PipelineConfig\.context_len must be an integer "
+                                             r"of at least 0, got '2'$"):
+            load_checkpoint(tmp_path)
+
     def test_shared_width_is_the_image_out_dim(self, micro_spec):
         cfg = micro_config("post")
         cfg.image.out_dim = 12
