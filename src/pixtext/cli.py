@@ -107,7 +107,7 @@ def _cmd_gradcheck(args) -> int:
 def _cmd_ablate(args) -> int:
     with open(args.suite) as fh:
         suite = json.load(fh)
-    suite["seed"] = _seed_override(int(suite.get("seed", 0)))
+    suite["seed"] = _seed_override(suite.get("seed", 0))
     spec, samples = load_dataset(args.data)
     fraction = float(suite.get("train_fraction", 0.75))
     dataset = split(samples, fraction)

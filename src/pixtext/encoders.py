@@ -152,6 +152,15 @@ def _check_counts(cfg, least=None):
                              f"got {value!r}")
 
 
+def _check_real(what: str, value, positive=False, below=np.inf):
+    """Real settings are finite ints or floats, not bools, in [0, below), or
+    (0, below) when `positive`: checked, not converted, as JSON gave them."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not (0 < value if positive else 0 <= value) or not value < below):
+        raise ValueError(f"{what} must be a finite number in {'(' if positive else '['}0, "
+                         f"{below}), got {value!r}")
+
+
 @dataclass
 class ImageEncoderConfig:
     patch: int = 4
@@ -243,11 +252,11 @@ class ToyTextEncoder(Module):
     sequence. All sequences run as segments of one stacked pass; classes
     never attend to each other, so batched encoding equals per-class
     encoding. The pass orders the sequences by (length, image, class), so
-    those of one length are contiguous rows, and the outputs return in
-    (image, class) order; the row layout is built once per class token
-    lengths, context rows and image count. `sequences_encoded` counts
-    every class sequence pushed through, which is the cost unit for the
-    pre/post prompting comparison.
+    each length is one run of segments and one attention chunk, and the
+    outputs return in (image, class) order; the row layout is built once
+    per class token lengths, context rows and image count.
+    `sequences_encoded` counts every class sequence pushed through, which
+    is the cost unit for the pre/post prompting comparison.
     Its weights are built off the tape, as the default text multiplier 0 asks.
     """
 
@@ -329,10 +338,10 @@ def _text_layout(lens: tuple[int, ...], c: int, n: int) -> _TextLayout:
     by every class's tokens, class k having lens[k] of them.
 
     Segment (i, k) is context block i followed by class k's tokens. The
-    segments are ordered by (length, image, class), so those of one length
-    are contiguous and every attention chunk reads slice rows. The token ids
-    are in neither the key nor the layout (a float id would hash equal to
-    an int one), so `embed_tokens` checks them on every call.
+    segments are ordered by (length, image, class), so each length is one
+    run of segments and so one attention chunk (cache cap aside). The token
+    ids are in neither the key nor the layout (a float id would hash equal
+    to an int one), so `embed_tokens` checks them on every call.
     """
     if min(lens, default=0) < 1:
         raise ContractError("encode needs at least one class, and every class at least one token")

@@ -19,6 +19,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .datagen import SyntheticSample
+from .encoders import _check_real
 from .pipeline import DensePredPipeline, PipelineConfig, build_pipeline, toy_config
 from .tensor import ContractError, Tensor, backward, reset_tape
 
@@ -63,13 +64,18 @@ class OptimConfig:
                              f"use {list(_default_multipliers())}")
         # a group left out keeps the recipe's multiplier
         self.multipliers = {**_default_multipliers(), **self.multipliers}
-        if any(m < 0 for m in self.multipliers.values()):
-            raise ValueError("lr multipliers must be non-negative")
-        if self.clip_norm is not None and self.clip_norm <= 0:
-            raise ValueError("clip norm must be positive when set")
-        for name in ("steps", "batch_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"optim {name} must be at least 1, got {getattr(self, name)}")
+        for group, m in self.multipliers.items():
+            _check_real(f"OptimConfig.multipliers[{group!r}]", m)
+        for name in ("lr", "eps", "weight_decay", "beta1", "beta2"):
+            _check_real(f"OptimConfig.{name}", getattr(self, name), positive=name in ("lr", "eps"),
+                        below=1 if name.startswith("beta") else np.inf)
+        if self.clip_norm is not None:
+            _check_real("OptimConfig.clip_norm", self.clip_norm, positive=True)
+        for name in ("steps", "batch_size", "seed"):
+            value = getattr(self, name)
+            if type(value) is not int or name != "seed" and value < 1:
+                least = "" if name == "seed" else " at least 1 and"
+                raise ValueError(f"OptimConfig.{name} must be{least} an integer, got {value!r}")
 
 
 class AdamW:
@@ -370,7 +376,7 @@ def load_run(run: dict, keys=RUN_KEYS, optim: dict | None = None,
         pipe_cfg = PipelineConfig.from_dict(pipe)
     optim = {**(optim or {}), **run.get("optim", {})}
     if "seed" in run:
-        optim["seed"] = int(run["seed"])
+        optim["seed"] = run["seed"]
     return pipe_cfg, OptimConfig(**optim)
 
 
@@ -387,7 +393,7 @@ def run_ablation(dataset, class_names, suite: dict) -> list[dict]:
     suite continues.
     """
     _check_keys(suite, SUITE_KEYS, "suite")
-    seed = int(suite.get("seed", 0))
+    seed = suite.get("seed", 0)
     defaults = {**suite.get("optim", {}), "seed": seed}
     runs = []
     for row in suite.get("rows", ABLATION_ROWS):

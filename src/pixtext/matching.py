@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoders import FeatureMap, TextEmbeddings
+from .encoders import FeatureMap, TextEmbeddings, _check_real
 from .tensor import (
     ContractError,
     ShapeError,
@@ -84,10 +84,8 @@ class LossConfig:
     aux_weight: float = 0.4
 
     def __post_init__(self):
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
-        if self.aux_weight < 0:
-            raise ValueError("aux weight must be non-negative")
+        _check_real("LossConfig.temperature", self.temperature, positive=True)
+        _check_real("LossConfig.aux_weight", self.aux_weight)
 
 
 def compute_score_map(z: Tensor, t: TextEmbeddings, h4: int, w4: int) -> ScoreMap:

@@ -175,30 +175,22 @@ _NO_SHIFT_BOUND = 300.0
 
 def _segment_chunks(q_off: list[int], kv_off: list[int], heads: int):
     """Split the (query, key/value) segment pairs, given by their offsets,
-    into chunks of equal lengths.
-
-    Each chunk is (q_rows, kv_rows, count, lq, lk): the rows of its
-    segments in segment order (a slice when they are contiguous, else an
-    index array) and their shared lengths.
+    into chunks: runs of consecutive segments of equal lengths, cut at
+    about `_CHUNK_BYTES` of attention weights. Each chunk is (q_rows,
+    kv_rows, count, lq, lk): the slices of its segments' rows and their
+    shared lengths. Equal lengths that are apart run in separate chunks.
     """
     if len(q_off) != len(kv_off):
         raise ShapeError(f"{len(q_off) - 1} query segments but {len(kv_off) - 1} "
                          "key/value segments")
-    groups: dict[tuple[int, int], list[int]] = {}
-    for s in range(len(q_off) - 1):
-        groups.setdefault((q_off[s + 1] - q_off[s], kv_off[s + 1] - kv_off[s]), []).append(s)
-    chunks = []
-    for (a, b), segs in sorted(groups.items()):
-        step = max(1, _CHUNK_BYTES // (8 * heads * a * b))
-        for c0 in range(0, len(segs), step):
-            part = segs[c0 : c0 + step]
-            if part[-1] - part[0] == len(part) - 1:
-                q_rows = slice(q_off[part[0]], q_off[part[-1] + 1])
-                kv_rows = slice(kv_off[part[0]], kv_off[part[-1] + 1])
-            else:
-                q_rows = (np.array([q_off[i] for i in part])[:, None] + np.arange(a)).reshape(-1)
-                kv_rows = (np.array([kv_off[i] for i in part])[:, None] + np.arange(b)).reshape(-1)
-            chunks.append((q_rows, kv_rows, len(part), a, b))
+    chunks, s, n = [], 0, len(q_off) - 1
+    while s < n:
+        a, b = q_off[s + 1] - q_off[s], kv_off[s + 1] - kv_off[s]
+        e, end = s + 1, min(n, s + max(1, _CHUNK_BYTES // (8 * heads * a * b)))
+        while e < end and q_off[e + 1] - q_off[e] == a and kv_off[e + 1] - kv_off[e] == b:
+            e += 1
+        chunks.append((slice(q_off[s], q_off[e]), slice(kv_off[s], kv_off[e]), e - s, a, b))
+        s = e
     return chunks
 
 
@@ -212,11 +204,12 @@ def attention_heads(q: Tensor, k: Tensor, v: Tensor, heads: int,
     (self-attention). Column blocks of width dim/heads are independent
     heads, each computing softmax(q_h k_h^T / sqrt(head_dim)) v_h.
 
-    Segments with equal lengths run together, a cache-sized chunk at a
-    time, as contiguous (segments, heads, rows, head_dim) blocks; no score
-    matrix spans two segments. The forward exponentiates the scores in
-    place and normalises after the value product, o = (e v) / z with z the
-    row sums of e, so no pass over the scores scales or divides them.
+    Runs of consecutive equal-length segments go a cache-sized chunk at a
+    time, as contiguous (segments, heads, rows, head_dim) blocks, so a
+    caller sorts mixed lengths to run each as one chunk; no score matrix
+    spans two segments. The forward exponentiates the scores in place and
+    normalises after the value product, o = (e v) / z with z the row sums
+    of e, so no pass over the scores scales or divides them.
 
     Every score obeys |s| <= B = sqrt(head_dim) max|q| max|k|. When B is at
     most `_NO_SHIFT_BOUND`, e = exp(s) cannot overflow and the kernel skips
@@ -240,26 +233,11 @@ def attention_heads(q: Tensor, k: Tensor, v: Tensor, heads: int,
     scale = 1.0 / math.sqrt(hd)
 
     def split(x, rows, count, length):
-        # (count, heads, length, hd) view of the chunk's rows
+        # (count, heads, length, hd) view of the chunk's rows; writes go through
         return x[rows].reshape(count, length, heads, hd).transpose(0, 2, 1, 3)
-
-    def merge(dst, rows, x):
-        # slice rows: dst[rows] is a view, written by one strided copy; an
-        # index array makes dst[rows] a copy, so those rows are assigned
-        if isinstance(rows, slice):
-            split(dst, rows, x.shape[0], x.shape[2])[...] = x
-        else:
-            dst[rows] = x.transpose(0, 2, 1, 3).reshape(-1, dim)
 
     def tr(x):
         return x.transpose(0, 1, 3, 2)
-
-    # Products take contiguous blocks only. A block that is scaled or
-    # divided goes into a new C-ordered array: np.ascontiguousarray returns
-    # a view when the block already is contiguous (one-row segments, one
-    # head), and an in-place op would then write into the caller's arrays.
-    def fresh(op, x, by):
-        return op(x, by, order="C")
 
     # one reduction over |q| and one over |k|, without ndarray.max's wrapper
     bound = math.sqrt(hd) * np.maximum.reduce(np.abs(qd), None) * np.maximum.reduce(
@@ -267,8 +245,12 @@ def attention_heads(q: Tensor, k: Tensor, v: Tensor, heads: int,
     shift = not bound <= _NO_SHIFT_BOUND  # NaN and inf bounds shift
     out = np.empty((rows, dim))
     saved = []
+    # Products take contiguous blocks only. A block that is scaled or
+    # divided goes into a new array (order="C"): np.ascontiguousarray
+    # returns a view of an already contiguous block (one-row segments, one
+    # head), and an in-place op would then write into the caller's arrays.
     for q_rows, kv_rows, count, lq, lk in chunks:
-        e = np.matmul(fresh(np.multiply, split(qd, q_rows, count, lq), scale),
+        e = np.matmul(np.multiply(split(qd, q_rows, count, lq), scale, order="C"),
                       np.ascontiguousarray(tr(split(kd, kv_rows, count, lk))))
         if shift:
             e -= e.max(axis=-1, keepdims=True)
@@ -276,7 +258,7 @@ def attention_heads(q: Tensor, k: Tensor, v: Tensor, heads: int,
         z = np.add.reduce(e, axis=-1, keepdims=True)
         o = np.matmul(e, np.ascontiguousarray(split(vd, kv_rows, count, lk)))
         o /= z
-        merge(out, q_rows, o)
+        split(out, q_rows, count, lq)[...] = o
         saved.append((e, z))
 
     def grad_fn(g):
@@ -284,16 +266,16 @@ def attention_heads(q: Tensor, k: Tensor, v: Tensor, heads: int,
         gk = np.empty_like(kd)
         gv = np.empty_like(vd)
         for (q_rows, kv_rows, count, lq, lk), (e, z) in zip(chunks, saved):
-            gn = fresh(np.divide, split(g, q_rows, count, lq), z)
-            merge(gv, kv_rows, tr(np.matmul(np.ascontiguousarray(tr(gn)), e)))
+            gn = np.divide(split(g, q_rows, count, lq), z, order="C")
+            split(gv, kv_rows, count, lk)[...] = tr(np.matmul(np.ascontiguousarray(tr(gn)), e))
             gs = np.matmul(gn, np.ascontiguousarray(tr(split(vd, kv_rows, count, lk))))
             gs -= (gn * split(out, q_rows, count, lq)).sum(axis=-1, keepdims=True)
             gs *= e
             # the score scale rides on the copies of k and q
-            ks = fresh(np.multiply, split(kd, kv_rows, count, lk), scale)
-            merge(gq, q_rows, np.matmul(gs, ks))
-            qt = fresh(np.multiply, tr(split(qd, q_rows, count, lq)), scale)
-            merge(gk, kv_rows, tr(np.matmul(qt, gs)))
+            ks = np.multiply(split(kd, kv_rows, count, lk), scale, order="C")
+            split(gq, q_rows, count, lq)[...] = np.matmul(gs, ks)
+            qt = np.multiply(tr(split(qd, q_rows, count, lq)), scale, order="C")
+            split(gk, kv_rows, count, lk)[...] = tr(np.matmul(qt, gs))
         return [gq, gk, gv]
 
     return record([q, k, v], out, grad_fn)

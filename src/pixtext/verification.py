@@ -147,6 +147,10 @@ def run_gradient_suite(op_tol: float = 1e-5, e2e_tol: float = 1e-4,
     check("attention_heads.segments_equal",
           _probe_loss(lambda q, k, v: nn.attention_heads(q, k, v, 2, [0, 2, 4], [0, 3, 6])),
           [rand((4, 8)), rand((6, 8)), rand((6, 8))])
+    # Lengths 2, 3, 2, a chunk each; own stream, so other checks keep their data.
+    check("attention_heads.segments_recurring",
+          _probe_loss(lambda q, k, v: nn.attention_heads(q, k, v, 2, [0, 2, 5, 7])),
+          list(map(T.Tensor, np.random.default_rng(37).standard_normal((3, 7, 8)))))
 
     mhsa = nn.MultiHeadAttention(8, 2, brng)
     check("mhsa.seq", _probe_loss(mhsa), [rand((3, 8))])

@@ -244,3 +244,13 @@ class TestAblateCommand:
         assert lines[0] == "config_name,miou,final_loss,params,text_fwd_train,text_fwd_infer"
         assert lines[1].startswith("baseline,")
         assert lines[2].startswith("coop,")
+
+    def test_non_integer_suite_seed_named(self, tmp_path, micro_dataset_dir, monkeypatch):
+        # a cast would run seed 2.7 as seed 2
+        monkeypatch.delenv("DENSECLIP_SEED", raising=False)
+        suite_path = tmp_path / "suite.json"
+        suite_path.write_text(json.dumps({"seed": 2.7, "rows": [{"name": "coop", "mode": "coop"}]}))
+        with pytest.raises(ValueError, match=r"OptimConfig\.seed must be an integer, got 2\.7"):
+            main(["ablate", "--data", str(micro_dataset_dir), "--suite", str(suite_path),
+                  "--out", str(tmp_path / "table.csv")])
+        assert not (tmp_path / "table.csv").exists()

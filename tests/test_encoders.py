@@ -167,8 +167,8 @@ class TestTextEncoder:
 
 class TestTextLayout:
     """`encode` runs its sequences ordered by (length, image, class), so
-    every attention chunk reads slice rows, and returns them in (image,
-    class) order with the outputs and gradients of that order, bitwise."""
+    each length is one attention chunk, and returns them in (image, class)
+    order with the outputs and gradients of that order, bitwise."""
 
     NAMES = [f"c{i}" for i in range(8)]  # 1, 2, 3, 1, 2, 3, 1, 2 tokens
 
@@ -208,7 +208,9 @@ class TestTextLayout:
 
         monkeypatch.setattr(nn, "attention_heads", spy)
         self.encode(n)
-        # block 0 and the readout; one chunk per sequence length 9, 10, 11
+        # block 0 and the readout; one chunk per sequence length 9, 10, 11.
+        # Chunk rows are always slices, so this count is what fails if the
+        # layout stops sorting by length.
         assert [len(c) for c in chunks] == [3, 3]
         assert all(isinstance(q_rows, slice) and isinstance(kv_rows, slice)
                    for call in chunks for q_rows, kv_rows, *_ in call)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -109,6 +110,24 @@ class TestAdamW:
     def test_empty_step_or_batch_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be at least 1"):
             OptimConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("steps", 2.5), ("steps", True), ("batch_size", 4.0), ("seed", 1.5), ("seed", "1"),
+        ("lr", math.nan), ("lr", -1.0), ("eps", 0.0), ("weight_decay", math.inf),
+        ("beta1", 1.0), ("beta2", -0.1), ("clip_norm", "1"), ("clip_norm", 0.0),
+        ("multipliers", {"other": math.nan}),
+    ])
+    def test_bad_field_named_when_built(self, field, value):
+        # a fractional step count or seed used to fail inside train, a string
+        # with a bare TypeError; NaN, infinities and bools went through
+        named = "multipliers['other']" if field == "multipliers" else field
+        with pytest.raises(ValueError, match=rf"^OptimConfig\.{re.escape(named)} must be"):
+            OptimConfig(**{field: value})
+
+    def test_values_kept_as_given(self):
+        cfg = OptimConfig(lr=1, beta1=0, clip_norm=2, multipliers={"other": 1})
+        assert [type(v) for v in (cfg.lr, cfg.beta1, cfg.clip_norm, cfg.multipliers["other"])] \
+            == [int] * 4
 
     def test_missing_groups_take_the_recipe_multipliers(self):
         cfg = OptimConfig(multipliers={"other": 0.5})
@@ -556,6 +575,19 @@ class TestRunLoader:
         run_ablation(dataset, spec.class_names, suite)
         # the suite seed builds every pipeline; a row's optim seed wins in its optimizer
         assert trained == [(3, 8, 5), (3, 3, 5)]
+
+    @pytest.mark.parametrize("seed", [2.7, True, "3"])
+    def test_non_integer_seed_named(self, seed):
+        # a cast would train 2.7 as seed 2 and true as seed 1
+        with pytest.raises(ValueError, match=r"^OptimConfig\.seed must be an integer"):
+            load_run({"seed": seed})
+
+    @pytest.mark.parametrize("seed", [2.7, True])
+    def test_non_integer_suite_seed_named(self, tiny_task, monkeypatch, seed):
+        spec, dataset = tiny_task
+        monkeypatch.setattr(harness, "train", None)  # nothing may train
+        with pytest.raises(ValueError, match=r"^OptimConfig\.seed must be an integer"):
+            run_ablation(dataset, spec.class_names, {"seed": seed})
 
     @pytest.mark.parametrize("suite, key", [
         ({"optm": {"steps": 2}}, "optm"),

@@ -286,3 +286,11 @@ class TestInvariants:
             LossConfig(aux_weight=-0.1)
         assert LossConfig().temperature == 0.07
         assert LossConfig().aux_weight == 0.4
+
+    @pytest.mark.parametrize("field, value", [
+        ("temperature", math.nan), ("temperature", "0.07"), ("temperature", math.inf),
+        ("aux_weight", math.inf), ("aux_weight", True),
+    ])
+    def test_loss_config_field_named(self, field, value):
+        with pytest.raises(ValueError, match=rf"^LossConfig\.{field} must be a finite number"):
+            LossConfig(**{field: value})

@@ -238,20 +238,14 @@ class TestSegmentedAttention:
         # each length is a contiguous run: slices
         ([2, 2, 3], [2, 2, 3], [(slice(0, 4), slice(0, 4), 2, 2, 2),
                                 (slice(4, 7), slice(4, 7), 1, 3, 3)]),
-        # the two 2-row segments are apart: index arrays
-        ([2, 3, 2], [2, 3, 2], [([0, 1, 5, 6], [0, 1, 5, 6], 2, 2, 2),
-                                (slice(2, 5), slice(2, 5), 1, 3, 3)]),
+        # the two 2-row segments are apart: a chunk per run
+        ([2, 3, 2], [2, 3, 2], [(slice(0, 2), slice(0, 2), 1, 2, 2),
+                                (slice(2, 5), slice(2, 5), 1, 3, 3),
+                                (slice(5, 7), slice(5, 7), 1, 2, 2)]),
     ], ids=["single", "equal", "contiguous_groups", "scattered_group"])
     def test_chunk_layout(self, lq, lk, expected):
         chunks = nn._segment_chunks([0, *accumulate(lq)], [0, *accumulate(lk)], 2)
-        assert len(chunks) == len(expected)
-        for got, want in zip(chunks, expected):
-            assert got[2:] == want[2:]
-            for rows, want_rows in zip(got[:2], want[:2]):
-                if isinstance(want_rows, slice):
-                    assert rows == want_rows
-                else:
-                    assert np.array_equal(rows, want_rows)
+        assert chunks == expected
 
     def test_equal_segments_chunk_at_cache_size(self):
         # 40 segments of 64 x 64 at 2 heads: 8 segments per 512 KiB chunk
@@ -361,7 +355,9 @@ class TestAttentionReference:
         def chunks(case):
             q_off, kv_off, _, heads = self.CASES[case]
             return nn._segment_chunks(list(q_off), list(kv_off), heads)
-        assert any(isinstance(c[0], np.ndarray) for c in chunks("non_contiguous_groups"))
+        # lengths 2, 3, 2, 3, 2: one chunk per run of equal lengths
+        assert [c[2:] for c in chunks("non_contiguous_groups")] == [
+            (1, 2, 2), (1, 3, 3), (1, 2, 2), (1, 3, 3), (1, 2, 2)]
         assert len(chunks("several_chunks")) > 1
         assert {c[3] for c in chunks("one_row_queries")} == {1}
 
@@ -430,8 +426,8 @@ class TestAttentionReference:
 
 class TestAttentionGolden:
     """sha256 of the kernel's output and its three gradients, pinned bitwise
-    for the layouts the pipeline runs: equal segments (slice rows), one long
-    segment, and groups whose rows are index arrays."""
+    for equal segments, one long segment, and segments whose lengths recur
+    apart (digest taken when such lengths ran as one index-array chunk)."""
 
     CASES = {
         "uniform_32x64": (nn.block_offsets(32, 64), None, 32, 4,

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pixtext import encoders, pipeline
+from pixtext import encoders, nn, pipeline
 from pixtext import tensor as T
 from pixtext.datagen import TaskSpec, default_task, generate, split
 from pixtext.encoders import ImageEncoderConfig, ToyImageEncoder
@@ -621,6 +621,35 @@ class TestBatchEquivalence:
             lengths.append(len(T.active_tape()))
         T.reset_tape()
         assert lengths[0] == lengths[1]
+
+
+class TestAttentionSegmentRuns:
+    """`attention_heads` runs a chunk per run of consecutive segments with
+    equal lengths, so a (query, key) length pair that comes back after a
+    different one costs a chunk of its own. Every caller keeps each pair in
+    one contiguous run, so each runs as one chunk (cache cap aside)."""
+
+    @pytest.mark.parametrize("task", ["segmentation", "detection"])
+    @pytest.mark.parametrize("mode", ["template", "coop", "pre", "post"])
+    def test_each_length_pair_is_one_run(self, monkeypatch, toy_spec, toy_samples, mode, task):
+        attention, calls = nn.attention_heads, []
+
+        def spy(q, k, v, heads, q_offsets=None, kv_offsets=None):
+            kv = q_offsets if kv_offsets is None else kv_offsets
+            calls.append(list(zip(np.diff(nn._offsets(q_offsets, q.shape[0], "query")).tolist(),
+                                  np.diff(nn._offsets(kv, k.shape[0], "key/value")).tolist())))
+            return attention(q, k, v, heads, q_offsets, kv_offsets)
+
+        monkeypatch.setattr(nn, "attention_heads", spy)
+        cfg = toy_config(mode)
+        cfg.task_mode = task
+        pipe = build_pipeline(cfg, toy_spec.class_names, seed=0)
+        # one 2-image step, then (segmentation) cached predicts of 2 and 3 images
+        train(pipe, (toy_samples[:2], toy_samples[2:5]), OptimConfig(steps=1, seed=0))
+        assert calls
+        for pairs in calls:
+            runs = [p for i, p in enumerate(pairs) if i == 0 or p != pairs[i - 1]]
+            assert len(runs) == len(set(runs)), runs
 
 
 class TestInputChecks:
