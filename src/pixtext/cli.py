@@ -14,7 +14,8 @@ import json
 import os
 import sys
 
-from .datagen import TaskSpec, default_task, generate, load_dataset, save_dataset, split
+from .config import TaskSpec, from_json
+from .datagen import default_task, generate, load_dataset, save_dataset, split
 from .harness import (load_run, miou_from_pairs, predict_samples, run_ablation, train,
                       write_ablation_csv)
 from .pipeline import build_pipeline, export_prediction, load_checkpoint, save_checkpoint
@@ -39,7 +40,7 @@ def _cmd_synth(args) -> int:
         spec = default_task()
     else:
         with open(args.spec) as fh:
-            spec = TaskSpec.from_dict(json.load(fh))
+            spec = from_json(TaskSpec, json.load(fh), args.spec)
     samples = generate(spec, args.n, seed=args.seed)
     save_dataset(spec, samples, args.out)
     print(f"wrote {args.n} samples to {args.out}")
@@ -49,10 +50,10 @@ def _cmd_synth(args) -> int:
 def _cmd_train(args) -> int:
     with open(args.config) as fh:
         run = json.load(fh)
-    pipe_cfg, optim = load_run(run)
+    pipe_cfg, optim = load_run(run, where=args.config)
     optim.seed = _seed_override(optim.seed)
     spec, samples = load_dataset(args.data)
-    train_samples, eval_samples = split(samples, float(run.get("train_fraction", 0.75)))
+    train_samples, eval_samples = split(samples, run.get("train_fraction", 0.75))
     pipe = build_pipeline(pipe_cfg, spec.class_names, optim.seed)
     report = train(pipe, (train_samples, eval_samples), optim)
     save_checkpoint(pipe, args.out)
@@ -109,9 +110,8 @@ def _cmd_ablate(args) -> int:
         suite = json.load(fh)
     suite["seed"] = _seed_override(suite.get("seed", 0))
     spec, samples = load_dataset(args.data)
-    fraction = float(suite.get("train_fraction", 0.75))
-    dataset = split(samples, fraction)
-    rows = run_ablation(dataset, spec.class_names, suite)
+    dataset = split(samples, suite.get("train_fraction", 0.75))
+    rows = run_ablation(dataset, spec.class_names, suite, args.suite)
     write_ablation_csv(rows, args.out)
     for row in rows:
         tag = row.get("error", "")

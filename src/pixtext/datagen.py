@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ClassSignature, ListOf, Real, TaskSpec, from_json
 from .matching import BoxAnnotation
 from .tensor import Tensor, read_dct1, write_dct1
 
@@ -33,87 +34,6 @@ __all__ = [
     "save_dataset",
     "load_dataset",
 ]
-
-
-@dataclass
-class ClassSignature:
-    mean: tuple[float, float, float]
-    freq: float
-    angle: float
-    amp: float
-
-
-@dataclass
-class TaskSpec:
-    k: int = 8
-    height: int = 32
-    width: int = 32
-    min_shapes: int = 2
-    max_shapes: int = 4
-    shape_min_px: int = 6
-    shape_max_px: int = 16
-    noise_sigma: float = 0.22
-    jitter_gain: float = 0.35
-    jitter_offset: float = 0.25
-    seed: int = 7
-    shape_kinds: list[str] = field(default_factory=lambda: ["rect", "disc"])
-    signatures: list[ClassSignature] = field(default_factory=list)
-    class_names: list[str] = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.k < 2:
-            raise ValueError("need at least two classes (background plus one)")
-        if not self.class_names:
-            self.class_names = ["background"] + [f"object_{i}" for i in range(1, self.k)]
-        if len(self.class_names) != self.k:
-            raise ValueError("class_names length must equal k")
-        if not self.signatures:
-            self.signatures = _default_signatures(self.k, self.seed)
-        if len(self.signatures) != self.k:
-            raise ValueError("signature table length must equal k")
-        if self.shape_max_px > min(self.height, self.width):
-            raise ValueError("shape_max_px exceeds the image size")
-        if not (1 <= self.shape_min_px <= self.shape_max_px):
-            raise ValueError("invalid shape size range")
-        if not (1 <= self.min_shapes <= self.max_shapes):
-            raise ValueError("invalid shapes-per-image range")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @staticmethod
-    def from_dict(d: dict) -> "TaskSpec":
-        d = dict(d)
-        if "signatures" in d:
-            d["signatures"] = [ClassSignature(mean=tuple(s["mean"]), freq=s["freq"],
-                                              angle=s["angle"], amp=s["amp"])
-                               for s in d["signatures"]]
-        return TaskSpec(**d)
-
-
-def _default_signatures(k: int, seed: int) -> list[ClassSignature]:
-    """Spread channel means across the color cube; up to 8 classes land on
-    distinct inset corners, extras are drawn from the seeded stream."""
-    corners = [
-        (0.25, 0.25, 0.25), (0.75, 0.25, 0.25), (0.25, 0.75, 0.25), (0.25, 0.25, 0.75),
-        (0.75, 0.75, 0.25), (0.75, 0.25, 0.75), (0.25, 0.75, 0.75), (0.75, 0.75, 0.75),
-    ]
-    rng = np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFF, 0x51674]))
-    sigs = []
-    for i in range(k):
-        if i < len(corners):
-            mean = corners[i]
-        else:
-            mean = tuple(rng.uniform(0.2, 0.8, size=3).tolist())
-        sigs.append(
-            ClassSignature(
-                mean=mean,
-                freq=1.0 + (i % 4),
-                angle=np.pi * i / max(k, 1),
-                amp=0.12,
-            )
-        )
-    return sigs
 
 
 def default_task() -> TaskSpec:
@@ -218,9 +138,9 @@ def generate(spec: TaskSpec, n: int, seed: int | None = None) -> list[SyntheticS
 
 def split(samples, train_fraction: float):
     """Deterministic positional split into (train, eval). Neither side may
-    be empty; as int(n * f) < n for f < 1, only the train side can be."""
-    if not (0.0 < train_fraction < 1.0):
-        raise ValueError("train fraction must be in (0, 1)")
+    be empty; as int(n * f) < n for f < 1, only the train side can be.
+    `train_fraction` must be a finite number in (0, 1), checked as given."""
+    Real(open=True, below=1).check("train_fraction", train_fraction)
     cut = int(len(samples) * train_fraction)
     if cut == 0:
         raise ValueError(f"train fraction {train_fraction} of n={len(samples)} samples "
@@ -254,9 +174,12 @@ def save_dataset(spec: TaskSpec, samples, out_dir):
 
 
 def load_dataset(data_dir):
-    """Read a dataset directory; an error names a file at odds with spec.json or n."""
-    with open(os.path.join(data_dir, "spec.json")) as fh:
-        spec = TaskSpec.from_dict(json.load(fh))
+    """Read a dataset directory; an error names a file at odds with spec.json or n.
+    Each image's `boxes.json` entry is a list of objects with exactly a
+    `class_id` and a `box` of 4 finite numbers."""
+    spec_path = os.path.join(data_dir, "spec.json")
+    with open(spec_path) as fh:
+        spec = from_json(TaskSpec, json.load(fh), spec_path)
     images = read_dct1(os.path.join(data_dir, "images.dct1"))
     masks = read_dct1(os.path.join(data_dir, "masks.dct1"))
     with open(os.path.join(data_dir, "boxes.json")) as fh:
@@ -274,15 +197,24 @@ def load_dataset(data_dir):
         labels = masks.astype(np.intp)
     if labels is None or not np.array_equal(labels, masks):
         raise ValueError(f"masks.dct1 holds labels that are not integers in [0, {spec.k})")
-    if len(all_boxes) != n:
-        raise ValueError(f"boxes.json has {len(all_boxes)} entries for {n} images")
+    if not isinstance(all_boxes, list) or len(all_boxes) != n:
+        got = (f"{len(all_boxes)} entries" if isinstance(all_boxes, list)
+               else f"a {type(all_boxes).__name__}")
+        raise ValueError(f"boxes.json has {got} for {n} images")
+    box = ListOf(Real(-np.inf), length=4)
     samples = []
     for i in range(n):
+        if not isinstance(all_boxes[i], list):
+            raise ValueError(f"boxes.json image {i} is {all_boxes[i]!r}, not a list of boxes")
         for e in all_boxes[i]:
+            if not isinstance(e, dict) or set(e) != {"class_id", "box"}:
+                raise ValueError(f"boxes.json image {i} has entry {e!r}; an entry has exactly "
+                                 "the keys 'class_id' and 'box'")
             c = e["class_id"]
             if not (isinstance(c, int) and 0 <= c < spec.k):
                 raise ValueError(f"boxes.json image {i} has class_id {c!r}; "
                                  f"classes are integers in [0, {spec.k})")
+            box.check(f"boxes.json image {i} box", e["box"])
         boxes = [
             BoxAnnotation(class_id=e["class_id"], x_min=e["box"][0],
                           y_min=e["box"][1], x_max=e["box"][2], y_max=e["box"][3])

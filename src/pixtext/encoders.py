@@ -10,12 +10,13 @@ the last position is our stand-in for an end-of-text readout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
+from .config import ImageEncoderConfig, TextEncoderConfig, check
 from .nn import Linear, Module, MultiHeadAttention, TransformerBlock, block_offsets, init_uniform
 from .tensor import ContractError, ShapeError, Tensor, concat, mean_rows, patchify, take
 
@@ -139,41 +140,6 @@ def build_vocab(class_names, template_len: int = 8) -> Vocabulary:
 # Image encoder
 
 
-def _check_counts(cfg, least=None):
-    """Count settings are ints, not bools, of at least their least value.
-    `least` maps field names to that value; by default every field of the
-    config is a count of at least 1, as in the encoder configs. Configs
-    check themselves when built and their users check again, since a field
-    may be assigned later."""
-    for name, low in (least or dict.fromkeys([f.name for f in fields(cfg)], 1)).items():
-        value = getattr(cfg, name)
-        if type(value) is not int or value < low:
-            raise ValueError(f"{type(cfg).__name__}.{name} must be an integer of at least {low}, "
-                             f"got {value!r}")
-
-
-def _check_real(what: str, value, positive=False, below=np.inf):
-    """Real settings are finite ints or floats, not bools, in [0, below), or
-    (0, below) when `positive`: checked, not converted, as JSON gave them."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not (0 < value if positive else 0 <= value) or not value < below):
-        raise ValueError(f"{what} must be a finite number in {'(' if positive else '['}0, "
-                         f"{below}), got {value!r}")
-
-
-@dataclass
-class ImageEncoderConfig:
-    patch: int = 4
-    width: int = 32
-    blocks: int = 2
-    heads: int = 4
-    out_dim: int = 32
-    ffn_mult: int = 2
-
-    def __post_init__(self):
-        _check_counts(self)
-
-
 def attention_pool(pool: MultiHeadAttention, x4: FeatureMap) -> PooledFeatures:
     """Per image: mean-pool its cells, prepend the mean, self-attend."""
     n, cells = x4.n, x4.h4 * x4.w4
@@ -190,7 +156,7 @@ class ToyImageEncoder(Module):
     """Patch embedding, B transformer blocks, attention pool, projection to d."""
 
     def __init__(self, cfg: ImageEncoderConfig, rng: np.random.Generator):
-        _check_counts(cfg)
+        check(cfg)
         self.cfg = cfg
         f = cfg.patch
         self.patch_embed = Linear(f * f * 3, cfg.width, rng)
@@ -231,20 +197,6 @@ class ToyImageEncoder(Module):
 # Text encoder
 
 
-@dataclass
-class TextEncoderConfig:
-    """The vocabulary size and output width are not settings: `build_pipeline`
-    takes them from the class names and the pipeline's shared width."""
-
-    width: int = 48
-    blocks: int = 2
-    heads: int = 4
-    ffn_mult: int = 2
-
-    def __post_init__(self):
-        _check_counts(self)
-
-
 class ToyTextEncoder(Module):
     """Per-class transformer over [contexts; class token embeddings].
 
@@ -264,7 +216,7 @@ class ToyTextEncoder(Module):
                  rng: np.random.Generator):
         if vocab_size < 1:
             raise ShapeError("text encoder needs a positive vocab size")
-        _check_counts(cfg)
+        check(cfg)
         self.cfg = cfg
         self.table = Tensor(init_uniform(rng, (vocab_size, cfg.width), cfg.width))
         hidden = cfg.width * cfg.ffn_mult

@@ -14,13 +14,13 @@ import csv
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .config import OptimConfig, PipelineConfig, check_keys, from_json, subsection
 from .datagen import SyntheticSample
-from .encoders import _check_real
-from .pipeline import DensePredPipeline, PipelineConfig, build_pipeline, toy_config
+from .pipeline import DensePredPipeline, build_pipeline, toy_config
 from .tensor import ContractError, Tensor, backward, reset_tape
 
 __all__ = [
@@ -38,44 +38,6 @@ __all__ = [
     "write_ablation_csv",
     "ABLATION_ROWS",
 ]
-
-
-def _default_multipliers() -> dict:
-    return {"image_encoder": 0.1, "text_encoder": 0.0, "other": 1.0}
-
-
-@dataclass
-class OptimConfig:
-    lr: float = 0.01
-    weight_decay: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    multipliers: dict = field(default_factory=_default_multipliers)
-    clip_norm: float | None = None
-    steps: int = 120
-    batch_size: int = 32
-    seed: int = 0
-
-    def __post_init__(self):
-        unknown = sorted(set(self.multipliers) - set(_default_multipliers()))
-        if unknown:
-            raise ValueError(f"unknown lr multiplier group(s) {unknown}; "
-                             f"use {list(_default_multipliers())}")
-        # a group left out keeps the recipe's multiplier
-        self.multipliers = {**_default_multipliers(), **self.multipliers}
-        for group, m in self.multipliers.items():
-            _check_real(f"OptimConfig.multipliers[{group!r}]", m)
-        for name in ("lr", "eps", "weight_decay", "beta1", "beta2"):
-            _check_real(f"OptimConfig.{name}", getattr(self, name), positive=name in ("lr", "eps"),
-                        below=1 if name.startswith("beta") else np.inf)
-        if self.clip_norm is not None:
-            _check_real("OptimConfig.clip_norm", self.clip_norm, positive=True)
-        for name in ("steps", "batch_size", "seed"):
-            value = getattr(self, name)
-            if type(value) is not int or name != "seed" and value < 1:
-                least = "" if name == "seed" else " at least 1 and"
-                raise ValueError(f"OptimConfig.{name} must be{least} an integer, got {value!r}")
 
 
 class AdamW:
@@ -341,63 +303,64 @@ SUITE_KEYS = ("seed", "optim", "rows", "train_fraction")
 ROW_KEYS = ("name", "mode", "pipeline", "optim")
 
 
-def _check_keys(d: dict, allowed, what: str):
-    unknown = sorted(set(d) - set(allowed))
-    if unknown:
-        raise ValueError(f"unknown {what} key(s) {unknown}; use {list(allowed)}")
-
-
 def _json_mode(mode):
     """JSON spells "no language path" as null, "none" or ""."""
     return None if mode in ("none", "") else mode
 
 
 def load_run(run: dict, keys=RUN_KEYS, optim: dict | None = None,
-             what: str = "run config") -> tuple[PipelineConfig, OptimConfig]:
+             where: str = "run config") -> tuple[PipelineConfig, OptimConfig]:
     """The pipeline and optimizer configs of one run (a run config or a
-    suite row) as parsed from JSON.
+    suite row) as parsed from JSON; `where` names it in errors.
 
     `mode` (default coop) fills `pipeline.prompt_mode` when the pipeline
     object leaves it out; the two must agree when both are given. Without a
     pipeline object the run uses `toy_config(mode)`. `optim` holds defaults
     that the run's own `optim` overrides, and a run's `seed` overrides both.
-    Unknown keys at any level raise and name the key.
+    Unknown keys at any level raise and name the key and its section; a
+    key left out of `pipeline` or `optim` takes its config default.
     """
-    _check_keys(run, keys, what)
+    check_keys(run, keys, where)
     mode = _json_mode(run.get("mode", "coop"))
     if "pipeline" not in run:
         pipe_cfg = toy_config(mode)
     else:
-        pipe = dict(run["pipeline"])
-        pipe["prompt_mode"] = _json_mode(pipe.get("prompt_mode", mode))
-        if "mode" in run and pipe["prompt_mode"] != mode:
-            raise ValueError(f"{what}: mode {mode!r} but pipeline.prompt_mode "
-                             f"{pipe['prompt_mode']!r}")
-        pipe_cfg = PipelineConfig.from_dict(pipe)
-    optim = {**(optim or {}), **run.get("optim", {})}
-    if "seed" in run:
-        optim["seed"] = run["seed"]
-    return pipe_cfg, OptimConfig(**optim)
+        pipe = run["pipeline"]
+        if isinstance(pipe, dict):  # anything else fails in from_json, naming the section
+            pipe = {**pipe, "prompt_mode": _json_mode(pipe.get("prompt_mode", mode))}
+            if "mode" in run and pipe["prompt_mode"] != mode:
+                raise ValueError(f"{where}: mode {mode!r} but pipeline.prompt_mode "
+                                 f"{pipe['prompt_mode']!r}")
+        pipe_cfg = from_json(PipelineConfig, pipe, subsection(where, "pipeline"), partial=True)
+    given = run.get("optim", {})
+    if isinstance(given, dict):  # anything else fails in from_json, naming the section
+        given = {**(optim or {}), **given}
+        if "seed" in run:
+            given["seed"] = run["seed"]
+    return pipe_cfg, from_json(OptimConfig, given, subsection(where, "optim"), partial=True)
 
 
 CSV_COLUMNS = ["config_name", "miou", "final_loss", "params", "text_fwd_train", "text_fwd_infer"]
 
 
-def run_ablation(dataset, class_names, suite: dict) -> list[dict]:
+def run_ablation(dataset, class_names, suite: dict, where: str = "suite") -> list[dict]:
     """Train every row of the suite on the shared dataset + seed.
 
     Rows default to ABLATION_ROWS; the suite's `optim` and `seed` are each
     row's defaults. Every row is loaded and built before the first one
     trains, so a bad row fails the suite at once. Returns CSV-ready rows; a
     run that fails in training keeps its row with blank metrics and the
-    suite continues.
+    suite continues. `where` names the suite in errors.
     """
-    _check_keys(suite, SUITE_KEYS, "suite")
+    check_keys(suite, SUITE_KEYS, where)
     seed = suite.get("seed", 0)
-    defaults = {**suite.get("optim", {}), "seed": seed}
+    optim = from_json(OptimConfig, suite.get("optim", {}), subsection(where, "optim"), partial=True)
+    defaults = {**asdict(optim), "seed": seed}
     runs = []
-    for row in suite.get("rows", ABLATION_ROWS):
-        cfg, ocfg = load_run(row, ROW_KEYS, defaults, f"row {row['name']!r}")
+    for i, row in enumerate(suite.get("rows", ABLATION_ROWS)):
+        row_where = subsection(where, f"rows[{i}]")
+        check_keys(row, ROW_KEYS, row_where, required=("name",))
+        cfg, ocfg = load_run(row, ROW_KEYS, defaults, row_where)
         runs.append((row["name"], build_pipeline(cfg, class_names, seed), ocfg))
     out_rows = []
     for name, pipe, ocfg in runs:

@@ -9,7 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoders import FeatureMap, TextEmbeddings, _check_real
+from .config import LossConfig
+from .encoders import FeatureMap, TextEmbeddings
 from .tensor import (
     ContractError,
     ShapeError,
@@ -76,16 +77,6 @@ class BoxAnnotation:
         for v in (self.x_min, self.y_min, self.x_max, self.y_max):
             if not (0.0 <= v <= 1.0):
                 raise ValueError("box coordinates must be normalized to [0, 1]")
-
-
-@dataclass
-class LossConfig:
-    temperature: float = 0.07
-    aux_weight: float = 0.4
-
-    def __post_init__(self):
-        _check_real("LossConfig.temperature", self.temperature, positive=True)
-        _check_real("LossConfig.aux_weight", self.aux_weight)
 
 
 def compute_score_map(z: Tensor, t: TextEmbeddings, h4: int, w4: int) -> ScoreMap:

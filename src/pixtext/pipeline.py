@@ -25,20 +25,14 @@ from __future__ import annotations
 import copy
 import json
 import os
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .encoders import (
-    FeatureMap,
-    ImageEncoderConfig,
-    PooledFeatures,
-    TextEncoderConfig,
-    ToyImageEncoder,
-    _check_counts,
-)
+from .config import (ImageEncoderConfig, PipelineConfig, TextEncoderConfig, check, check_keys,
+                     from_json, subsection)
+from .encoders import FeatureMap, PooledFeatures, ToyImageEncoder
 from .matching import (
-    LossConfig,
     ScoreMap,
     compute_score_map,
     det_aux_loss,
@@ -47,7 +41,7 @@ from .matching import (
     seg_aux_loss,
 )
 from .nn import Linear, Module, rng_for
-from .prompting import GATE_PRESETS, TextPath
+from .prompting import TextPath
 from .tensor import (
     ContractError,
     ShapeError,
@@ -102,63 +96,10 @@ def stack_images(images) -> Tensor:
     return stack(images)
 
 
-_SECTIONS = {"image": ImageEncoderConfig, "text": TextEncoderConfig, "loss": LossConfig}
-
-# The least value of each count setting of PipelineConfig. TextPath asks
-# for at least one context and template row in the modes that need them.
-_COUNTS = {"context_len": 0, "template_len": 0, "prompt_decoder_depth": 1,
-           "prompt_decoder_heads": 1, "prompt_ffn_mult": 1, "head_hidden": 1}
-
-
-@dataclass
-class PipelineConfig:
-    """Bare defaults follow the full-scale recipe (context length 8,
-    6-layer/4-head prompting decoder); the toy/micro presets shrink the
-    decoder so the test suite runs in seconds. Learnable contexts start
-    from the template tokens' embeddings."""
-
-    image: ImageEncoderConfig = field(default_factory=ImageEncoderConfig)
-    text: TextEncoderConfig = field(default_factory=TextEncoderConfig)
-    prompt_mode: str | None = "coop"  # template|coop|pre|post, or None for no language path
-    context_len: int = 8
-    template_len: int = 8
-    prompt_decoder_depth: int = 6
-    prompt_decoder_heads: int = 4
-    prompt_ffn_mult: int = 2
-    gate_preset: str = "learnable_small"
-    head_hidden: int = 64
-    loss: LossConfig = field(default_factory=LossConfig)
-    task_mode: str = "segmentation"  # segmentation|detection
-
-    def __post_init__(self):
-        _check_counts(self, _COUNTS)
-
-    @property
-    def shared_dim(self) -> int:
-        """The one embedding width: pixel features and text embeddings
-        both project to the image encoder's `out_dim`."""
-        return self.image.out_dim
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @staticmethod
-    def from_dict(d: dict) -> "PipelineConfig":
-        return PipelineConfig(**{k: _SECTIONS[k](**v) if k in _SECTIONS else v
-                                 for k, v in d.items()})
-
-
 def toy_config(prompt_mode: str | None = "coop") -> PipelineConfig:
-    """Default desk-scale configuration for the bundled synthetic task."""
-    return PipelineConfig(
-        image=ImageEncoderConfig(patch=4, width=32, blocks=2, heads=4, out_dim=32, ffn_mult=2),
-        text=TextEncoderConfig(width=48, blocks=2, heads=4, ffn_mult=2),
-        prompt_mode=prompt_mode,
-        context_len=8,
-        prompt_decoder_depth=2,
-        prompt_decoder_heads=4,
-        head_hidden=64,
-    )
+    """Default desk-scale configuration for the bundled synthetic task: the
+    full recipe's settings with a 2-layer prompting decoder."""
+    return PipelineConfig(prompt_mode=prompt_mode, prompt_decoder_depth=2)
 
 
 def micro_config(prompt_mode: str | None = "coop") -> PipelineConfig:
@@ -382,14 +323,10 @@ class DensePredPipeline:
 
 
 def build_pipeline(cfg: PipelineConfig, class_names, seed: int) -> DensePredPipeline:
-    """The pipeline of `cfg`; `TextPath` builds the language path and
+    """The pipeline of `cfg`, checked again here as a field may have been
+    assigned since it was built; `TextPath` builds the language path and
     checks the prompt-mode settings."""
-    _check_counts(cfg, _COUNTS)
-    if cfg.task_mode not in ("segmentation", "detection"):
-        raise ValueError(f"unknown task mode {cfg.task_mode!r}; use segmentation|detection")
-    if cfg.gate_preset not in GATE_PRESETS:
-        raise ValueError(f"unknown gate_preset {cfg.gate_preset!r}; "
-                         f"use one of GATE_PRESETS: {'|'.join(GATE_PRESETS)}")
+    check(cfg)
     class_names = [str(n) for n in class_names]
     image_encoder = ToyImageEncoder(cfg.image, rng_for(seed, "image_encoder"))
     text_path = None if cfg.prompt_mode is None else TextPath(cfg, class_names, seed)
@@ -449,19 +386,6 @@ def save_checkpoint(pipe: DensePredPipeline, out_dir):
         json.dump(manifest, fh, indent=1, sort_keys=True)
 
 
-def _check_keys(manifest_path, section: str, given: dict, cls):
-    """A manifest section must be a JSON object that carries exactly the
-    fields of `cls`: a missing key is never filled with its default."""
-    if not isinstance(given, dict):
-        raise ContractError(f"{section} in {manifest_path} must be a JSON object, "
-                            f"got {type(given).__name__} {given!r}")
-    keys = {f.name for f in fields(cls)}
-    unknown, missing = sorted(set(given) - keys), sorted(keys - set(given))
-    if unknown or missing:
-        raise ContractError(f"{section} in {manifest_path}: unknown key(s) {unknown}, "
-                            f"missing key(s) {missing}")
-
-
 def load_checkpoint(ckpt_dir) -> DensePredPipeline:
     """Rebuild the pipeline from the manifest and load its parameters. A
     backbone other than `config.image` is put back with `swap_backbone`,
@@ -469,19 +393,15 @@ def load_checkpoint(ckpt_dir) -> DensePredPipeline:
     manifest_path = os.path.join(ckpt_dir, "manifest.json")
     with open(manifest_path) as fh:
         manifest = json.load(fh)
-    for key in ("config", "class_names", "seed", "backbone", "params"):
-        if key not in manifest:
-            raise ContractError(f"{manifest_path} lacks the {key!r} key")
-    _check_keys(manifest_path, "config", manifest["config"], PipelineConfig)
-    for name, cls in _SECTIONS.items():
-        _check_keys(manifest_path, f"config.{name}", manifest["config"][name], cls)
-    _check_keys(manifest_path, "backbone", manifest["backbone"], ImageEncoderConfig)
-    cfg = PipelineConfig.from_dict(manifest["config"])
+    keys = ("config", "class_names", "seed", "backbone", "params")
+    check_keys(manifest, keys, manifest_path, required=keys)
+    cfg = from_json(PipelineConfig, manifest["config"], subsection(manifest_path, "config"))
+    backbone = from_json(ImageEncoderConfig, manifest["backbone"],
+                         subsection(manifest_path, "backbone"))
     seed = manifest["seed"]
     if type(seed) is not int:  # a JSON true is a bool, not a seed
         raise ContractError(f"seed in {manifest_path} must be an integer, got {seed!r}")
     pipe = build_pipeline(cfg, manifest["class_names"], seed)
-    backbone = ImageEncoderConfig(**manifest["backbone"])
     if backbone != cfg.image:
         pipe = swap_backbone(pipe, ToyImageEncoder(backbone, rng_for(seed, "swapped_backbone")))
     if not isinstance(manifest["params"], dict):

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .config import GATE_PRESETS, PROMPT_MODES
 from .encoders import PooledFeatures, TextEmbeddings, ToyTextEncoder, build_vocab
 from .nn import (Linear, TransformerDecoderLayer, block_offsets, decoder_forward, init_uniform,
                  rng_for)
@@ -34,17 +35,6 @@ __all__ = [
     "post_model_prompt",
     "TextPath",
 ]
-
-
-PROMPT_MODES = ("template", "coop", "pre", "post")
-
-
-# Named configurations used by the gate ablation: (init value, learnable).
-GATE_PRESETS = {
-    "fixed_small": (1e-4, False),
-    "learnable_small": (1e-4, True),
-    "learnable_one": (1.0, True),
-}
 
 
 def _per_image(rows: Tensor, n: int) -> Tensor:
@@ -102,9 +92,6 @@ class TextPath:
 
     def __init__(self, cfg, class_names, seed: int):
         mode = cfg.prompt_mode
-        if mode not in PROMPT_MODES:
-            raise ValueError(f"unknown prompt mode {mode!r}; "
-                             f"use {'|'.join(PROMPT_MODES)}, or None for no language path")
         if mode != "template" and cfg.context_len < 1:
             raise ValueError(f"{mode} mode learns context_len rows; "
                              f"context_len is {cfg.context_len}")

@@ -162,17 +162,20 @@ class TestRunConfigBoundary:
     """Keys that no longer exist, or never did, fail where the config
     enters, naming the key; nothing is silently ignored."""
 
-    @pytest.mark.parametrize("edit, key", [
-        (lambda cfg: cfg.update(freeze_text=False), "freeze_text"),
-        (lambda cfg: cfg["pipeline"].update(freeze_text=False), "freeze_text"),
-        (lambda cfg: cfg["optim"].update(multipliers={"text": 0.1}), "'text'"),
+    @pytest.mark.parametrize("edit, error, pattern", [
+        (lambda cfg: cfg.update(freeze_text=False), ContractError,
+         r"^\S*run\.json: unknown key\(s\) \['freeze_text'\]"),
+        (lambda cfg: cfg["pipeline"].update(freeze_text=False), ContractError,
+         r"^pipeline in \S*run\.json: unknown key\(s\) \['freeze_text'\]"),
+        (lambda cfg: cfg["optim"].update(multipliers={"text": 0.1}), ValueError,
+         r"^OptimConfig\.multipliers must map some of .*'text'"),
     ], ids=["run.freeze_text", "pipeline.freeze_text", "optim.multipliers.text"])
-    def test_unknown_key_named(self, tmp_path, micro_dataset_dir, edit, key):
+    def test_unknown_key_named(self, tmp_path, micro_dataset_dir, edit, error, pattern):
         path = run_config(tmp_path)
         cfg = json.loads(path.read_text())
         edit(cfg)
         path.write_text(json.dumps(cfg))
-        with pytest.raises((TypeError, ValueError), match=key):
+        with pytest.raises(error, match=pattern):
             main(["train", "--data", str(micro_dataset_dir), "--config", str(path),
                   "--out", str(tmp_path / "ckpt"), "--report", str(tmp_path / "r.json")])
         assert not (tmp_path / "ckpt").exists()
@@ -187,9 +190,22 @@ class TestRunConfigBoundary:
                   "--out", str(tmp_path / "ckpt"), "--report", str(tmp_path / "r.json")])
         assert not (tmp_path / "ckpt").exists()
 
+    @pytest.mark.parametrize("fraction", ["0.5", True, float("nan")])
+    def test_train_fraction_checked_not_cast(self, tmp_path, micro_dataset_dir, fraction):
+        # "0.5" used to train, cast by float()
+        path = run_config(tmp_path)
+        cfg = json.loads(path.read_text())
+        cfg["train_fraction"] = fraction
+        path.write_text(json.dumps(cfg))
+        with pytest.raises(ValueError, match=r"^train_fraction must be a finite number "
+                                             r"in \(0, 1\)"):
+            main(["train", "--data", str(micro_dataset_dir), "--config", str(path),
+                  "--out", str(tmp_path / "ckpt"), "--report", str(tmp_path / "r.json")])
+        assert not (tmp_path / "ckpt").exists()
+
     def test_zero_steps_rejected_before_training(self, tmp_path, micro_dataset_dir):
         path = run_config(tmp_path, steps=0)
-        with pytest.raises(ValueError, match="steps must be at least 1"):
+        with pytest.raises(ValueError, match="^OptimConfig.steps must be an integer of at least 1"):
             main(["train", "--data", str(micro_dataset_dir), "--config", str(path),
                   "--out", str(tmp_path / "ckpt"), "--report", str(tmp_path / "r.json")])
         assert not (tmp_path / "ckpt").exists()
@@ -244,6 +260,16 @@ class TestAblateCommand:
         assert lines[0] == "config_name,miou,final_loss,params,text_fwd_train,text_fwd_infer"
         assert lines[1].startswith("baseline,")
         assert lines[2].startswith("coop,")
+
+    def test_train_fraction_checked_not_cast(self, tmp_path, micro_dataset_dir):
+        suite_path = tmp_path / "suite.json"
+        suite_path.write_text(json.dumps({"train_fraction": "0.5",
+                                          "rows": [{"name": "coop", "mode": "coop"}]}))
+        with pytest.raises(ValueError, match=r"^train_fraction must be a finite number in "
+                                             r"\(0, 1\), got '0\.5'$"):
+            main(["ablate", "--data", str(micro_dataset_dir), "--suite", str(suite_path),
+                  "--out", str(tmp_path / "table.csv")])
+        assert not (tmp_path / "table.csv").exists()
 
     def test_non_integer_suite_seed_named(self, tmp_path, micro_dataset_dir, monkeypatch):
         # a cast would run seed 2.7 as seed 2

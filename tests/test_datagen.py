@@ -171,6 +171,12 @@ class TestSplit:
         with pytest.raises(ValueError):
             split([1, 2], 1.0)
 
+    @pytest.mark.parametrize("fraction", ["0.5", True, float("nan"), None])
+    def test_fraction_checked_not_cast(self, fraction):
+        with pytest.raises(ValueError, match=r"^train_fraction must be a finite number in "
+                                             rf"\(0, 1\), got {fraction!r}$"):
+            split([1, 2, 3, 4], fraction)
+
     @pytest.mark.parametrize("n, fraction", [(2, 0.4), (1, 0.5), (0, 0.5), (9, 0.1)])
     def test_empty_train_side_named(self, n, fraction):
         with pytest.raises(ValueError, match=rf"train fraction {fraction} of n={n} samples "
@@ -207,9 +213,19 @@ class TestDatasetIO:
          r"boxes\.json image 3 has class_id -1"),
         ("boxes", lambda b: [[{"class_id": 2.5, "box": [0, 0, 0.5, 0.5]}]] + b[1:],
          r"boxes\.json image 0 has class_id 2\.5"),
+        ("boxes", lambda b: [[{"class_id": 1}]] + b[1:],
+         r"boxes\.json image 0 has entry \{'class_id': 1\}; an entry has exactly the keys "
+         r"'class_id' and 'box'"),
+        ("boxes", lambda b: [[{"class_id": 1, "box": [0, 0, 0.5]}]] + b[1:],
+         r"boxes\.json image 0 box must be a list of 4 entries, got \[0, 0, 0\.5\]"),
+        ("boxes", lambda b: b[:2] + [[{"class_id": 1, "box": [0, 0, "a", 0.5]}]] + b[3:],
+         r"boxes\.json image 2 box\[2\] must be a finite number .*, got 'a'"),
+        ("boxes", lambda b: b[:1] + [{"class_id": 1, "box": [0, 0, 0.5, 0.5]}] + b[2:],
+         r"boxes\.json image 1 is \{'class_id': 1, .*\}, not a list of boxes"),
     ], ids=["image_size", "mask_count", "fractional_label", "label_at_k", "negative_label",
             "nan_label", "box_count", "box_class_at_99", "negative_box_class",
-            "fractional_box_class"])
+            "fractional_box_class", "entry_without_box", "box_of_three", "box_coordinate_str",
+            "box_list_is_an_object"])
     def test_inconsistent_files_named(self, tmp_path, toy_spec, name, edit, cause):
         save_dataset(toy_spec, generate(toy_spec, 4, seed=4), tmp_path)
         if name == "boxes":

@@ -67,3 +67,17 @@ def test_one_module_protocol():
     walkers = [f"{path.stem}.{cls}" for path in SOURCES
                for cls in parameter_walkers(path.read_text())]
     assert sorted(walkers) == ["nn.Module", "pipeline.DensePredPipeline", "prompting.TextPath"]
+
+
+def private_imports(source: str) -> list[str]:
+    """Underscore names a module imports from another module."""
+    return sorted(f"{alias.name} (line {node.lineno})" for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ImportFrom) for alias in node.names
+                  if alias.name.startswith("_") and node.module != "__future__")
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_private_imports(path):
+    """A private name has one owner: no module of the package imports one."""
+    private = private_imports(path.read_text())
+    assert not private, f"{path.name} imports private names {private}"

@@ -108,7 +108,8 @@ class TestAdamW:
 
     @pytest.mark.parametrize("field, value", [("steps", 0), ("batch_size", 0), ("steps", -3)])
     def test_empty_step_or_batch_rejected(self, field, value):
-        with pytest.raises(ValueError, match=f"{field} must be at least 1"):
+        with pytest.raises(ValueError, match=rf"^OptimConfig\.{field} must be an integer "
+                                             rf"of at least 1, got {value}$"):
             OptimConfig(**{field: value})
 
     @pytest.mark.parametrize("field, value", [
@@ -589,17 +590,21 @@ class TestRunLoader:
         with pytest.raises(ValueError, match=r"^OptimConfig\.seed must be an integer"):
             run_ablation(dataset, spec.class_names, {"seed": seed})
 
-    @pytest.mark.parametrize("suite, key", [
-        ({"optm": {"steps": 2}}, "optm"),
-        ({"rows": [{"name": "a", "mode": "coop", "freeze_text": True}]}, "freeze_text"),
-        ({"rows": [{"name": "a", "seed": 1}]}, "seed"),
-        ({"rows": [{"name": "a", "optim": {"step": 2}}]}, "step"),
-        ({"rows": [{"mode": "coop"}]}, "name"),
+    @pytest.mark.parametrize("suite, message", [
+        ({"optm": {"steps": 2}}, "suite: unknown key(s) ['optm'], missing key(s) []"),
+        ({"rows": [{"name": "a", "mode": "coop", "freeze_text": True}]},
+         "rows[0] in suite: unknown key(s) ['freeze_text'], missing key(s) []"),
+        ({"rows": [{"name": "a", "seed": 1}]},
+         "rows[0] in suite: unknown key(s) ['seed'], missing key(s) []"),
+        ({"rows": [{"name": "a", "optim": {"step": 2}}]},
+         "rows[0].optim in suite: unknown key(s) ['step'], missing key(s) []"),
+        ({"rows": [{"mode": "coop"}]},
+         "rows[0] in suite: unknown key(s) [], missing key(s) ['name']"),
     ], ids=["suite.optm", "row.freeze_text", "row.seed", "row.optim.step", "row.name"])
-    def test_unknown_suite_and_row_keys_named(self, tiny_task, monkeypatch, suite, key):
+    def test_unknown_suite_and_row_keys_named(self, tiny_task, monkeypatch, suite, message):
         spec, dataset = tiny_task
         monkeypatch.setattr(harness, "train", None)  # nothing may train
-        with pytest.raises((KeyError, TypeError, ValueError), match=key):
+        with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
             run_ablation(dataset, spec.class_names, suite)
 
     @pytest.mark.parametrize("bad_row", [

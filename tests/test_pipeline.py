@@ -8,6 +8,7 @@ import pytest
 
 from pixtext import encoders, nn, pipeline
 from pixtext import tensor as T
+from pixtext.config import from_json
 from pixtext.datagen import TaskSpec, default_task, generate, split
 from pixtext.encoders import ImageEncoderConfig, ToyImageEncoder
 from pixtext.harness import OptimConfig, train
@@ -387,7 +388,8 @@ class TestSwappedCheckpoint:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         del manifest["backbone"]
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(ContractError, match=r"manifest\.json lacks the 'backbone' key"):
+        with pytest.raises(ContractError, match=r"manifest\.json: unknown key\(s\) \[\], "
+                                                r"missing key\(s\) \['backbone'\]"):
             load_checkpoint(tmp_path)
 
     def test_unknown_backbone_key_named(self, tmp_path, micro_spec):
@@ -419,11 +421,11 @@ class TestConfigKeys:
     def test_deleted_key_named(self, tmp_path, micro_spec, edit, section, key):
         d = micro_config("coop").to_dict()
         edit(d)
-        with pytest.raises(TypeError, match=key):
-            PipelineConfig.from_dict(d)
+        pattern = rf"^{section} in .*manifest\.json: unknown key\(s\) \['{key}'\]"
+        with pytest.raises(ContractError, match=pattern):
+            from_json(PipelineConfig, d, "config in manifest.json")
         save_checkpoint(build_pipeline(micro_config("coop"), micro_spec.class_names, 2), tmp_path)
         _edit_manifest(tmp_path, edit)
-        pattern = rf"^{section} in .*manifest\.json: unknown key\(s\) \['{key}'\]"
         with pytest.raises(ContractError, match=pattern):
             load_checkpoint(tmp_path)
 
@@ -450,7 +452,7 @@ class TestConfigKeys:
         d[section][key] = value
         with pytest.raises(ValueError, match=rf"^\w+EncoderConfig\.{key} must be an integer "
                                              rf"of at least 1, got {value!r}$"):
-            PipelineConfig.from_dict(d)
+            from_json(PipelineConfig, d, "config in run.json")
 
     @pytest.mark.parametrize("section", ["config.image", "backbone"])
     def test_manifest_encoder_count_checked(self, tmp_path, micro_spec, section):
@@ -481,7 +483,7 @@ class TestConfigKeys:
         d = micro_config("post").to_dict()
         d[key] = value
         with pytest.raises(ValueError, match=message):
-            PipelineConfig.from_dict(d)
+            from_json(PipelineConfig, d, "config in run.json")
         cfg = micro_config("post")
         setattr(cfg, key, value)
         with pytest.raises(ValueError, match=message):
@@ -718,7 +720,8 @@ class TestManifestChecks:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         del manifest[key]
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(ContractError, match=rf"manifest\.json lacks the '{key}' key"):
+        with pytest.raises(ContractError, match=rf"manifest\.json: unknown key\(s\) \[\], "
+                                                rf"missing key\(s\) \['{key}'\]"):
             load_checkpoint(tmp_path)
 
     @pytest.mark.parametrize("where", ["absolute", "parent", "sibling", "missing"])
