@@ -14,10 +14,10 @@ import json
 import os
 import sys
 
-from .config import TaskSpec, from_json
+from .config import TaskSpec, check_keys, from_json
 from .datagen import default_task, generate, load_dataset, save_dataset, split
-from .harness import (load_run, miou_from_pairs, predict_samples, run_ablation, train,
-                      write_ablation_csv)
+from .harness import (SUITE_KEYS, load_run, miou_from_pairs, predict_samples, run_ablation,
+                      train, write_ablation_csv)
 from .pipeline import build_pipeline, export_prediction, load_checkpoint, save_checkpoint
 from .tensor import ContractError
 from .verification import format_results, run_gradient_suite
@@ -108,6 +108,7 @@ def _cmd_gradcheck(args) -> int:
 def _cmd_ablate(args) -> int:
     with open(args.suite) as fh:
         suite = json.load(fh)
+    check_keys(suite, SUITE_KEYS, args.suite)
     suite["seed"] = _seed_override(suite.get("seed", 0))
     spec, samples = load_dataset(args.data)
     dataset = split(samples, suite.get("train_fraction", 0.75))

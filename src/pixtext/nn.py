@@ -215,7 +215,10 @@ def attention_heads(q: Tensor, k: Tensor, v: Tensor, heads: int,
     most `_NO_SHIFT_BOUND`, e = exp(s) cannot overflow and the kernel skips
     the row-max pass; otherwise, and for non-finite inputs, it shifts,
     e = exp(s - rowmax). Both give the same e / z. One tape node; it saves
-    e and z per chunk, and its backward reads o from the op's own output.
+    only z per chunk, and its backward rebuilds each chunk's e right before
+    using it, with the forward's operations on the same operands, so the
+    rebuilt e is bitwise the forward's. The backward reads o from the op's
+    own output.
     """
     qd, kd, vd = q.data, k.data, v.data
     if qd.shape[1] != kd.shape[1] or kd.shape != vd.shape:
@@ -243,29 +246,34 @@ def attention_heads(q: Tensor, k: Tensor, v: Tensor, heads: int,
     bound = math.sqrt(hd) * np.maximum.reduce(np.abs(qd), None) * np.maximum.reduce(
         np.abs(kd), None)
     shift = not bound <= _NO_SHIFT_BOUND  # NaN and inf bounds shift
-    out = np.empty((rows, dim))
-    saved = []
     # Products take contiguous blocks only. A block that is scaled or
     # divided goes into a new array (order="C"): np.ascontiguousarray
     # returns a view of an already contiguous block (one-row segments, one
     # head), and an in-place op would then write into the caller's arrays.
-    for q_rows, kv_rows, count, lq, lk in chunks:
+    def weights(q_rows, kv_rows, count, lq, lk):
+        # a chunk's e: the forward's, and bitwise the same again in the backward
         e = np.matmul(np.multiply(split(qd, q_rows, count, lq), scale, order="C"),
                       np.ascontiguousarray(tr(split(kd, kv_rows, count, lk))))
         if shift:
             e -= e.max(axis=-1, keepdims=True)
-        np.exp(e, out=e)
+        return np.exp(e, out=e)
+
+    out = np.empty((rows, dim))
+    zs = []
+    for q_rows, kv_rows, count, lq, lk in chunks:
+        e = weights(q_rows, kv_rows, count, lq, lk)
         z = np.add.reduce(e, axis=-1, keepdims=True)
         o = np.matmul(e, np.ascontiguousarray(split(vd, kv_rows, count, lk)))
         o /= z
         split(out, q_rows, count, lq)[...] = o
-        saved.append((e, z))
+        zs.append(z)
 
     def grad_fn(g):
         gq = np.empty_like(qd)
         gk = np.empty_like(kd)
         gv = np.empty_like(vd)
-        for (q_rows, kv_rows, count, lq, lk), (e, z) in zip(chunks, saved):
+        for (q_rows, kv_rows, count, lq, lk), z in zip(chunks, zs):
+            e = weights(q_rows, kv_rows, count, lq, lk)
             gn = np.divide(split(g, q_rows, count, lq), z, order="C")
             split(gv, kv_rows, count, lk)[...] = tr(np.matmul(np.ascontiguousarray(tr(gn)), e))
             gs = np.matmul(gn, np.ascontiguousarray(tr(split(vd, kv_rows, count, lk))))

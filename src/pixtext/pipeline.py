@@ -401,7 +401,12 @@ def load_checkpoint(ckpt_dir) -> DensePredPipeline:
     seed = manifest["seed"]
     if type(seed) is not int:  # a JSON true is a bool, not a seed
         raise ContractError(f"seed in {manifest_path} must be an integer, got {seed!r}")
-    pipe = build_pipeline(cfg, manifest["class_names"], seed)
+    names = manifest["class_names"]
+    if (not isinstance(names, list) or not all(isinstance(n, str) for n in names)
+            or len(set(names)) != len(names)):
+        raise ContractError(f"class_names in {manifest_path} must be a list of distinct "
+                            f"strings, got {names!r}")
+    pipe = build_pipeline(cfg, names, seed)
     if backbone != cfg.image:
         pipe = swap_backbone(pipe, ToyImageEncoder(backbone, rng_for(seed, "swapped_backbone")))
     if not isinstance(manifest["params"], dict):

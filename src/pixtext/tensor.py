@@ -337,6 +337,14 @@ def take(a: Tensor, indices) -> Tensor:
     rows, cols = a.shape
 
     def grad_fn(g):
+        if np.bincount(idx, minlength=rows).max(initial=0) <= 1:
+            # no row gathered twice: one scatter; bincount's sums start at
+            # 0.0, which the += 0.0 keeps (-0.0 becomes 0.0). It runs in
+            # place: a g + 0.0 temporary is a fresh, page-faulting block.
+            full = np.zeros((rows, cols))
+            full[idx] = g
+            full += 0.0
+            return [full]
         # One bincount per column adds in index order, as np.add.at does,
         # so the sums are bitwise the same.
         full = np.empty((rows, cols))

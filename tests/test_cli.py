@@ -280,3 +280,12 @@ class TestAblateCommand:
             main(["ablate", "--data", str(micro_dataset_dir), "--suite", str(suite_path),
                   "--out", str(tmp_path / "table.csv")])
         assert not (tmp_path / "table.csv").exists()
+
+    def test_suite_that_is_not_an_object_named(self, tmp_path, micro_dataset_dir):
+        suite_path = tmp_path / "suite.json"
+        suite_path.write_text(json.dumps([{"name": "coop", "mode": "coop"}]))
+        with pytest.raises(ContractError, match=rf"^{re.escape(str(suite_path))} must be a JSON "
+                                                r"object, got list"):
+            main(["ablate", "--data", str(micro_dataset_dir), "--suite", str(suite_path),
+                  "--out", str(tmp_path / "table.csv")])
+        assert not (tmp_path / "table.csv").exists()

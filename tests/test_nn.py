@@ -1,5 +1,6 @@
 import hashlib
 import re
+import tracemalloc
 from itertools import accumulate
 
 import numpy as np
@@ -422,6 +423,22 @@ class TestAttentionReference:
         drawn, given, _, _ = self.run(rng, case)
         for a, b in zip(given, drawn):
             assert np.array_equal(a, b)
+
+
+class TestAttentionTape:
+    def test_tape_keeps_no_weights(self, rng):
+        # one 512-row segment at 4 heads: its weights are one 4 x 512 x 512
+        # float64 block, 8 MiB; the node keeps only the row sums
+        q, k, v = (T.Tensor(a, requires_grad=True) for a in rng.standard_normal((3, 512, 32)))
+        tracemalloc.start()
+        try:
+            with T.fresh_tape() as tape:
+                out = nn.attention_heads(q, k, v, 4)
+                held, _ = tracemalloc.get_traced_memory()
+                assert len(tape) == 1 and out.shape == (512, 32)
+        finally:
+            tracemalloc.stop()
+        assert held < 1 << 20
 
 
 class TestAttentionGolden:

@@ -752,6 +752,18 @@ class TestManifestChecks:
         with pytest.raises(ContractError, match=r"^seed in .*manifest\.json must be an integer"):
             load_checkpoint(tmp_path)
 
+    @pytest.mark.parametrize("names", [5, "ab", [1, 2], ["a", "a"]],
+                             ids=["int", "str", "ints", "repeated"])
+    def test_class_names_checked(self, tmp_path, micro_spec, names):
+        save_checkpoint(build_pipeline(micro_config("coop"), micro_spec.class_names, 1), tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest["class_names"] = names
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ContractError, match=r"^class_names in .*manifest\.json must be a "
+                                                r"list of distinct strings, got "
+                                                + re.escape(repr(names))):
+            load_checkpoint(tmp_path)
+
     @pytest.mark.parametrize("path, value, named", [
         (("backbone",), 5, "int 5"),
         (("backbone",), "abc", "str 'abc'"),  # not the keys ['a', 'b', 'c']

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from pixtext import nn
 from pixtext import tensor as T
 
 
@@ -123,12 +124,22 @@ class TestBackward:
         T.backward(T.tsum(T.mul(x, x)))
         assert np.allclose(x.grad, 2 * x.data, atol=1e-15)
 
-    def test_repeated_backward_accumulates(self):
+    def test_repeated_backward_accumulates(self, rng):
         x = T.Tensor(np.ones(3), requires_grad=True)
         loss = T.tsum(x)
         T.backward(loss)
         T.backward(loss)
         assert np.array_equal(x.grad, 2 * np.ones(3))
+        # attention rebuilds its weights in every backward from the same operands
+        qkv = [T.Tensor(a, requires_grad=True) for a in rng.standard_normal((3, 6, 8))]
+        with T.fresh_tape():
+            out = nn.attention_heads(*qkv, 2, [0, 2, 6])
+            loss = T.tsum(T.mul(out, T.Tensor(rng.standard_normal((6, 8)))))
+            T.backward(loss)
+            once = [t.grad.copy() for t in qkv]
+            T.backward(loss)
+        for t, g in zip(qkv, once):
+            assert np.array_equal(t.grad, 2 * g)
 
     def test_composite_graph_matches_finite_differences(self, rng):
         w, bias = T.Tensor(rng.standard_normal((4, 3))), T.Tensor(rng.standard_normal(4))
@@ -462,9 +473,11 @@ class TestScatterGradients:
         x = T.Tensor(rng.standard_normal((5, 3)), requires_grad=True)
         g = rng.standard_normal((idx.size, 3))
         g[0] = -0.0  # add.at writes +0.0 for it
-        with T.fresh_tape():
+        with T.fresh_tape() as tape:
             T.backward(T.tsum(T.mul(T.take(x, idx), T.Tensor(g))))
+            direct = tape[0].grad_fn(g)[0]  # before a leaf's zeros absorb -0.0
         assert x.grad.tobytes() == _add_at((5, 3), idx, g).tobytes()
+        assert direct.tobytes() == _add_at((5, 3), idx, g).tobytes()
 
 
 def _patch_index_loop(n, h, w, f):
