@@ -188,6 +188,9 @@ def load_dataset(data_dir):
     if images.ndim != 4 or images.shape[1:] != (h, w, 3):
         raise ValueError(f"images.dct1 has shape {images.shape}; spec.json needs (n, {h}, {w}, 3)")
     n = images.shape[0]
+    bad = np.flatnonzero(~np.isfinite(images).all(axis=(1, 2, 3)))
+    if bad.size:
+        raise ValueError(f"images.dct1 image {bad[0]} has non-finite pixel values")
     if masks.shape != (n, h * w):
         raise ValueError(f"masks.dct1 has shape {masks.shape}; {n} images of {h}x{w} "
                          f"need ({n}, {h * w})")

@@ -19,7 +19,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .config import OptimConfig, PipelineConfig, check_keys, from_json, subsection
-from .datagen import SyntheticSample
 from .pipeline import DensePredPipeline, build_pipeline, toy_config
 from .tensor import ContractError, Tensor, backward, reset_tape
 
@@ -154,11 +153,15 @@ def miou_from_pairs(pairs, k: int) -> tuple[list, float]:
     """
     conf = np.zeros(k * k, dtype=np.int64)
     for target, pred in pairs:
-        target, pred = np.asarray(target, dtype=np.intp), np.asarray(pred, dtype=np.intp)
-        for ids in (target, pred):
-            if ids.size and (ids.min() < 0 or ids.max() >= k):
-                raise IndexError(f"class id out of range [0, {k})")
-        conf += np.bincount(target * k + pred, minlength=k * k)
+        ids = []
+        for side, values in (("target", target), ("prediction", pred)):
+            values = np.asarray(values)
+            if values.size and values.dtype.kind not in "iu":  # a cast would floor 2.9 to 2
+                raise ContractError(f"{side} needs integer class ids, got dtype {values.dtype}")
+            if values.size and (values.min() < 0 or values.max() >= k):
+                raise IndexError(f"{side} class id out of range [0, {k})")
+            ids.append(values.astype(np.intp, copy=False))
+        conf += np.bincount(ids[0] * k + ids[1], minlength=k * k)
     conf = conf.reshape(k, k)
     inter = np.diag(conf).astype(np.float64)
     union = conf.sum(axis=0) + conf.sum(axis=1) - np.diag(conf)
@@ -190,10 +193,6 @@ def predict_samples(pipe: DensePredPipeline, samples) -> list[np.ndarray]:
 def evaluate_miou(pipe: DensePredPipeline, samples) -> tuple[list, float]:
     """Per-class IoU over the pooled pixels of all samples."""
     return miou_from_pairs(zip((s.mask for s in samples), predict_samples(pipe, samples)), pipe.k)
-
-
-def _target_for(pipe: DensePredPipeline, sample: SyntheticSample):
-    return sample.boxes if pipe.head is None else sample.mask
 
 
 def train(pipe: DensePredPipeline, dataset, cfg: OptimConfig) -> RunReport:
@@ -232,7 +231,8 @@ def train(pipe: DensePredPipeline, dataset, cfg: OptimConfig) -> RunReport:
         else:
             order = rng.permutation(n)[: cfg.batch_size]
         batch = [train_samples[idx] for idx in order]
-        out = pipe.forward([s.image for s in batch], [_target_for(pipe, s) for s in batch])
+        targets = [s.boxes if pipe.head is None else s.mask for s in batch]
+        out = pipe.forward([s.image for s in batch], targets)
         value = out.loss.item()
         if not math.isfinite(value):
             raise TrainingDiverged(step, value, {

@@ -4,7 +4,6 @@ auxiliary objectives applied directly to the temperature-scaled scores.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +22,6 @@ from .tensor import (
     l2_normalize,
     mul,
     take,
-    write_dct1,
 )
 
 __all__ = [
@@ -35,7 +33,6 @@ __all__ = [
     "seg_aux_loss",
     "rasterize_boxes",
     "det_aux_loss",
-    "export_score_map",
 ]
 
 
@@ -135,20 +132,3 @@ def rasterize_boxes(boxes, h4: int, w4: int, k: int) -> np.ndarray:
 def det_aux_loss(score: ScoreMap, y, cfg: LossConfig) -> Tensor:
     """Stable binary cross-entropy of temperature-scaled scores vs 0/1 box targets."""
     return bce_with_logits(mul(score.s, 1.0 / cfg.temperature), y)
-
-
-def export_score_map(score: ScoreMap, class_names, path_prefix):
-    """Write `<prefix>.dct1` plus a `<prefix>.json` sidecar for offline
-    rendering. The sidecar has an image count `n` only when the map stacks
-    more than one image; without it the map is one image's."""
-    write_dct1(f"{path_prefix}.dct1", score.s)
-    sidecar = {
-        "h4": score.h4,
-        "w4": score.w4,
-        "k": score.k,
-        "class_names": list(class_names),
-    }
-    if score.n > 1:
-        sidecar["n"] = score.n
-    with open(f"{path_prefix}.json", "w") as fh:
-        json.dump(sidecar, fh, indent=1, sort_keys=True)

@@ -37,7 +37,6 @@ __all__ = [
     "MultiHeadAttention",
     "TransformerBlock",
     "TransformerDecoderLayer",
-    "decoder_forward",
     "init_uniform",
     "rng_for",
 ]
@@ -369,14 +368,3 @@ class TransformerDecoderLayer(Module):
         q = add(queries, self.self_attn(self.ln1(queries), q_offsets=q_offsets))
         q = add(q, self.cross_attn(self.ln2(q), memory, q_offsets, kv_offsets))
         return add(q, self.ffn(self.ln3(q)))
-
-
-def decoder_forward(layers, queries: Tensor, memory: Tensor,
-                    q_offsets=None, kv_offsets=None) -> Tensor:
-    """Run the decoder stack; query segment s reads memory segment s."""
-    if not layers:
-        raise ShapeError("decoder needs at least one layer")
-    out = queries
-    for layer in layers:
-        out = layer(out, memory, q_offsets, kv_offsets)
-    return out

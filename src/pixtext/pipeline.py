@@ -162,7 +162,6 @@ class DensePredPipeline:
         self.head = head
         self.seed = seed
         self.backbone_adapter = backbone_adapter
-        self.loss_cfg = cfg.loss
         if head is None and text_path is None:
             raise ContractError("detection-aux mode needs the language path")
 
@@ -230,7 +229,7 @@ class DensePredPipeline:
         if self.head is None:
             score, _ = self._run(batch)
             y = [rasterize_boxes(boxes, score.h4, score.w4, self.k) for boxes in targets]
-            aux = det_aux_loss(score, np.concatenate(y), self.loss_cfg)
+            aux = det_aux_loss(score, np.concatenate(y), self.cfg.loss)
             return PipelineOutput(
                 cell_logits=None,
                 score=score,
@@ -240,10 +239,12 @@ class DensePredPipeline:
 
         masks = []
         for i, target in enumerate(targets):
-            mask = np.asarray(target, dtype=np.intp)
+            mask = np.asarray(target)
+            if mask.dtype.kind not in "iu":  # a cast would floor 2.9 to class 2
+                raise ContractError(f"mask {i} needs integer labels, got dtype {mask.dtype}")
             if mask.shape != (h * w,):
                 raise ContractError(f"mask {i} has shape {mask.shape}, expected ({h * w},)")
-            masks.append(mask)
+            masks.append(mask.astype(np.intp, copy=False))
         masks = np.stack(masks)
         # checked before the bincount, where a bad label would land in a
         # neighbouring cell
@@ -258,8 +259,8 @@ class DensePredPipeline:
         if score is not None:
             f = self.image_encoder.cfg.patch
             centres = masks.reshape(n, h // f, f, w // f, f)[:, :, f // 2, :, f // 2]
-            aux = seg_aux_loss(score, centres.reshape(-1), self.loss_cfg)
-            total = add(main, mul(aux, self.loss_cfg.aux_weight))
+            aux = seg_aux_loss(score, centres.reshape(-1), self.cfg.loss)
+            total = add(main, mul(aux, self.cfg.loss.aux_weight))
         return PipelineOutput(
             cell_logits=cells,
             score=score,
@@ -318,8 +319,12 @@ class DensePredPipeline:
         return self.text_path.encoder.sequences_encoded
 
     def cache_text(self):
-        if self.text_path is not None and self.text_path.mode != "pre":
-            self.text_path.cache()
+        """Snapshot the image-independent class embeddings into
+        `text_path.cached`, so inference skips the text encoder entirely.
+        Pre-mode embeddings depend on the image: there is nothing to cache."""
+        path = self.text_path
+        if path is not None and path.mode != "pre":
+            path.cached = Tensor(path.base_embeddings().t.data.copy())
 
 
 def build_pipeline(cfg: PipelineConfig, class_names, seed: int) -> DensePredPipeline:
@@ -419,16 +424,14 @@ def load_checkpoint(ckpt_dir) -> DensePredPipeline:
         if name not in params:
             raise KeyError(f"checkpoint parameter {name} not in rebuilt pipeline")
         param, group = params[name]
-        if not isinstance(entry, dict):
-            raise ContractError(f"checkpoint parameter {name} in {manifest_path} is {entry!r}, "
-                                f"not an entry with 'file' and 'group'")
-        if entry.get("group") != group:
+        check_keys(entry, ("file", "group"), subsection(subsection(manifest_path, "params"), name),
+                   required=("file", "group"))
+        if entry["group"] != group:
             raise ContractError(f"checkpoint parameter {name} in {manifest_path} is in group "
-                                f"{entry.get('group')!r}; the rebuilt pipeline puts it in "
-                                f"{group!r}")
-        if entry.get("file") != f"{name}.dct1":
+                                f"{entry['group']!r}; the rebuilt pipeline puts it in {group!r}")
+        if entry["file"] != f"{name}.dct1":
             raise ContractError(f"checkpoint parameter {name} in {manifest_path} names file "
-                                f"{entry.get('file')!r}; expected {name}.dct1 in the directory")
+                                f"{entry['file']!r}; expected {name}.dct1 in the directory")
         path = os.path.join(ckpt_dir, entry["file"])
         arr = read_dct1(path)
         if arr.shape != param.shape:

@@ -24,8 +24,7 @@ import numpy as np
 
 from .config import GATE_PRESETS, PROMPT_MODES
 from .encoders import PooledFeatures, TextEmbeddings, ToyTextEncoder, build_vocab
-from .nn import (Linear, TransformerDecoderLayer, block_offsets, decoder_forward, init_uniform,
-                 rng_for)
+from .nn import Linear, TransformerDecoderLayer, block_offsets, init_uniform, rng_for
 from .tensor import ContractError, ShapeError, Tensor, add, mul_rowvec, take
 
 __all__ = [
@@ -56,9 +55,10 @@ def pre_model_prompt(
     feed them into the text encoder in place of the learnable contexts."""
     if queries.shape[1] != pooled.memory.shape[1]:
         raise ShapeError(f"query dim {queries.shape[1]} != memory dim {pooled.memory.shape[1]}")
-    c = queries.shape[0]
-    visual_ctx = decoder_forward(decoder_layers, _per_image(queries, pooled.n),
-                                 pooled.memory, block_offsets(pooled.n, c), pooled.offsets)
+    visual_ctx = _per_image(queries, pooled.n)
+    q_offsets = block_offsets(pooled.n, queries.shape[0])
+    for layer in decoder_layers:  # query segment s reads memory segment s
+        visual_ctx = layer(visual_ctx, pooled.memory, q_offsets, pooled.offsets)
     return enc.encode(adapter(visual_ctx), class_token_lists, n=pooled.n)
 
 
@@ -76,8 +76,10 @@ def post_model_prompt(
     if t.n not in (1, pooled.n):
         raise ShapeError(f"embeddings for {t.n} images, memory of {pooled.n}")
     base = _per_image(t.t, pooled.n // t.n)
-    v_post = decoder_forward(decoder_layers, base, pooled.memory,
-                             block_offsets(pooled.n, t.class_count), pooled.offsets)
+    v_post = base
+    q_offsets = block_offsets(pooled.n, t.class_count)
+    for layer in decoder_layers:
+        v_post = layer(v_post, pooled.memory, q_offsets, pooled.offsets)
     refined = add(base, mul_rowvec(v_post, gamma))
     return TextEmbeddings(t=refined, class_count=t.class_count)
 
@@ -162,15 +164,6 @@ class TextPath:
         if self.mode == "post":
             return post_model_prompt(base, pooled, self.decoder_layers, self.gamma)
         return base
-
-    def cache(self) -> Tensor:
-        """Snapshot the image-independent embeddings so inference skips the
-        text encoder entirely."""
-        if self.mode == "pre":
-            raise ContractError("cannot cache pre-model embeddings: input is image-dependent")
-        base = self.base_embeddings()
-        self.cached = Tensor(base.t.data.copy())
-        return self.cached
 
     def parameters(self):
         for name, p in self.encoder.parameters():

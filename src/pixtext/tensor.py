@@ -629,10 +629,12 @@ def backward(loss: Tensor):
 
 @dataclass
 class GradCheckReport:
-    """Outcome of comparing analytic gradients to central differences."""
+    """Outcome of comparing analytic gradients to central differences;
+    `name` labels the check in a suite."""
 
     max_rel_err: float
     tol: float = 1e-5
+    name: str = ""
 
     @property
     def passed(self) -> bool:

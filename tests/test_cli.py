@@ -1,11 +1,12 @@
 import json
 import os
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
-from pixtext.cli import main
+from pixtext.cli import build_parser, main
 from pixtext.datagen import TaskSpec, generate, load_dataset, save_dataset
 from pixtext.harness import load_run, miou_from_pairs
 from pixtext.pipeline import DensePredPipeline, micro_config, toy_config
@@ -220,6 +221,21 @@ class TestReadmeExample:
         pipe_cfg, optim = load_run(run)
         assert pipe_cfg == toy_config(run["mode"])
         assert optim.seed == run["seed"] and optim.steps == run["optim"]["steps"]
+
+    def test_every_documented_command_parses(self):
+        # each `pixtext ...` command in README's fenced blocks, optional
+        # arguments unbracketed and each `;`-separated command on its own
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        seen = set()
+        for block in readme.split("```")[1::2]:
+            for line in block.splitlines():
+                for command in line.split(";"):
+                    found = re.search(r"(?<![\w.])pixtext (.*)", command)
+                    if found:
+                        args = build_parser().parse_args(shlex.split(
+                            found.group(1).replace("[", "").replace("]", "")))
+                        seen.add(args.command)
+        assert seen == {"synth", "train", "eval", "gradcheck", "ablate"}
 
 
 class TestGradcheckCommand:

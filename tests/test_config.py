@@ -5,6 +5,7 @@ the section or the file at fault."""
 import copy
 import json
 import math
+import re
 from dataclasses import fields
 
 import pytest
@@ -240,6 +241,23 @@ def test_manifest_section_fuzz(checkpoint, data):
     # a valid setting that builds another pipeline (prompt_mode null) fails on
     # the parameter list, naming the parameter, as a KeyError
     _fails_named(lambda: load_checkpoint(path), name, also=KeyError)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.data())
+def test_manifest_params_fuzz(checkpoint, data):
+    path, manifest = checkpoint
+    manifest = copy.deepcopy(manifest)
+    name = data.draw(st.sampled_from(sorted(manifest["params"])))
+    entry = manifest["params"][name]
+    if data.draw(st.booleans()):
+        _mutate(data, entry, ())  # drop, retype or rename file or group
+    else:
+        entry[data.draw(st.sampled_from(["shape", "dtype", "File"]))] = data.draw(VALUES)
+    (path / "manifest.json").write_text(json.dumps(manifest))
+    # no mutation leaves an entry that loads: every one names the parameter
+    with pytest.raises((ContractError, KeyError), match=re.escape(name)):
+        load_checkpoint(path)
 
 
 @pytest.fixture(scope="module")

@@ -201,6 +201,8 @@ class TestDatasetIO:
     @pytest.mark.parametrize("name, edit, cause", [
         ("images", lambda a: a[:, :16],
          r"images\.dct1 has shape \(4, 16, 32, 3\); spec\.json needs \(n, 32, 32, 3\)"),
+        ("images", lambda a: np.where(a == a[2].max(), np.nan, a),
+         r"^images\.dct1 image 2 has non-finite pixel values$"),
         ("masks", lambda a: a[:3], r"masks\.dct1 has shape \(3, 1024\); 4 images of 32x32"),
         ("masks", lambda a: a + 0.5, r"masks\.dct1 holds labels that are not integers in \[0, 8\)"),
         ("masks", lambda a: a + 8.0, r"masks\.dct1 holds labels"),
@@ -222,7 +224,7 @@ class TestDatasetIO:
          r"boxes\.json image 2 box\[2\] must be a finite number .*, got 'a'"),
         ("boxes", lambda b: b[:1] + [{"class_id": 1, "box": [0, 0, 0.5, 0.5]}] + b[2:],
          r"boxes\.json image 1 is \{'class_id': 1, .*\}, not a list of boxes"),
-    ], ids=["image_size", "mask_count", "fractional_label", "label_at_k", "negative_label",
+    ], ids=["image_size", "nan_pixel", "mask_count", "fractional_label", "label_at_k", "negative_label",
             "nan_label", "box_count", "box_class_at_99", "negative_box_class",
             "fractional_box_class", "entry_without_box", "box_of_three", "box_coordinate_str",
             "box_list_is_an_object"])

@@ -187,6 +187,17 @@ class TestMiou:
         assert miou == 1.0
         assert ious[1:] == [None] * 4
 
+    @pytest.mark.parametrize("side", ["target", "prediction"])
+    @pytest.mark.parametrize("shift, error, cause", [
+        (0.9, ContractError, "needs integer class ids, got dtype float64"),
+        (1, IndexError, r"class id out of range \[0, 3\)"),
+    ], ids=["fraction", "out_of_range"])
+    def test_bad_ids_named_by_side(self, side, shift, error, cause):
+        ids = np.array([0, 1, 2])
+        pair = (ids + shift, ids) if side == "target" else (ids, ids + shift)
+        with pytest.raises(error, match=rf"^{side} {cause}$"):
+            miou_from_pairs([pair], k=3)
+
     @given(st.integers(min_value=1, max_value=2**31 - 1))
     @settings(max_examples=25, deadline=None)
     def test_matches_set_based_oracle(self, seed):

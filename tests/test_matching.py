@@ -250,30 +250,6 @@ class TestDetAuxLoss:
             det_aux_loss(score, np.zeros((3, 2)), LossConfig())
 
 
-class TestScoreMapExport:
-    def test_dct1_and_sidecar(self, tmp_path, rng):
-        import json
-
-        from pixtext.matching import export_score_map
-        from pixtext.tensor import read_dct1
-
-        s = np.clip(rng.uniform(-1, 1, (4, 2)), -1, 1)
-        score = ScoreMap(s=T.Tensor(s), h4=2, w4=2, k=2)
-        export_score_map(score, ["bg", "thing"], tmp_path / "score")
-        assert np.array_equal(read_dct1(tmp_path / "score.dct1"), s)
-        sidecar = json.loads((tmp_path / "score.json").read_text())
-        assert sidecar == {"h4": 2, "w4": 2, "k": 2, "class_names": ["bg", "thing"]}
-
-    def test_export_of_stacked_maps_records_image_count(self, tmp_path):
-        import json
-
-        from pixtext.matching import export_score_map
-
-        score = ScoreMap(s=T.Tensor(np.zeros((8, 2))), h4=2, w4=2, k=2, n=2)
-        export_score_map(score, ["bg", "thing"], tmp_path / "score")
-        assert json.loads((tmp_path / "score.json").read_text())["n"] == 2
-
-
 class TestInvariants:
     def test_score_map_constructor_enforces_bounds(self):
         with pytest.raises(T.ContractError):

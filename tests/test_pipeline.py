@@ -111,7 +111,7 @@ class TestSharedScorePath:
             fused = fuse_features(fm, score)
             logits = T.take(pipe.head(fused.values), pixel_cells)
             main = cross_entropy(logits, micro_sample.mask)
-            aux = seg_aux_loss(score, micro_sample.mask[centres], pipe.loss_cfg)
+            aux = seg_aux_loss(score, micro_sample.mask[centres], pipe.cfg.loss)
             return main, aux
 
         main, _ = build_losses()
@@ -684,6 +684,21 @@ class TestInputChecks:
         with pytest.raises(ContractError, match="mask 1 has shape"):
             pipe.forward([micro_sample.image] * 2, [micro_sample.mask, micro_sample.mask[:5]])
 
+    @pytest.mark.parametrize("edit", [lambda m: m + 0.7, lambda m: m.astype(np.float32),
+                                      lambda m: m > 0], ids=["fraction", "float32", "bool"])
+    def test_non_integer_mask_named_by_index(self, micro_spec, micro_sample, edit):
+        bad = edit(micro_sample.mask)
+        with pytest.raises(ContractError, match=rf"^mask 1 needs integer labels, got dtype "
+                                                rf"{bad.dtype}$"):
+            self.pipe(micro_spec).forward([micro_sample.image] * 2, [micro_sample.mask, bad])
+
+    def test_every_integer_mask_dtype_gives_one_loss(self, micro_spec, micro_sample):
+        pipe = self.pipe(micro_spec)
+        ref = pipe.forward([micro_sample.image], [micro_sample.mask]).loss.item()
+        for mask in (micro_sample.mask.astype(np.uint8), micro_sample.mask.astype(np.int32),
+                     micro_sample.mask.tolist()):
+            assert pipe.forward([micro_sample.image], [mask]).loss.item() == ref
+
     def test_empty_batch_rejected(self, micro_spec):
         with pytest.raises(ContractError):
             self.pipe(micro_spec).forward([], [])
@@ -739,8 +754,12 @@ class TestManifestChecks:
                              "parent": "../other/head.fc1.bias.dct1",
                              "sibling": "head.fc2.bias.dct1"}[where]
         (ckpt / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(ContractError, match=r"head\.fc1\.bias in .*manifest\.json names file "
-                                                r".*expected head\.fc1\.bias\.dct1"):
+        pattern = (r"head\.fc1\.bias in .*manifest\.json names file .*expected "
+                   r"head\.fc1\.bias\.dct1")
+        if where == "missing":
+            pattern = (r"^params\.head\.fc1\.bias in .*manifest\.json: unknown key\(s\) \[\], "
+                       r"missing key\(s\) \['file'\]$")
+        with pytest.raises(ContractError, match=pattern):
             load_checkpoint(ckpt)
 
     @pytest.mark.parametrize("seed", ["1", True, 1.0])
@@ -796,8 +815,19 @@ class TestManifestChecks:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         manifest["params"]["head.fc1.bias"] = "head.fc1.bias.dct1"
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(ContractError, match=r"head\.fc1\.bias in .*manifest\.json is "
-                                                r"'head\.fc1\.bias\.dct1', not an entry"):
+        with pytest.raises(ContractError, match=r"^params\.head\.fc1\.bias in .*manifest\.json "
+                                                r"must be a JSON object, got str "
+                                                r"'head\.fc1\.bias\.dct1'$"):
+            load_checkpoint(tmp_path)
+
+    def test_entry_with_another_key_named(self, tmp_path, micro_spec):
+        save_checkpoint(build_pipeline(micro_config("coop"), micro_spec.class_names, 2), tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest["params"]["head.fc1.bias"]["shape"] = [8]
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ContractError, match=r"^params\.head\.fc1\.bias in .*manifest\.json: "
+                                                r"unknown key\(s\) \['shape'\], missing key\(s\) "
+                                                r"\[\]$"):
             load_checkpoint(tmp_path)
 
     @pytest.mark.parametrize("group", ["bogus", "image_encoder", None])
@@ -809,9 +839,12 @@ class TestManifestChecks:
         else:
             manifest["params"]["head.fc1.bias"]["group"] = group
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(ContractError, match=rf"head\.fc1\.bias in .*manifest\.json is in "
-                                                rf"group {group!r}; the rebuilt pipeline puts "
-                                                rf"it in 'other'"):
+        pattern = (rf"head\.fc1\.bias in .*manifest\.json is in group {group!r}; the rebuilt "
+                   rf"pipeline puts it in 'other'")
+        if group is None:  # not reported as a group of None
+            pattern = (r"^params\.head\.fc1\.bias in .*manifest\.json: unknown key\(s\) \[\], "
+                       r"missing key\(s\) \['group'\]$")
+        with pytest.raises(ContractError, match=pattern):
             load_checkpoint(tmp_path)
 
 

@@ -5,14 +5,12 @@ import pytest
 
 from pixtext import tensor as T
 from pixtext.datagen import generate
-from pixtext.nn import decoder_forward
 from pixtext.pipeline import build_pipeline, micro_config, toy_config
 from pixtext.prompting import (
     GATE_PRESETS,
     TextPath,
     post_model_prompt,
 )
-from pixtext.tensor import ContractError
 
 
 def micro_pipe(mode, micro_spec, seed=11, **cfg_overrides):
@@ -216,8 +214,10 @@ class TestPostModel:
         _, pooled = pipe.encode_image(micro_sample.image)
         base = path.base_embeddings()
         refined = post_model_prompt(base, pooled, path.decoder_layers, path.gamma).t.data
-        v = decoder_forward(path.decoder_layers, base.t, pooled.memory).data
-        expected = base.t.data + path.gamma.data[None, :] * v
+        v = base.t
+        for layer in path.decoder_layers:
+            v = layer(v, pooled.memory)
+        expected = base.t.data + path.gamma.data[None, :] * v.data
         assert np.max(np.abs(refined - expected)) < 1e-12
 
     def test_gate_gradient_flows(self, micro_spec, micro_sample):
@@ -264,17 +264,13 @@ class TestCaching:
         T.backward(T.tsum(t.t))
         assert path.encoder.table.grad is not None and np.any(path.encoder.table.grad != 0)
 
-    def test_pre_model_cache_is_contract_error(self, micro_spec):
-        pipe = micro_pipe("pre", micro_spec)
-        with pytest.raises(ContractError):
-            pipe.text_path.cache()
-
     def test_cache_snapshot_is_constant(self, micro_spec):
         pipe = micro_pipe("coop", micro_spec)
-        snap = pipe.text_path.cache()
+        pipe.cache_text()
+        snap = pipe.text_path.cached
         assert not snap.requires_grad
-        t = pipe.text_path.cache()
-        assert np.array_equal(t.data, snap.data)
+        pipe.cache_text()
+        assert np.array_equal(pipe.text_path.cached.data, snap.data)
 
 
 class TestGateAblationPresets:

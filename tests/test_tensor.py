@@ -431,6 +431,32 @@ class TestDct1:
         with pytest.raises(ValueError, match="truncated DCT1 payload"):
             T.read_dct1(path)
 
+    @staticmethod
+    def u32s(values) -> bytes:
+        return b"".join(v.to_bytes(4, "little") for v in values)
+
+    @given(raw=st.one_of(
+        st.binary(max_size=48),
+        st.builds(lambda tail: b"DCT1" + tail, st.binary(max_size=48)),
+        # a rank, dims and a payload that may or may not agree with each other
+        st.builds(lambda rank, dims, tail: b"DCT1" + TestDct1.u32s([rank, *dims]) + tail,
+                  st.integers(0, 4) | st.integers(0, 2**32 - 1),
+                  st.lists(st.integers(0, 3) | st.integers(0, 2**32 - 1), max_size=4),
+                  st.binary(max_size=80)),
+    ))
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def test_any_bytes_read_whole_or_rejected_naming_the_file(self, tmp_path_factory, raw):
+        path = tmp_path_factory.mktemp("fuzz") / "any.dct1"
+        path.write_bytes(raw)
+        try:
+            arr = T.read_dct1(path)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}: "), exc
+            return
+        header = b"DCT1" + self.u32s([arr.ndim, *arr.shape])
+        assert arr.dtype == np.float64
+        assert raw == header + arr.astype("<f8").tobytes()
+
 
 class TestBatchOps:
     def test_stack_and_its_gradient(self, rng):
