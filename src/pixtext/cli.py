@@ -36,6 +36,8 @@ def _seed_override(seed: int) -> int:
 
 
 def _cmd_synth(args) -> int:
+    if args.n < 1:  # before anything is written
+        raise ContractError(f"--n must be at least 1, got {args.n}")
     if args.spec == "default":
         spec = default_task()
     else:
@@ -131,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True, help="task spec JSON, or 'default'")
     p.add_argument("--out", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None, help="default: the spec's own seed")
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("train", help="train a pipeline on a dataset directory")

@@ -202,8 +202,9 @@ def train(pipe: DensePredPipeline, dataset, cfg: OptimConfig) -> RunReport:
     index order; a larger one draws a seeded minibatch of `batch_size`
     samples each step. Each step is one batched `forward` call on one tape.
     First each parameter's `requires_grad` is set to whether its group's
-    multiplier is non-zero, and text embeddings cached by an earlier run
-    are dropped; gradient clipping, when set, takes its norm over the
+    multiplier is non-zero, and the text snapshots of an earlier run's
+    `cache_text` (embeddings, first decoder layer's query side) are
+    dropped; gradient clipping, when set, takes its norm over the
     parameters the optimizer updates.
     Aborts with TrainingDiverged the moment the loss stops being finite.
     """
@@ -211,7 +212,8 @@ def train(pipe: DensePredPipeline, dataset, cfg: OptimConfig) -> RunReport:
     start = time.perf_counter()
     if pipe.text_path is not None:
         # a snapshot from an earlier run would cut the graph to the contexts
-        pipe.text_path.cached = None
+        # and to the first decoder layer's query side
+        pipe.text_path.cached = pipe.text_path.layer0 = None
     for _, p, group in pipe.parameters():
         p.requires_grad = cfg.multipliers[group] != 0.0
     opt = AdamW(pipe.parameters(), cfg)

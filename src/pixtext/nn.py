@@ -24,6 +24,7 @@ from .tensor import (
     gelu,
     linear,
     record,
+    recording,
     take,
 )
 
@@ -100,7 +101,8 @@ def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, eps: float = 1e-5) -> Te
     Fused op: the whole Jacobian is hand-derived so a single tape node
     covers mean/variance/affine. Variance-zero rows are handled by eps.
     Only the gradients of the inputs that require one when the op records
-    are formed; a frozen affine gets None.
+    are formed; a frozen affine gets None. Under `no_grad` it returns right
+    after the arithmetic.
     """
     xd = x.data
     if xd.ndim != 2:
@@ -113,6 +115,8 @@ def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, eps: float = 1e-5) -> Te
     xh = np.multiply(xc, inv, out=xc)
     out = xh * scale.data
     out += shift.data
+    if not recording():
+        return Tensor(out)
     scale_grad, shift_grad = scale.requires_grad, shift.requires_grad
     sd = scale.data if x.requires_grad else None
 
@@ -306,7 +310,10 @@ class MultiHeadAttention(Module):
         split the rows into segments as in `attention_heads`. The projections
         check the widths."""
         kv = queries if memory is None else memory
-        q = self.q_proj(queries)
+        return self.attend(self.q_proj(queries), kv, q_offsets, kv_offsets)
+
+    def attend(self, q: Tensor, kv: Tensor, q_offsets=None, kv_offsets=None) -> Tensor:
+        """Attention of already projected queries `q` over the rows `kv`."""
         k = self.k_proj(kv)
         v = self.v_proj(kv)
         return self.out_proj(attention_heads(q, k, v, self.heads, q_offsets, kv_offsets))
@@ -352,7 +359,9 @@ class TransformerBlock(Module):
 
 class TransformerDecoderLayer(Module):
     """Pre-norm decoder layer: self-attention, cross-attention over memory,
-    feed-forward; residuals around each. Memory enters un-normalized."""
+    feed-forward; residuals around each. Memory enters un-normalized. The
+    query side, all that runs before memory is read, can be computed once
+    for fixed queries and handed to later calls."""
 
     def __init__(self, dim: int, heads: int, ffn_hidden: int, rng: np.random.Generator):
         self.self_attn = MultiHeadAttention(dim, heads, rng)
@@ -362,9 +371,18 @@ class TransformerDecoderLayer(Module):
         self.ln2 = LayerNorm(dim)
         self.ln3 = LayerNorm(dim)
 
-    def __call__(self, queries: Tensor, memory: Tensor, q_offsets=None, kv_offsets=None) -> Tensor:
-        if queries.shape[1] != memory.shape[1]:
-            raise ShapeError(f"decoder dims differ: {queries.shape} vs {memory.shape}")
+    def query_side(self, queries: Tensor, q_offsets=None) -> tuple[Tensor, Tensor]:
+        """The self-attention residual q and the cross-attention's projected
+        queries, q_proj(ln2(q))."""
         q = add(queries, self.self_attn(self.ln1(queries), q_offsets=q_offsets))
-        q = add(q, self.cross_attn(self.ln2(q), memory, q_offsets, kv_offsets))
+        return q, self.cross_attn.q_proj(self.ln2(q))
+
+    def __call__(self, queries: Tensor | None, memory: Tensor, q_offsets=None, kv_offsets=None,
+                 query_side: tuple[Tensor, Tensor] | None = None) -> Tensor:
+        """The layer over `queries`, or, when `query_side` is given, over the
+        queries whose `query_side()` it is; `queries` is then not read."""
+        q, cq = self.query_side(queries, q_offsets) if query_side is None else query_side
+        if q.shape[1] != memory.shape[1]:
+            raise ShapeError(f"decoder dims differ: {q.shape} vs {memory.shape}")
+        q = add(q, self.cross_attn.attend(cq, memory, q_offsets, kv_offsets))
         return add(q, self.ffn(self.ln3(q)))

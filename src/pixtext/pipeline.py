@@ -319,12 +319,19 @@ class DensePredPipeline:
         return self.text_path.encoder.sequences_encoded
 
     def cache_text(self):
-        """Snapshot the image-independent class embeddings into
-        `text_path.cached`, so inference skips the text encoder entirely.
-        Pre-mode embeddings depend on the image: there is nothing to cache."""
+        """Snapshot, under `no_grad`, what the language path computes without
+        an image: the class embeddings into `text_path.cached` (pre-mode
+        embeddings depend on the image), and the first decoder layer's query
+        side on them or on the pre-mode queries into `text_path.layer0`."""
         path = self.text_path
-        if path is not None and path.mode != "pre":
-            path.cached = Tensor(path.base_embeddings().t.data.copy())
+        if path is None:
+            return
+        with no_grad():
+            if path.mode != "pre":
+                path.cached = path.base_embeddings().t
+            if path.decoder_layers:
+                x = path.queries if path.mode == "pre" else path.cached
+                path.layer0 = path.decoder_layers[0].query_side(x)
 
 
 def build_pipeline(cfg: PipelineConfig, class_names, seed: int) -> DensePredPipeline:
@@ -447,7 +454,16 @@ def load_checkpoint(ckpt_dir) -> DensePredPipeline:
 
 
 def export_prediction(pred: np.ndarray, h: int, w: int, path, fmt: str = "json"):
-    pred = np.asarray(pred, dtype=int).reshape(h * w)
+    """Write h*w class ids, integers of at least 0, checked rather than cast
+    (a cast would write 2.9 as class 2, and P2 values lie in [0, maxval])."""
+    pred = np.asarray(pred)
+    if pred.dtype.kind not in "iu":
+        raise ContractError(f"prediction needs integer class ids, got dtype {pred.dtype}")
+    if pred.size != h * w:
+        raise ShapeError(f"prediction has {pred.size} class ids, expected h*w = {h * w}")
+    pred = pred.reshape(h * w)
+    if pred.size and pred.min() < 0:
+        raise ContractError(f"prediction has negative class id {pred.min()}")
     if fmt == "json":
         with open(path, "w") as fh:
             json.dump({"height": h, "width": w, "classes": pred.tolist()}, fh)

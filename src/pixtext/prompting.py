@@ -16,6 +16,11 @@ The learnable tensors are plain attributes of ``TextPath``: ``contexts``
 (coop, post; checkpointed as ``contexts.p``), ``queries`` (pre;
 ``queries.q``) and the post-mode gate ``gamma`` (``gate.gamma``); a
 ``fixed_small`` gate is a constant of the config, not a parameter.
+
+Only the decoder's cross-attention to each image's memory and what follows
+it depend on the image. Both decoder modes run one decoder loop, which can
+take the first layer's query side from the snapshot that
+``DensePredPipeline.cache_text`` leaves in ``TextPath.layer0``.
 """
 
 from __future__ import annotations
@@ -43,6 +48,21 @@ def _per_image(rows: Tensor, n: int) -> Tensor:
     return take(rows, np.tile(np.arange(rows.shape[0]), n))
 
 
+def _decode(decoder_layers, x: Tensor | None, pooled: PooledFeatures, length: int,
+            layer0=None) -> Tensor:
+    """The decoder over `x`, the images' stacked query segments of `length`
+    rows, query segment s reading memory segment s. `layer0`, when given,
+    is the first layer's query side on one segment (`TextPath.layer0`): it
+    is tiled per image in place of computing that side on `x`, which is
+    then not read."""
+    q_offsets = block_offsets(pooled.n, length)
+    side = None if layer0 is None else tuple(_per_image(t, pooled.n) for t in layer0)
+    for layer in decoder_layers:
+        x = layer(x, pooled.memory, q_offsets, pooled.offsets, side)
+        side = None
+    return x
+
+
 def pre_model_prompt(
     queries: Tensor,
     pooled: PooledFeatures,
@@ -50,15 +70,15 @@ def pre_model_prompt(
     adapter: Linear,
     enc: ToyTextEncoder,
     class_token_lists,
+    layer0=None,
 ) -> TextEmbeddings:
     """Per image, extract visual contexts from its [global, dense] memory and
-    feed them into the text encoder in place of the learnable contexts."""
+    feed them into the text encoder in place of the learnable contexts.
+    `layer0` is the first decoder layer's cached query side on `queries`."""
     if queries.shape[1] != pooled.memory.shape[1]:
         raise ShapeError(f"query dim {queries.shape[1]} != memory dim {pooled.memory.shape[1]}")
-    visual_ctx = _per_image(queries, pooled.n)
-    q_offsets = block_offsets(pooled.n, queries.shape[0])
-    for layer in decoder_layers:  # query segment s reads memory segment s
-        visual_ctx = layer(visual_ctx, pooled.memory, q_offsets, pooled.offsets)
+    x = None if layer0 is not None else _per_image(queries, pooled.n)
+    visual_ctx = _decode(decoder_layers, x, pooled, queries.shape[0], layer0)
     return enc.encode(adapter(visual_ctx), class_token_lists, n=pooled.n)
 
 
@@ -67,19 +87,18 @@ def post_model_prompt(
     pooled: PooledFeatures,
     decoder_layers,
     gamma: Tensor,
+    layer0=None,
 ) -> TextEmbeddings:
     """Refine the class embeddings with each image's visual memory through
     the gated residual: t + gamma * decoder(t, [global, dense]). Shared
-    embeddings (K rows) are refined once per image."""
+    embeddings (K rows) are refined once per image. `layer0` is the first
+    decoder layer's cached query side on shared embeddings `t`."""
     if t.t.shape[1] != pooled.memory.shape[1]:
         raise ShapeError(f"text dim {t.t.shape[1]} != memory dim {pooled.memory.shape[1]}")
     if t.n not in (1, pooled.n):
         raise ShapeError(f"embeddings for {t.n} images, memory of {pooled.n}")
     base = _per_image(t.t, pooled.n // t.n)
-    v_post = base
-    q_offsets = block_offsets(pooled.n, t.class_count)
-    for layer in decoder_layers:
-        v_post = layer(v_post, pooled.memory, q_offsets, pooled.offsets)
+    v_post = _decode(decoder_layers, base, pooled, t.class_count, layer0)
     refined = add(base, mul_rowvec(v_post, gamma))
     return TextEmbeddings(t=refined, class_count=t.class_count)
 
@@ -106,7 +125,9 @@ class TextPath:
         self.contexts = self.queries = self.adapter = self.gamma = None
         self.decoder_layers = []
         self.gate_learnable = False
+        # the snapshots of `DensePredPipeline.cache_text`
         self.cached: Tensor | None = None
+        self.layer0: tuple[Tensor, Tensor] | None = None
         if mode in ("coop", "post"):
             if cfg.template_len < 1:
                 raise ValueError(f"{mode} mode initializes its context_len={cfg.context_len} "
@@ -158,11 +179,11 @@ class TextPath:
         if self.mode == "pre":
             return pre_model_prompt(
                 self.queries, pooled, self.decoder_layers, self.adapter,
-                self.encoder, self.class_tokens,
+                self.encoder, self.class_tokens, self.layer0,
             )
         base = self.base_embeddings()
         if self.mode == "post":
-            return post_model_prompt(base, pooled, self.decoder_layers, self.gamma)
+            return post_model_prompt(base, pooled, self.decoder_layers, self.gamma, self.layer0)
         return base
 
     def parameters(self):

@@ -28,6 +28,7 @@ __all__ = [
     "reset_tape",
     "fresh_tape",
     "no_grad",
+    "recording",
     "add",
     "mul",
     "block_matmul_t",
@@ -178,6 +179,11 @@ def no_grad():
         yield
     finally:
         _STATE.recording = prev
+
+
+def recording() -> bool:
+    """Whether ops record: False inside `no_grad`."""
+    return _STATE.recording
 
 
 def record(inputs, out_data: np.ndarray, grad_fn) -> Tensor:

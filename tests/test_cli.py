@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from pixtext.cli import build_parser, main
-from pixtext.datagen import TaskSpec, generate, load_dataset, save_dataset
+from pixtext.datagen import TaskSpec, default_task, generate, load_dataset, save_dataset
 from pixtext.harness import load_run, miou_from_pairs
 from pixtext.pipeline import DensePredPipeline, micro_config, toy_config
 from pixtext.tensor import ContractError, read_dct1
@@ -52,6 +52,20 @@ class TestSynth:
         rc = main(["synth", "--spec", "default", "--out", str(out), "--n", "2", "--seed", "0"])
         assert rc == 0
         assert read_dct1(out / "images.dct1").shape == (2, 32, 32, 3)
+
+    def test_seed_defaults_to_the_specs_own(self, tmp_path):
+        # the default task's seed is 7; without --seed synth must not use 0
+        main(["synth", "--spec", "default", "--out", str(tmp_path / "cli"), "--n", "2"])
+        save_dataset(default_task(), generate(default_task(), 2), tmp_path / "lib")
+        assert ((tmp_path / "cli" / "images.dct1").read_bytes()
+                == (tmp_path / "lib" / "images.dct1").read_bytes())
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_count_below_one_rejected_before_writing(self, tmp_path, n):
+        out = tmp_path / "ds"
+        with pytest.raises(ContractError, match=f"^--n must be at least 1, got {n}$"):
+            main(["synth", "--spec", "default", "--out", str(out), "--n", str(n)])
+        assert not out.exists()
 
 
 class TestTrainEval:

@@ -522,6 +522,28 @@ class TestPredictionExport:
         assert lines[2] == "2"
         assert lines[3:] == ["0 1", "2 1"]
 
+    @pytest.mark.parametrize("fmt", ["json", "pgm"])
+    @pytest.mark.parametrize("pred, error, cause", [
+        (np.array([0.0, 1.0, 2.9, 1.0]), ContractError, "integer class ids, got dtype float64"),
+        (np.array([True, False, True, False]), ContractError, "integer class ids, got dtype bool"),
+        (np.array([0, -1, 2, 1]), ContractError, "negative class id -1"),
+        (np.array([0, 1, 2]), T.ShapeError, "3 class ids, expected h\\*w = 4"),
+        (np.zeros((2, 3), dtype=np.int64), T.ShapeError, "6 class ids, expected h\\*w = 4"),
+    ], ids=["float", "bool", "negative", "short", "long"])
+    def test_bad_ids_rejected(self, tmp_path, fmt, pred, error, cause):
+        with pytest.raises(error, match=cause):
+            export_prediction(pred, 2, 2, tmp_path / "p", fmt=fmt)
+        assert not (tmp_path / "p").exists()
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])
+    def test_valid_ids_keep_their_bytes(self, tmp_path, dtype):
+        pred = np.array([[0, 1], [2, 1]], dtype=dtype)
+        export_prediction(pred, 2, 2, tmp_path / "p.json", fmt="json")
+        export_prediction(pred, 2, 2, tmp_path / "p.pgm", fmt="pgm")
+        assert (tmp_path / "p.json").read_text() == (
+            '{"height": 2, "width": 2, "classes": [0, 1, 2, 1]}')
+        assert (tmp_path / "p.pgm").read_text() == "P2\n2 2\n2\n0 1\n2 1\n"
+
 
 def _batch_and_singles(pipe, samples, target):
     """Batched forward and backward, then the same per image (N=1)."""

@@ -3,9 +3,12 @@ import hashlib
 import numpy as np
 import pytest
 
+from pixtext import nn
 from pixtext import tensor as T
-from pixtext.datagen import generate
-from pixtext.pipeline import build_pipeline, micro_config, toy_config
+from pixtext.datagen import default_task, generate, split
+from pixtext.harness import OptimConfig, train
+from pixtext.pipeline import (build_pipeline, load_checkpoint, micro_config, save_checkpoint,
+                              toy_config)
 from pixtext.prompting import (
     GATE_PRESETS,
     TextPath,
@@ -271,6 +274,99 @@ class TestCaching:
         assert not snap.requires_grad
         pipe.cache_text()
         assert np.array_equal(pipe.text_path.cached.data, snap.data)
+
+
+def _single_outputs(pipe, samples):
+    """Each image's class ids and cell logits, one image per call."""
+    return [(pipe.predict(s.image).tobytes(),
+             pipe.forward(s.image, s.mask).cell_logits.data.tobytes()) for s in samples]
+
+
+class TestCachedQuerySide:
+    """`cache_text` also snapshots the first decoder layer's query side on
+    the cached embeddings (post) or on the queries (pre); cached calls tile
+    it per image instead of recomputing it."""
+
+    CONFIGS = {"micro": micro_config, "toy": toy_config}
+
+    @pytest.fixture(scope="class")
+    def samples(self):
+        return generate(default_task(), 3, seed=8)
+
+    @pytest.mark.parametrize("scale", list(CONFIGS))
+    @pytest.mark.parametrize("mode", ["post", "pre"])
+    def test_single_image_outputs_bitwise_unchanged(self, samples, tmp_path, mode, scale):
+        pipe = build_pipeline(self.CONFIGS[scale](mode), default_task().class_names, seed=2)
+        before = _single_outputs(pipe, samples)
+        pipe.cache_text()
+        assert pipe.text_path.layer0 is not None
+        assert _single_outputs(pipe, samples) == before
+        save_checkpoint(pipe, tmp_path)
+        back = load_checkpoint(tmp_path)
+        assert back.text_path.layer0 is None
+        assert _single_outputs(back, samples) == before
+        back.cache_text()
+        assert _single_outputs(back, samples) == before
+
+    @pytest.mark.parametrize("mode", ["post", "pre"])
+    def test_batched_predict_matches_singles(self, samples, mode):
+        cfg = toy_config(mode)
+        cfg.gate_preset = "learnable_one"  # the post decoder moves the ids at gate 1
+        pipe = build_pipeline(cfg, default_task().class_names, seed=2)
+        pipe.cache_text()
+        batched = pipe.predict([s.image for s in samples])
+        assert np.array_equal(batched, np.stack([pipe.predict(s.image) for s in samples]))
+
+    @pytest.mark.parametrize("mode", ["post", "pre"])
+    def test_training_never_sees_the_snapshot(self, mode):
+        spec = default_task()
+        dataset = split(generate(spec, 8, seed=4), 0.75)
+        fresh = build_pipeline(micro_config(mode), spec.class_names, seed=4)
+        cached = build_pipeline(micro_config(mode), spec.class_names, seed=4)
+        cached.cache_text()
+        before = {n: p.data.copy() for n, p, _ in cached.parameters()
+                  if n.startswith("text.decoder.0.")}
+        optim = OptimConfig(steps=2, seed=4)
+        assert (train(cached, dataset, optim).canonical_json()
+                == train(fresh, dataset, optim).canonical_json())
+        after = {n: p.data for n, p, _ in cached.parameters() if n.startswith("text.decoder.0.")}
+        assert len(before) == 26
+        assert all(not np.array_equal(before[n], after[n]) for n in before), [
+            n for n in before if np.array_equal(before[n], after[n])]
+
+    @pytest.mark.parametrize("mode, without, with_side", [
+        ("post", (7, 41, 10), (6, 36, 8)),
+        ("pre", (9, 55, 14), (8, 50, 12)),
+    ])
+    def test_op_calls_per_cached_predict(self, monkeypatch, mode, without, with_side):
+        """Calls of attention, linear and layer_norm in one toy-scale 32x32
+        predict: the cached query side drops one self-attention, its four
+        projections, the cross-attention's query projection, ln1 and ln2."""
+        calls = dict.fromkeys(("attention", "linear", "layer_norm"), 0)
+
+        def spy(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(nn, "attention_heads", spy("attention", nn.attention_heads))
+        monkeypatch.setattr(nn.Linear, "__call__", spy("linear", nn.Linear.__call__))
+        monkeypatch.setattr(nn, "layer_norm", spy("layer_norm", nn.layer_norm))
+        spec = default_task()
+        pipe = build_pipeline(toy_config(mode), spec.class_names, seed=1)
+        image = generate(spec, 1, seed=1)[0].image
+
+        def counts():
+            calls.update(attention=0, linear=0, layer_norm=0)
+            pipe.predict(image)
+            return calls["attention"], calls["linear"], calls["layer_norm"]
+
+        if mode == "post":  # cached embeddings without the query side
+            pipe.text_path.cached = pipe.text_path.base_embeddings().t
+        assert counts() == without
+        pipe.cache_text()
+        assert counts() == with_side
 
 
 class TestGateAblationPresets:
