@@ -153,6 +153,8 @@ def split(samples, train_fraction: float):
 
 
 def save_dataset(spec: TaskSpec, samples, out_dir):
+    if not samples:
+        raise ValueError(f"no samples to save to {out_dir}; a dataset holds at least one")
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "spec.json"), "w") as fh:
         json.dump(spec.to_dict(), fh, indent=1, sort_keys=True)
@@ -214,7 +216,7 @@ def load_dataset(data_dir):
                 raise ValueError(f"boxes.json image {i} has entry {e!r}; an entry has exactly "
                                  "the keys 'class_id' and 'box'")
             c = e["class_id"]
-            if not (isinstance(c, int) and 0 <= c < spec.k):
+            if not (type(c) is int and 0 <= c < spec.k):
                 raise ValueError(f"boxes.json image {i} has class_id {c!r}; "
                                  f"classes are integers in [0, {spec.k})")
             box.check(f"boxes.json image {i} box", e["box"])

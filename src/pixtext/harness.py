@@ -202,18 +202,19 @@ def train(pipe: DensePredPipeline, dataset, cfg: OptimConfig) -> RunReport:
     index order; a larger one draws a seeded minibatch of `batch_size`
     samples each step. Each step is one batched `forward` call on one tape.
     First each parameter's `requires_grad` is set to whether its group's
-    multiplier is non-zero, and the text snapshots of an earlier run's
-    `cache_text` (embeddings, first decoder layer's query side) are
-    dropped; gradient clipping, when set, takes its norm over the
-    parameters the optimizer updates.
+    multiplier is non-zero, and an earlier run's text snapshots are
+    dropped, then taken again at once (counted in `text_fwd_train`) when no
+    language-path parameter trains. Gradient clipping, when set, takes its
+    norm over the parameters the optimizer updates.
     Aborts with TrainingDiverged the moment the loss stops being finite.
     """
     train_samples, eval_samples = dataset
     start = time.perf_counter()
-    if pipe.text_path is not None:
+    path = pipe.text_path
+    if path is not None:
         # a snapshot from an earlier run would cut the graph to the contexts
         # and to the first decoder layer's query side
-        pipe.text_path.cached = pipe.text_path.layer0 = None
+        path.cached = path.layer0 = None
     for _, p, group in pipe.parameters():
         p.requires_grad = cfg.multipliers[group] != 0.0
     opt = AdamW(pipe.parameters(), cfg)
@@ -221,6 +222,8 @@ def train(pipe: DensePredPipeline, dataset, cfg: OptimConfig) -> RunReport:
     n = len(train_samples)
 
     text_before = pipe.text_sequence_count()
+    if path is not None and not any(p.requires_grad for _, p in path.parameters()):
+        pipe.cache_text()
     loss_series: list[float] = []
     main_series: list[float] = []
     aux_series: list[float] = []
@@ -316,24 +319,22 @@ def load_run(run: dict, keys=RUN_KEYS, optim: dict | None = None,
     suite row) as parsed from JSON; `where` names it in errors.
 
     `mode` (default coop) fills `pipeline.prompt_mode` when the pipeline
-    object leaves it out; the two must agree when both are given. Without a
-    pipeline object the run uses `toy_config(mode)`. `optim` holds defaults
-    that the run's own `optim` overrides, and a run's `seed` overrides both.
-    Unknown keys at any level raise and name the key and its section; a
-    key left out of `pipeline` or `optim` takes its config default.
+    object leaves it out; the two must agree when both are given. The
+    pipeline object overrides `toy_config(mode)` key by key, and `optim`
+    holds defaults that the run's own `optim` overrides; a run's `seed`
+    overrides both. Unknown keys at any level raise and name the key and
+    its section; an `optim` key left out takes its config default.
     """
     check_keys(run, keys, where)
     mode = _json_mode(run.get("mode", "coop"))
-    if "pipeline" not in run:
-        pipe_cfg = toy_config(mode)
-    else:
-        pipe = run["pipeline"]
-        if isinstance(pipe, dict):  # anything else fails in from_json, naming the section
-            pipe = {**pipe, "prompt_mode": _json_mode(pipe.get("prompt_mode", mode))}
-            if "mode" in run and pipe["prompt_mode"] != mode:
-                raise ValueError(f"{where}: mode {mode!r} but pipeline.prompt_mode "
-                                 f"{pipe['prompt_mode']!r}")
-        pipe_cfg = from_json(PipelineConfig, pipe, subsection(where, "pipeline"), partial=True)
+    pipe = run.get("pipeline", {})
+    if isinstance(pipe, dict):  # anything else fails in from_json, naming the section
+        pipe = {**toy_config(mode).to_dict(), **pipe,
+                "prompt_mode": _json_mode(pipe.get("prompt_mode", mode))}
+        if "mode" in run and pipe["prompt_mode"] != mode:
+            raise ValueError(f"{where}: mode {mode!r} but pipeline.prompt_mode "
+                             f"{pipe['prompt_mode']!r}")
+    pipe_cfg = from_json(PipelineConfig, pipe, subsection(where, "pipeline"), partial=True)
     given = run.get("optim", {})
     if isinstance(given, dict):  # anything else fails in from_json, naming the section
         given = {**(optim or {}), **given}

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import LossConfig
+from .config import Count, LossConfig
 from .encoders import FeatureMap, TextEmbeddings
 from .tensor import (
     ContractError,
@@ -67,6 +67,7 @@ class BoxAnnotation:
     y_max: float
 
     def __post_init__(self):
+        Count(0).check("BoxAnnotation.class_id", self.class_id)
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise ValueError(
                 f"degenerate box ({self.x_min}, {self.y_min}, {self.x_max}, {self.y_max})"

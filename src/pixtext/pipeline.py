@@ -75,13 +75,15 @@ __all__ = [
 ]
 
 
-def stack_images(images) -> Tensor:
-    """Check a batch where it enters and stack it into one (N, H, W, 3) tensor.
+def stack_images(images) -> tuple[Tensor, bool]:
+    """Check a batch where it enters, stack it into one (N, H, W, 3) tensor
+    and say whether it was one image: anything but a list or tuple is.
 
     Every image must be a finite H x W x 3 array, and all images of the
     batch must share one shape; errors name the offending image's index.
     """
-    images = [tensor(img) for img in images]
+    single = not isinstance(images, (list, tuple))
+    images = [tensor(img) for img in ([images] if single else images)]
     if not images:
         raise ContractError("a batch needs at least one image")
     first = images[0].shape
@@ -93,7 +95,7 @@ def stack_images(images) -> Tensor:
                              "a batch shares one shape")
         if not np.isfinite(img.data).all():
             raise ContractError(f"image {i} has non-finite pixel values")
-    return stack(images)
+    return stack(images), single
 
 
 def toy_config(prompt_mode: str | None = "coop") -> PipelineConfig:
@@ -218,11 +220,9 @@ class DensePredPipeline:
         The main loss is the count-weighted cross-entropy of the cell
         logits, `counts[c, k]` being the pixels of cell c labelled k.
         """
-        if isinstance(images, Tensor):
-            images, targets = [images], [targets]
-        batch = stack_images(images)
+        batch, single = stack_images(images)
         n, h, w, _ = batch.shape
-        targets = list(targets)
+        targets = [targets] if single else list(targets)
         if len(targets) != n:
             raise ContractError(f"{n} images but {len(targets)} targets")
 
@@ -278,8 +278,7 @@ class DensePredPipeline:
         lowest class id) is expanded to its pixels."""
         if self.head is None:
             raise ContractError("prediction requires segmentation mode")
-        single = not isinstance(images, (list, tuple))
-        batch = stack_images([images] if single else images)
+        batch, single = stack_images(images)
         with no_grad():
             cells = self._run(batch)[1].data
         n, h, w, _ = batch.shape
@@ -322,7 +321,8 @@ class DensePredPipeline:
         """Snapshot, under `no_grad`, what the language path computes without
         an image: the class embeddings into `text_path.cached` (pre-mode
         embeddings depend on the image), and the first decoder layer's query
-        side on them or on the pre-mode queries into `text_path.layer0`."""
+        side on them or on the pre-mode queries into `text_path.layer0`; the
+        one writer of both, which only `harness.train` drops."""
         path = self.text_path
         if path is None:
             return

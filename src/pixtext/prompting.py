@@ -18,9 +18,9 @@ The learnable tensors are plain attributes of ``TextPath``: ``contexts``
 ``fixed_small`` gate is a constant of the config, not a parameter.
 
 Only the decoder's cross-attention to each image's memory and what follows
-it depend on the image. Both decoder modes run one decoder loop, which can
-take the first layer's query side from the snapshot that
-``DensePredPipeline.cache_text`` leaves in ``TextPath.layer0``.
+it depend on the image. ``DensePredPipeline.cache_text`` alone writes the
+snapshots ``TextPath.cached`` and ``layer0`` (the first decoder layer's
+query side, which the one decoder loop of both decoder modes then takes).
 """
 
 from __future__ import annotations
@@ -153,25 +153,17 @@ class TextPath:
         return len(self.class_names)
 
     def base_embeddings(self) -> TextEmbeddings:
-        """Image-independent class embeddings (pre-gate for post mode).
-
-        Template mode fills `cached` on first use when no encoder weight
-        needs a gradient, since nothing upstream of it can train; otherwise
-        it encodes on every call, `no_grad` ones included, so the gradient
-        reaches the encoder.
-        """
+        """Image-independent class embeddings (pre-gate for post mode): the
+        `cached` snapshot when there is one, else the K class sequences
+        encoded on this call."""
         if self.mode == "pre":
             raise ContractError("pre-model embeddings depend on the image")
         if self.cached is not None:
             return TextEmbeddings(t=self.cached, class_count=self.k)
-        if self.mode != "template":
-            return self.encoder.encode(self.contexts, self.class_tokens)
-        ctx = take(self.encoder.table, np.asarray(self.vocab.template_ids, dtype=np.intp))
-        t = self.encoder.encode(ctx, self.class_tokens)
-        if any(p.requires_grad for _, p in self.encoder.parameters()):
-            return t
-        self.cached = Tensor(t.t.data.copy())
-        return TextEmbeddings(t=self.cached, class_count=self.k)
+        ctx = self.contexts
+        if self.mode == "template":
+            ctx = take(self.encoder.table, np.asarray(self.vocab.template_ids, dtype=np.intp))
+        return self.encoder.encode(ctx, self.class_tokens)
 
     def embeddings(self, pooled: PooledFeatures) -> TextEmbeddings:
         """Final class embeddings used against the batch's features: K rows

@@ -215,6 +215,8 @@ class TestDatasetIO:
          r"boxes\.json image 3 has class_id -1"),
         ("boxes", lambda b: [[{"class_id": 2.5, "box": [0, 0, 0.5, 0.5]}]] + b[1:],
          r"boxes\.json image 0 has class_id 2\.5"),
+        ("boxes", lambda b: [[{"class_id": True, "box": [0, 0, 0.5, 0.5]}]] + b[1:],
+         r"boxes\.json image 0 has class_id True; classes are integers"),
         ("boxes", lambda b: [[{"class_id": 1}]] + b[1:],
          r"boxes\.json image 0 has entry \{'class_id': 1\}; an entry has exactly the keys "
          r"'class_id' and 'box'"),
@@ -226,8 +228,8 @@ class TestDatasetIO:
          r"boxes\.json image 1 is \{'class_id': 1, .*\}, not a list of boxes"),
     ], ids=["image_size", "nan_pixel", "mask_count", "fractional_label", "label_at_k", "negative_label",
             "nan_label", "box_count", "box_class_at_99", "negative_box_class",
-            "fractional_box_class", "entry_without_box", "box_of_three", "box_coordinate_str",
-            "box_list_is_an_object"])
+            "fractional_box_class", "bool_box_class", "entry_without_box", "box_of_three",
+            "box_coordinate_str", "box_list_is_an_object"])
     def test_inconsistent_files_named(self, tmp_path, toy_spec, name, edit, cause):
         save_dataset(toy_spec, generate(toy_spec, 4, seed=4), tmp_path)
         if name == "boxes":
@@ -238,6 +240,12 @@ class TestDatasetIO:
             write_dct1(path, edit(read_dct1(path)))
         with pytest.raises(ValueError, match=cause):
             load_dataset(tmp_path)
+
+    def test_empty_sample_list_writes_nothing(self, tmp_path, toy_spec):
+        out = tmp_path / "ds"
+        with pytest.raises(ValueError, match="no samples to save"):
+            save_dataset(toy_spec, generate(toy_spec, 0), out)
+        assert not out.exists()
 
     def test_unreadable_file_named(self, tmp_path, toy_spec):
         save_dataset(toy_spec, generate(toy_spec, 2, seed=4), tmp_path)

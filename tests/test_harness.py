@@ -426,6 +426,18 @@ class TestTrain:
             if group == "text_encoder":
                 assert np.array_equal(trained[name], p.data) and not p.requires_grad, name
 
+    @pytest.mark.parametrize("mode", ["coop", "post"])
+    def test_run_that_trains_no_language_parameter_encodes_once(self, tiny_task, mode):
+        # nothing on the language path trains, so the run snapshots it
+        # before step 0 instead of encoding the K sequences every step
+        spec, dataset = tiny_task
+        pipe = build_pipeline(micro_config(mode), spec.class_names, seed=4)
+        before = pipe.text_path.contexts.data.copy()
+        report = train(pipe, dataset, OptimConfig(
+            steps=3, seed=4, multipliers={"text_encoder": 0.0, "other": 0.0}))
+        assert report.text_fwd_train == len(spec.class_names)
+        assert np.array_equal(pipe.text_path.contexts.data, before)
+
     def test_divergence_aborts_loudly(self, tiny_task):
         spec, dataset = tiny_task
         pipe = build_pipeline(micro_config("coop"), spec.class_names, seed=4)
@@ -564,6 +576,14 @@ class TestRunLoader:
         cfg, _ = load_run({"mode": json_mode, "pipeline": pipe})
         assert cfg.prompt_mode == mode
         assert load_run({"mode": json_mode})[0] == toy_config(mode)
+
+    def test_pipeline_object_overrides_the_toy_config(self):
+        # `{}` and a default value change nothing: every run starts from toy_config
+        base = load_run({"mode": "post"})[0]
+        assert base.prompt_decoder_depth == 2
+        assert load_run({"mode": "post", "pipeline": {}})[0] == base
+        assert load_run({"mode": "post", "pipeline": {"head_hidden": 64}})[0] == base
+        assert load_run({"mode": "post", "pipeline": {"head_hidden": 32}})[0].head_hidden == 32
 
     def test_pipeline_mode_stands_without_a_run_mode(self):
         cfg, _ = load_run({"pipeline": micro_config("pre").to_dict()})

@@ -217,6 +217,10 @@ class TestRasterize:
             BoxAnnotation(0, 0.0, 0.0, 1.5, 1.0)
         with pytest.raises(ValueError):
             rasterize_boxes([BoxAnnotation(7, 0.0, 0.0, 1.0, 1.0)], 2, 2, 3)
+        # numpy reads a bool index as a new axis: a `True` box would mark every class
+        with pytest.raises(ValueError, match=r"^BoxAnnotation\.class_id must be an integer "
+                                             r"of at least 0, got True$"):
+            BoxAnnotation(class_id=True, x_min=0.0, y_min=0.0, x_max=1.0, y_max=1.0)
 
 
 class TestDetAuxLoss:

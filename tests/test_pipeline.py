@@ -159,6 +159,16 @@ class TestPredict:
         b = pipe.predict(micro_sample.image)
         assert np.array_equal(a, b)
 
+    def test_array_image_is_one_image(self, micro_spec, micro_sample):
+        # forward and predict read a bare image, Tensor or array, the same way
+        pipe = build_pipeline(micro_config("coop"), micro_spec.class_names, seed=1)
+        a = pipe.forward(micro_sample.image, micro_sample.mask)
+        b = pipe.forward(micro_sample.image.data, micro_sample.mask)
+        assert a.loss.item() == b.loss.item()
+        assert np.array_equal(a.cell_logits.data, b.cell_logits.data)
+        assert np.array_equal(pipe.predict(micro_sample.image.data),
+                              pipe.predict(micro_sample.image))
+
     def test_tie_breaks_to_lowest_class(self, micro_spec, micro_sample):
         pipe = build_pipeline(micro_config("coop"), micro_spec.class_names, seed=1)
         # zero head -> all logits equal -> argmax must pick class 0 everywhere

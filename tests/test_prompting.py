@@ -247,14 +247,17 @@ class TestCaching:
             pipe.predict(micro_sample.image)
             assert pipe.text_path.encoder.sequences_encoded == before
 
-    def test_frozen_template_caches_on_first_use(self, micro_spec):
-        path = micro_pipe("template", micro_spec).text_path
-        assert path.cached is None
-        first = path.base_embeddings()
-        assert path.cached is not None and not first.t.requires_grad
+    def test_uncached_template_encodes_every_call(self, micro_spec, micro_sample):
+        # only `cache_text` writes the snapshot: a frozen template path that
+        # was never cached encodes its K sequences on each call, same values
+        pipe = micro_pipe("template", micro_spec)
+        path = pipe.text_path
         before = path.encoder.sequences_encoded
-        assert np.array_equal(path.base_embeddings().t.data, first.t.data)
-        assert path.encoder.sequences_encoded == before
+        path.base_embeddings()
+        assert path.cached is None and path.encoder.sequences_encoded == before + path.k
+        a, b = (pipe.forward(micro_sample.image, micro_sample.mask) for _ in range(2))
+        assert path.cached is None and path.encoder.sequences_encoded == before + 3 * path.k
+        assert a.loss.item() == b.loss.item()
 
     def test_unfrozen_template_encodes_every_call(self, micro_spec, micro_sample):
         pipe = micro_pipe("template", micro_spec)
