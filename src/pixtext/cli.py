@@ -119,7 +119,7 @@ def _cmd_ablate(args) -> int:
     for row in rows:
         tag = row.get("error", "")
         print(f"{row['config_name']}: miou={row['miou']} params={row['params']} {tag}")
-    return 0
+    return 1 if any("error" in row for row in rows) else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -178,7 +178,7 @@ def save_dataset(spec: TaskSpec, samples, out_dir):
 def load_dataset(data_dir):
     """Read a dataset directory; an error names a file at odds with spec.json or n.
     Each image's `boxes.json` entry is a list of objects with exactly a
-    `class_id` and a `box` of 4 finite numbers."""
+    `class_id` and a `box` of 4 finite numbers, a `BoxAnnotation`."""
     spec_path = os.path.join(data_dir, "spec.json")
     with open(spec_path) as fh:
         spec = from_json(TaskSpec, json.load(fh), spec_path)
@@ -211,6 +211,7 @@ def load_dataset(data_dir):
     for i in range(n):
         if not isinstance(all_boxes[i], list):
             raise ValueError(f"boxes.json image {i} is {all_boxes[i]!r}, not a list of boxes")
+        boxes = []
         for e in all_boxes[i]:
             if not isinstance(e, dict) or set(e) != {"class_id", "box"}:
                 raise ValueError(f"boxes.json image {i} has entry {e!r}; an entry has exactly "
@@ -220,11 +221,10 @@ def load_dataset(data_dir):
                 raise ValueError(f"boxes.json image {i} has class_id {c!r}; "
                                  f"classes are integers in [0, {spec.k})")
             box.check(f"boxes.json image {i} box", e["box"])
-        boxes = [
-            BoxAnnotation(class_id=e["class_id"], x_min=e["box"][0],
-                          y_min=e["box"][1], x_max=e["box"][2], y_max=e["box"][3])
-            for e in all_boxes[i]
-        ]
+            try:
+                boxes.append(BoxAnnotation(c, *e["box"]))
+            except ValueError as exc:
+                raise ValueError(f"boxes.json image {i} has box {e['box']!r}: {exc}") from None
         samples.append(
             SyntheticSample(
                 image=Tensor(images[i]),

@@ -352,8 +352,9 @@ def run_ablation(dataset, class_names, suite: dict, where: str = "suite") -> lis
     Rows default to ABLATION_ROWS; the suite's `optim` and `seed` are each
     row's defaults. Every row is loaded and built before the first one
     trains, so a bad row fails the suite at once. Returns CSV-ready rows; a
-    run that fails in training keeps its row with blank metrics and the
-    suite continues. `where` names the suite in errors.
+    run that diverges keeps its row with blank metrics and the suite
+    continues. Any other error ends the suite, naming the row. `where` names
+    the suite in errors.
     """
     check_keys(suite, SUITE_KEYS, where)
     seed = suite.get("seed", 0)
@@ -374,9 +375,11 @@ def run_ablation(dataset, class_names, suite: dict, where: str = "suite") -> lis
                              "params": report.trainable_params,
                              "text_fwd_train": report.text_fwd_train,
                              "text_fwd_infer": report.text_fwd_infer})
-        except Exception as exc:  # noqa: BLE001 - failed rows are marked, suite continues
+        except TrainingDiverged as exc:
             out_rows.append({"config_name": name, **dict.fromkeys(CSV_COLUMNS[1:], ""),
                              "error": f"{type(exc).__name__}: {exc}"})
+        except Exception as exc:
+            raise RuntimeError(f"{where}: row {name!r} failed: {exc!r}") from exc
     return out_rows
 
 

@@ -18,7 +18,7 @@ from .tensor import (
     block_matmul_t,
     clamp,
     concat,
-    cross_entropy,
+    count_cross_entropy,
     l2_normalize,
     mul,
     take,
@@ -111,8 +111,18 @@ def fuse_features(x4: FeatureMap, score: ScoreMap) -> FeatureMap:
 
 
 def seg_aux_loss(score: ScoreMap, labels, cfg: LossConfig) -> Tensor:
-    """Cross-entropy of the temperature-scaled scores against per-cell class ids."""
-    return cross_entropy(mul(score.s, 1.0 / cfg.temperature), labels)
+    """Cross-entropy of the temperature-scaled scores against per-cell class
+    ids: one counted item per cell, its label's one-hot row."""
+    y = np.asarray(labels)
+    cells = score.s.shape[0]
+    if y.shape != (cells,):
+        raise ShapeError(f"seg_aux_loss labels shape {y.shape}, expected ({cells},): one per cell")
+    if y.dtype.kind not in "iu":  # a cast would floor 2.9 to class 2
+        raise ContractError(f"seg_aux_loss needs integer labels, got dtype {y.dtype}")
+    # checked before the one-hot gather, where -1 would pick the last class
+    if y.size and (y.min() < 0 or y.max() >= score.k):
+        raise IndexError(f"seg_aux_loss label out of range [0, {score.k})")
+    return count_cross_entropy(mul(score.s, 1.0 / cfg.temperature), np.eye(score.k)[y])
 
 
 def rasterize_boxes(boxes, h4: int, w4: int, k: int) -> np.ndarray:

@@ -39,12 +39,10 @@ __all__ = [
     "patchify",
     "tsum",
     "mean_rows",
-    "tanh",
     "gelu",
     "clamp",
     "mul_rowvec",
     "l2_normalize",
-    "cross_entropy",
     "count_cross_entropy",
     "bce_with_logits",
     "backward",
@@ -403,12 +401,6 @@ def mean_rows(a: Tensor, blocks: int = 1) -> Tensor:
     return record([a], out, lambda g: [np.repeat(g * inv, m, axis=0)])
 
 
-def tanh(a: Tensor) -> Tensor:
-    a = tensor(a)
-    out = np.tanh(a.data)
-    return record([a], out, lambda g: [g * (1.0 - out * out)])
-
-
 _GELU_C = np.sqrt(2.0 / np.pi)
 _GELU_A = 0.044715
 
@@ -500,35 +492,6 @@ def l2_normalize(a: Tensor, axis: int = -1, eps: float = 1e-12) -> Tensor:
     return record([a], out, grad_fn)
 
 
-def cross_entropy(logits: Tensor, labels) -> Tensor:
-    """Mean negative log-probability of the true class; rows are items."""
-    logits = tensor(logits)
-    y = np.asarray(labels, dtype=np.intp)
-    if logits.data.ndim != 2:
-        raise ShapeError(f"cross_entropy expects n x K logits, got {logits.shape}")
-    n, k = logits.shape
-    if y.shape != (n,):
-        raise ShapeError(f"labels shape {y.shape} does not match {n} rows")
-    if y.size and (y.min() < 0 or y.max() >= k):
-        raise IndexError(f"label out of range [0, {k})")
-    x = logits.data
-    m = x.max(axis=1, keepdims=True)
-    e = x - m
-    logz = m + np.log(np.exp(e, out=e).sum(axis=1, keepdims=True))
-    loss = float((logz[:, 0] - x[np.arange(n), y]).mean())
-
-    def grad_fn(g):
-        # in place: a batch's logits are the largest arrays of a step
-        p = x - logz
-        np.exp(p, out=p)
-        p[np.arange(n), y] -= 1.0
-        p *= g
-        p /= n
-        return [p]
-
-    return record([logits], np.float64(loss), grad_fn)
-
-
 def count_cross_entropy(logits: Tensor, counts) -> Tensor:
     """Mean cross-entropy of items grouped by row: `counts[c, k]` items of
     row c carry label k. With n_c = sum_k counts[c, k] and N = sum_c n_c,
@@ -536,10 +499,11 @@ def count_cross_entropy(logits: Tensor, counts) -> Tensor:
         loss = sum_c (n_c logZ_c - sum_k counts[c, k] x[c, k]) / N,
         dloss/dx[c] = (n_c softmax(x[c]) - counts[c]) / N,
 
-    which is `cross_entropy` over the items with row c repeated once per
-    item. The pipeline's main loss uses it on decode-head cells with
-    per-cell pixel label counts: nearest upsampling copies a cell's logits
-    to each of its pixels, so this equals the per-pixel mean.
+    the mean per-item cross-entropy with row c repeated once per item. The
+    pipeline's main loss uses it on decode-head cells with per-cell pixel
+    label counts: nearest upsampling copies a cell's logits to each of its
+    pixels, so this equals the per-pixel mean. The auxiliary loss uses it
+    on score-map cells with one-hot rows, one item per cell.
     """
     logits = tensor(logits)
     w = np.asarray(counts, dtype=np.float64)

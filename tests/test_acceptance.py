@@ -32,6 +32,19 @@ def report_pass(num, message):
     print(f"ACCEPTANCE {num:2d} PASS: {message}")
 
 
+def per_seed(reports, *runs):
+    """Each seed's eval mIoU of each (mode, label) run, and the seeds on
+    which each run beats the one before it. The criteria assert on means;
+    this shows the per-seed numbers a paired comparison reads."""
+    miou = {label: [r.final_eval_miou for r in reports[mode]] for mode, label in runs}
+    seeds = ", ".join(f"{label} [{' '.join(f'{v:.4f}' for v in miou[label])}]"
+                      for _, label in runs)
+    wins = ", ".join(
+        f"{hi} > {lo} on {sum(b > a for a, b in zip(miou[lo], miou[hi]))}/{len(miou[lo])}"
+        for (_, lo), (_, hi) in zip(runs, runs[1:]))
+    return f"per seed {seeds}; paired wins {wins}"
+
+
 @pytest.fixture(scope="module")
 def task_dataset():
     spec = default_task()
@@ -242,7 +255,8 @@ def test_c08_ablation_ordering(task_dataset, ablation_reports):
         8,
         f"mIoU ordering holds: baseline {means[None]:.3f} < coop {means['coop']:.3f} "
         f"< post {means['post']:.3f}; params post {post_params} < pre {pre_params}; "
-        f"suite {elapsed:.0f}s",
+        f"suite {elapsed:.0f}s; "
+        + per_seed(reports, (None, "baseline"), ("coop", "coop"), ("post", "post")),
     )
 
 
@@ -254,7 +268,8 @@ def test_learnable_contexts_beat_fixed_template(ablation_reports):
     template = float(np.mean([r.final_eval_miou for r in reports["template"]]))
     coop = float(np.mean([r.final_eval_miou for r in reports["coop"]]))
     assert coop >= template, f"coop {coop:.4f} < template {template:.4f}"
-    print(f"CONTEXT-OPT PASS: learnable {coop:.3f} >= template {template:.3f}")
+    print(f"CONTEXT-OPT PASS: learnable {coop:.3f} >= template {template:.3f}; "
+          + per_seed(reports, ("template", "template"), ("coop", "coop")))
 
 
 def test_c09_text_encoder_forward_counts(task_dataset):
@@ -287,7 +302,8 @@ def test_c10_any_backbone_direction(swapped_reports):
     )
     report_pass(
         10,
-        f"swapped backbone: language {means['post']:.3f} > no-language {means[None]:.3f}",
+        f"swapped backbone: language {means['post']:.3f} > no-language {means[None]:.3f}; "
+        + per_seed(swapped_reports, (None, "no-language"), ("post", "language")),
     )
 
 
@@ -302,3 +318,25 @@ def test_c11_training_determinism(task_dataset):
         canonical.append(report.canonical_json())
     assert canonical[0] == canonical[1]
     report_pass(11, "two identically-seeded runs emit bitwise-identical reports")
+
+
+def test_training_is_stable_at_the_last_bit(task_dataset):
+    """A last-bit change of every initial parameter leaves the eval mIoU and
+    per-class IoU of the c11-sized run bitwise unchanged and moves its final
+    loss far below 1e-9 relative. This is what makes "per-seed mIoU
+    bitwise" a sharp check for changes that only reorder sums."""
+    spec, _ = task_dataset
+    dataset = split(generate(spec, 12, seed=1100), 0.667)
+    reports = []
+    for scale in (1.0, 1.0 + 1e-12):
+        pipe = build_pipeline(toy_config("coop"), spec.class_names, 3)
+        for _, p, _ in pipe.parameters():
+            p.data *= scale
+        reports.append(train(pipe, dataset, OptimConfig(steps=40, seed=3)))
+    base, nudged = reports
+    assert nudged.final_eval_miou == base.final_eval_miou
+    assert nudged.per_class_iou == base.per_class_iou
+    drift = abs(nudged.loss_series[-1] - base.loss_series[-1]) / base.loss_series[-1]
+    assert drift <= 1e-9, f"final loss moved {drift:.1e} relative"
+    print(f"STABILITY PASS: parameters x (1 + 1e-12) keep mIoU {base.final_eval_miou:.4f} "
+          f"bitwise; final loss moves {drift:.1e} relative")

@@ -4,6 +4,7 @@ import re
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pixtext.cli import build_parser, main
@@ -290,6 +291,23 @@ class TestAblateCommand:
         assert lines[0] == "config_name,miou,final_loss,params,text_fwd_train,text_fwd_infer"
         assert lines[1].startswith("baseline,")
         assert lines[2].startswith("coop,")
+
+    def test_diverged_row_exits_nonzero(self, tmp_path, micro_dataset_dir, capsys):
+        pipe = micro_config("coop").to_dict()
+        suite = {"seed": 1, "rows": [
+            {"name": "bad", "mode": "coop", "pipeline": pipe, "optim": {"steps": 25, "lr": 1e6}},
+            {"name": "good", "mode": "coop", "pipeline": pipe, "optim": {"steps": 2}},
+        ]}
+        suite_path = tmp_path / "suite.json"
+        suite_path.write_text(json.dumps(suite))
+        out_csv = tmp_path / "table.csv"
+        with np.errstate(all="ignore"):
+            rc = main(["ablate", "--data", str(micro_dataset_dir), "--suite", str(suite_path),
+                       "--out", str(out_csv)])
+        assert rc == 1
+        assert "bad: miou= params= TrainingDiverged: non-finite loss" in capsys.readouterr().out
+        lines = out_csv.read_text().strip().splitlines()
+        assert lines[1] == "bad,,,,," and lines[2].startswith("good,0.")
 
     def test_train_fraction_checked_not_cast(self, tmp_path, micro_dataset_dir):
         suite_path = tmp_path / "suite.json"

@@ -226,10 +226,16 @@ class TestDatasetIO:
          r"boxes\.json image 2 box\[2\] must be a finite number .*, got 'a'"),
         ("boxes", lambda b: b[:1] + [{"class_id": 1, "box": [0, 0, 0.5, 0.5]}] + b[2:],
          r"boxes\.json image 1 is \{'class_id': 1, .*\}, not a list of boxes"),
+        ("boxes", lambda b: b[:2] + [b[2] + [{"class_id": 1, "box": [0.5, 0, 0.5, 1]}]] + b[3:],
+         r"^boxes\.json image 2 has box \[0\.5, 0, 0\.5, 1\]: "
+         r"degenerate box \(0\.5, 0, 0\.5, 1\)$"),
+        ("boxes", lambda b: [[{"class_id": 1, "box": [0, 0, 1.5, 0.5]}]] + b[1:],
+         r"^boxes\.json image 0 has box \[0, 0, 1\.5, 0\.5\]: box coordinates must be "
+         r"normalized to \[0, 1\]$"),
     ], ids=["image_size", "nan_pixel", "mask_count", "fractional_label", "label_at_k", "negative_label",
             "nan_label", "box_count", "box_class_at_99", "negative_box_class",
             "fractional_box_class", "bool_box_class", "entry_without_box", "box_of_three",
-            "box_coordinate_str", "box_list_is_an_object"])
+            "box_coordinate_str", "box_list_is_an_object", "degenerate_box", "box_outside_image"])
     def test_inconsistent_files_named(self, tmp_path, toy_spec, name, edit, cause):
         save_dataset(toy_spec, generate(toy_spec, 4, seed=4), tmp_path)
         if name == "boxes":

@@ -1,5 +1,10 @@
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -277,6 +282,21 @@ def tiny_task():
     return spec, split(samples, 0.6)
 
 
+# A short post and pre train; prints each canonical report's sha256.
+HASH_SEED_RUN = """
+import hashlib
+from pixtext.datagen import TaskSpec, generate, split
+from pixtext.harness import OptimConfig, train
+from pixtext.pipeline import build_pipeline, micro_config
+spec = TaskSpec(k=3, height=16, width=16, seed=21)
+data = split(generate(spec, 6, seed=21), 0.5)
+for mode in ("post", "pre"):
+    pipe = build_pipeline(micro_config(mode), spec.class_names, seed=4)
+    report = train(pipe, data, OptimConfig(steps=2, seed=4))
+    print(mode, hashlib.sha256(report.canonical_json().encode()).hexdigest())
+"""
+
+
 class TestTrain:
     def test_initial_loss_near_uniform_prediction(self, toy_spec):
         samples = generate(toy_spec, 8, seed=3)
@@ -297,6 +317,19 @@ class TestTrain:
         assert reports[0].canonical_json() == reports[1].canonical_json()
         # wall time differs but is excluded from the canonical form
         assert "wall_time_s" not in reports[0].canonical_dict()
+
+    def test_same_report_across_processes_and_hash_seeds(self):
+        # one process cannot see an order that depends on str hashing
+        src = str(Path(harness.__file__).parents[1])  # the pixtext this suite imports
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        outs = []
+        for hash_seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": path}
+            done = subprocess.run([sys.executable, "-c", HASH_SEED_RUN], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            outs.append(done.stdout)
+        assert outs[0] == outs[1] and len(outs[0].split()) == 4
 
     def test_frozen_text_encoder_unchanged(self, tiny_task, tmp_path):
         spec, dataset = tiny_task
@@ -529,6 +562,27 @@ class TestRunAblation:
         assert rows[0]["miou"] == "" and "error" in rows[0]
         assert isinstance(rows[1]["miou"], float)
 
+    def test_other_errors_end_the_suite_naming_the_row(self, tiny_task, monkeypatch):
+        # only divergence marks a row; a broken run must not pass as a blank row
+        spec, dataset = tiny_task
+        trained, real = [], harness.train
+
+        def flaky_train(pipe, data, ocfg):
+            trained.append(ocfg.steps)
+            if ocfg.steps == 2:
+                raise AttributeError("boom")
+            return real(pipe, data, ocfg)
+
+        monkeypatch.setattr(harness, "train", flaky_train)
+        rows = [{"name": name, "mode": "coop", "pipeline": micro_config("coop").to_dict(),
+                 "optim": {"steps": steps}} for name, steps in (("good", 1), ("broken", 2),
+                                                                ("after", 1))]
+        with pytest.raises(RuntimeError,
+                           match=r"^suite: row 'broken' failed: AttributeError\('boom'\)$") as info:
+            run_ablation(dataset, spec.class_names, {"seed": 1, "rows": rows})
+        assert isinstance(info.value.__cause__, AttributeError)
+        assert trained == [1, 2]
+
     def test_run_order_independence(self, tiny_task):
         spec, dataset = tiny_task
         def row(name, mode):
@@ -600,8 +654,13 @@ class TestRunLoader:
         assert (optim.seed, optim.steps, optim.lr) == (4, 2, 0.5)
         spec, dataset = tiny_task
         trained = []
-        monkeypatch.setattr(harness, "train", lambda pipe, data, ocfg: trained.append(
-            (pipe.seed, ocfg.seed, ocfg.steps)))
+
+        def fake_train(pipe, data, ocfg):
+            trained.append((pipe.seed, ocfg.seed, ocfg.steps))
+            return SimpleNamespace(final_eval_miou=0.0, loss_series=[0.0], trainable_params=0,
+                                   text_fwd_train=0, text_fwd_infer=0)
+
+        monkeypatch.setattr(harness, "train", fake_train)
         suite = {"seed": 3, "optim": {"steps": 5},
                  "rows": [{"name": "a", "optim": {"seed": 8}}, {"name": "b"}]}
         run_ablation(dataset, spec.class_names, suite)

@@ -151,8 +151,24 @@ class TestSegAuxLoss:
 
     def test_label_out_of_range(self):
         score = ScoreMap(s=T.Tensor(np.zeros((2, 3))), h4=1, w4=2, k=3)
-        with pytest.raises(IndexError):
-            seg_aux_loss(score, np.array([0, 3]), LossConfig())
+        # a one-hot gather would take -1 as the last class
+        for labels in ([0, 3], [0, -1]):
+            with pytest.raises(IndexError, match=r"^seg_aux_loss label out of range \[0, 3\)$"):
+                seg_aux_loss(score, np.array(labels), LossConfig())
+
+    @pytest.mark.parametrize("labels, error, cause", [
+        # a cast would floor 2.9 to class 2
+        (np.array([0.0, 2.9]), T.ContractError,
+         r"^seg_aux_loss needs integer labels, got dtype float64$"),
+        (np.array([True, False]), T.ContractError, r"got dtype bool$"),
+        (np.array([0, 1, 2]), T.ShapeError,
+         r"^seg_aux_loss labels shape \(3,\), expected \(2,\): one per cell$"),
+        (np.array([[0], [1]]), T.ShapeError, r"labels shape \(2, 1\), expected \(2,\)"),
+    ], ids=["float", "bool", "count", "column"])
+    def test_bad_labels_named(self, labels, error, cause):
+        score = ScoreMap(s=T.Tensor(np.zeros((2, 3))), h4=1, w4=2, k=3)
+        with pytest.raises(error, match=cause):
+            seg_aux_loss(score, labels, LossConfig())
 
     def test_raising_true_class_score_lowers_loss(self, rng):
         s = np.clip(rng.uniform(-0.5, 0.5, (5, 4)), -1, 1)
@@ -169,10 +185,10 @@ class TestSegAuxLoss:
         y = rng.integers(0, 3, size=4)
 
         def f(s):
-            return seg_aux_loss(ScoreMap(s=T.clamp(T.tanh(s), -1, 1), h4=2, w4=2, k=3),
-                                y, LossConfig())
+            return seg_aux_loss(ScoreMap(s=s, h4=2, w4=2, k=3), y, LossConfig())
 
-        report = T.grad_check(f, [T.Tensor(rng.standard_normal((4, 3)))], tol=1e-5)
+        # inside (-1, 1) with room for the difference step
+        report = T.grad_check(f, [T.Tensor(rng.uniform(-0.9, 0.9, (4, 3)))], tol=1e-5)
         assert report.passed
 
 
