@@ -180,12 +180,15 @@ def load_dataset(data_dir):
     Each image's `boxes.json` entry is a list of objects with exactly a
     `class_id` and a `box` of 4 finite numbers, a `BoxAnnotation`."""
     spec_path = os.path.join(data_dir, "spec.json")
-    with open(spec_path) as fh:
-        spec = from_json(TaskSpec, json.load(fh), spec_path)
+    try:  # JSON that does not parse, or a spec field that fails its check
+        with open(spec_path) as fh:
+            spec = from_json(TaskSpec, json.load(fh), spec_path)
+        with open(os.path.join(data_dir, "boxes.json")) as fh:
+            all_boxes = json.load(fh)
+    except ValueError as exc:
+        raise ValueError(f"{fh.name}: {exc}") from None  # fh: the file that failed
     images = read_dct1(os.path.join(data_dir, "images.dct1"))
     masks = read_dct1(os.path.join(data_dir, "masks.dct1"))
-    with open(os.path.join(data_dir, "boxes.json")) as fh:
-        all_boxes = json.load(fh)
     h, w = spec.height, spec.width
     if images.ndim != 4 or images.shape[1:] != (h, w, 3):
         raise ValueError(f"images.dct1 has shape {images.shape}; spec.json needs (n, {h}, {w}, 3)")

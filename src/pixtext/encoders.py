@@ -18,7 +18,8 @@ import numpy as np
 
 from .config import ImageEncoderConfig, TextEncoderConfig, check
 from .nn import Linear, Module, MultiHeadAttention, TransformerBlock, block_offsets, init_uniform
-from .tensor import ContractError, ShapeError, Tensor, concat, mean_rows, patchify, take
+from .tensor import (ContractError, ShapeError, Tensor, check_ids, concat, mean_rows, patchify,
+                     take)
 
 __all__ = [
     "FeatureMap",
@@ -237,13 +238,7 @@ class ToyTextEncoder(Module):
         return self.proj.out_dim
 
     def embed_tokens(self, ids) -> Tensor:
-        ids = np.asarray(ids)
-        if ids.size and ids.dtype.kind not in "iu":
-            raise ContractError(f"embed_tokens needs integer token ids, got dtype {ids.dtype}")
-        bad = ids[(ids < 0) | (ids >= self.table.shape[0])]
-        if bad.size:
-            raise ContractError(f"token id {bad[0]} outside vocabulary")
-        return take(self.table, ids)
+        return take(self.table, check_ids(ids, "token ids", self.table.shape[0]))
 
     def encode(self, contexts: Tensor | None, class_token_lists, n: int = 1) -> TextEmbeddings:
         """Encode every class behind each of n context sets.

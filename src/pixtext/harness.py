@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import OptimConfig, PipelineConfig, check_keys, from_json, subsection
 from .pipeline import DensePredPipeline, build_pipeline, toy_config
-from .tensor import ContractError, Tensor, backward, reset_tape
+from .tensor import ContractError, Tensor, backward, check_ids, reset_tape
 
 __all__ = [
     "OptimConfig",
@@ -153,15 +153,9 @@ def miou_from_pairs(pairs, k: int) -> tuple[list, float]:
     """
     conf = np.zeros(k * k, dtype=np.int64)
     for target, pred in pairs:
-        ids = []
-        for side, values in (("target", target), ("prediction", pred)):
-            values = np.asarray(values)
-            if values.size and values.dtype.kind not in "iu":  # a cast would floor 2.9 to 2
-                raise ContractError(f"{side} needs integer class ids, got dtype {values.dtype}")
-            if values.size and (values.min() < 0 or values.max() >= k):
-                raise IndexError(f"{side} class id out of range [0, {k})")
-            ids.append(values.astype(np.intp, copy=False))
-        conf += np.bincount(ids[0] * k + ids[1], minlength=k * k)
+        target = check_ids(target, "target", k)
+        pred = check_ids(pred, "prediction", k, target.shape)
+        conf += np.bincount(target * k + pred, minlength=k * k)
     conf = conf.reshape(k, k)
     inter = np.diag(conf).astype(np.float64)
     union = conf.sum(axis=0) + conf.sum(axis=1) - np.diag(conf)
@@ -343,7 +337,8 @@ def load_run(run: dict, keys=RUN_KEYS, optim: dict | None = None,
     return pipe_cfg, from_json(OptimConfig, given, subsection(where, "optim"), partial=True)
 
 
-CSV_COLUMNS = ["config_name", "miou", "final_loss", "params", "text_fwd_train", "text_fwd_infer"]
+CSV_COLUMNS = ["config_name", "miou", "final_loss", "params", "text_fwd_train", "text_fwd_infer",
+               "error"]
 
 
 def run_ablation(dataset, class_names, suite: dict, where: str = "suite") -> list[dict]:
@@ -352,7 +347,7 @@ def run_ablation(dataset, class_names, suite: dict, where: str = "suite") -> lis
     Rows default to ABLATION_ROWS; the suite's `optim` and `seed` are each
     row's defaults. Every row is loaded and built before the first one
     trains, so a bad row fails the suite at once. Returns CSV-ready rows; a
-    run that diverges keeps its row with blank metrics and the suite
+    run that diverges keeps its row, blank but for its `error`, and the suite
     continues. Any other error ends the suite, naming the row. `where` names
     the suite in errors.
     """
@@ -385,7 +380,7 @@ def run_ablation(dataset, class_names, suite: dict, where: str = "suite") -> lis
 
 def write_ablation_csv(rows, path):
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS, extrasaction="ignore")
+        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
         writer.writeheader()
         for row in rows:
             writer.writerow(row)

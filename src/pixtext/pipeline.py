@@ -47,6 +47,7 @@ from .tensor import (
     ShapeError,
     Tensor,
     add,
+    check_ids,
     concat,
     count_cross_entropy,
     gelu,
@@ -237,19 +238,10 @@ class DensePredPipeline:
                 breakdown={"main": 0.0, "aux": aux.item(), "total": aux.item()},
             )
 
-        masks = []
-        for i, target in enumerate(targets):
-            mask = np.asarray(target)
-            if mask.dtype.kind not in "iu":  # a cast would floor 2.9 to class 2
-                raise ContractError(f"mask {i} needs integer labels, got dtype {mask.dtype}")
-            if mask.shape != (h * w,):
-                raise ContractError(f"mask {i} has shape {mask.shape}, expected ({h * w},)")
-            masks.append(mask.astype(np.intp, copy=False))
-        masks = np.stack(masks)
         # checked before the bincount, where a bad label would land in a
         # neighbouring cell
-        if masks.min() < 0 or masks.max() >= self.k:
-            raise IndexError(f"label out of range [0, {self.k})")
+        masks = np.stack([check_ids(target, f"mask {i}", self.k, (h * w,))
+                          for i, target in enumerate(targets)])
         score, cells = self._run(batch)
         counts = np.bincount(self._pixel_index(n, h, w) * self.k + masks.reshape(-1),
                              minlength=cells.shape[0] * self.k)
@@ -456,14 +448,10 @@ def load_checkpoint(ckpt_dir) -> DensePredPipeline:
 def export_prediction(pred: np.ndarray, h: int, w: int, path, fmt: str = "json"):
     """Write h*w class ids, integers of at least 0, checked rather than cast
     (a cast would write 2.9 as class 2, and P2 values lie in [0, maxval])."""
-    pred = np.asarray(pred)
-    if pred.dtype.kind not in "iu":
-        raise ContractError(f"prediction needs integer class ids, got dtype {pred.dtype}")
+    pred = check_ids(pred, "prediction")
     if pred.size != h * w:
         raise ShapeError(f"prediction has {pred.size} class ids, expected h*w = {h * w}")
     pred = pred.reshape(h * w)
-    if pred.size and pred.min() < 0:
-        raise ContractError(f"prediction has negative class id {pred.min()}")
     if fmt == "json":
         with open(path, "w") as fh:
             json.dump({"height": h, "width": w, "classes": pred.tolist()}, fh)

@@ -36,6 +36,7 @@ __all__ = [
     "concat",
     "stack",
     "take",
+    "check_ids",
     "patchify",
     "tsum",
     "mean_rows",
@@ -325,19 +326,32 @@ def stack(parts) -> Tensor:
     return record(parts, np.array([p.data for p in parts]), lambda g: list(g))
 
 
+def check_ids(values, what: str, bound: int | None = None, shape=None) -> np.ndarray:
+    """`values` as an intp array of ids, checked rather than cast (a cast would
+    floor 2.9 to 2): a dtype that is not integer raises ContractError, a shape
+    other than `shape` ShapeError, an id outside [0, bound) (below 0 when
+    `bound` is None) IndexError, each naming `what`. Empty is no ids."""
+    ids = np.asarray(values)
+    if ids.size and ids.dtype.kind not in "iu":
+        raise ContractError(f"{what}: integer ids needed, got dtype {ids.dtype}")
+    if shape is not None and ids.shape != shape:
+        raise ShapeError(f"{what}: shape {ids.shape}, expected {shape}")
+    if ids.size:
+        low, high = ids.min(), ids.max()
+        if low < 0 or bound is not None and high >= bound:
+            raise IndexError(f"{what}: id {low if low < 0 else high} outside "
+                             f"[0, {'inf' if bound is None else bound})")
+    return ids.astype(np.intp, copy=False)
+
+
 def take(a: Tensor, indices) -> Tensor:
     """Row gather from a 2-d tensor: out[i] = a[indices[i]]."""
     a = tensor(a)
-    idx = np.asarray(indices)
-    if idx.size and idx.dtype.kind not in "iu":
-        raise ShapeError(f"take needs integer indices, got dtype {idx.dtype}")
-    idx = idx.astype(np.intp, copy=False)
-    if idx.ndim != 1:
-        raise ShapeError("take expects a flat index list")
     if a.data.ndim != 2:
         raise ShapeError(f"take gathers rows of a 2-d tensor, got {a.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
-        raise IndexError(f"take index out of range for {a.shape[0]} rows")
+    idx = check_ids(indices, "take", a.shape[0])
+    if idx.ndim != 1:
+        raise ShapeError("take expects a flat index list")
     rows, cols = a.shape
 
     def grad_fn(g):
@@ -515,7 +529,9 @@ def count_cross_entropy(logits: Tensor, counts) -> Tensor:
     if total <= 0:
         raise ContractError("count_cross_entropy needs at least one counted item")
     x = logits.data
-    m = x.max(axis=1, keepdims=True)
+    # the row max, taken down the contiguous transpose: numpy's reduction along
+    # a short last axis is several times slower, for the same values
+    m = np.ascontiguousarray(x.T).max(axis=0)[:, None]
     e = x - m
     logz = m + np.log(np.exp(e, out=e).sum(axis=1, keepdims=True))
     # summed as counts * -log p: every term is non-negative, so nothing cancels

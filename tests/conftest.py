@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from pixtext import datagen
-from pixtext.pipeline import build_pipeline, micro_config, toy_config
 
 
 @pytest.fixture
@@ -31,11 +30,3 @@ def toy_spec():
 @pytest.fixture(scope="session")
 def toy_samples(toy_spec):
     return datagen.generate(toy_spec, 12, seed=5)
-
-
-def make_micro_pipeline(mode, class_names, seed=11):
-    return build_pipeline(micro_config(mode), class_names, seed)
-
-
-def make_toy_pipeline(mode, class_names, seed=0):
-    return build_pipeline(toy_config(mode), class_names, seed)

@@ -288,7 +288,7 @@ class TestAblateCommand:
                    "--out", str(out_csv)])
         assert rc == 0
         lines = out_csv.read_text().strip().splitlines()
-        assert lines[0] == "config_name,miou,final_loss,params,text_fwd_train,text_fwd_infer"
+        assert lines[0] == "config_name,miou,final_loss,params,text_fwd_train,text_fwd_infer,error"
         assert lines[1].startswith("baseline,")
         assert lines[2].startswith("coop,")
 
@@ -307,7 +307,8 @@ class TestAblateCommand:
         assert rc == 1
         assert "bad: miou= params= TrainingDiverged: non-finite loss" in capsys.readouterr().out
         lines = out_csv.read_text().strip().splitlines()
-        assert lines[1] == "bad,,,,," and lines[2].startswith("good,0.")
+        assert lines[1].startswith("bad,,,,,,TrainingDiverged: non-finite loss")
+        assert lines[2].startswith("good,0.")
 
     def test_train_fraction_checked_not_cast(self, tmp_path, micro_dataset_dir):
         suite_path = tmp_path / "suite.json"

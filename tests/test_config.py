@@ -149,9 +149,11 @@ def _edit_spec(path, edit):
     (lambda s: s["signatures"][1].pop("amp"), ContractError,
      r"^signatures\[1\] in .*spec\.json: unknown key\(s\) \[\], missing key\(s\) \['amp'\]$"),
     (lambda s: s["signatures"][0].update(mean=[0.5, 0.5]), ValueError,
-     r"^ClassSignature\.mean must be a list of 3 entries, got \[0\.5, 0\.5\]$"),
-    (lambda s: s.update(noise_sigma="0.2"), ValueError, r"^TaskSpec\.noise_sigma must be"),
-    (lambda s: s.update(signatures={}), ValueError, r"^TaskSpec\.signatures must be a list"),
+     r"spec\.json: ClassSignature\.mean must be a list of 3 entries, got \[0\.5, 0\.5\]$"),
+    (lambda s: s.update(noise_sigma="0.2"), ValueError,
+     r"spec\.json: TaskSpec\.noise_sigma must be"),
+    (lambda s: s.update(signatures={}), ValueError,
+     r"spec\.json: TaskSpec\.signatures must be a list"),
 ], ids=["missing_k", "signature_without_amp", "mean_of_two", "noise_sigma_str",
         "signatures_object"])
 def test_spec_json_named(dataset_dir, edit, error, pattern):

@@ -1,11 +1,15 @@
 import hashlib
 import json
+from functools import reduce
+from operator import getitem
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pixtext.datagen import TaskSpec, default_task, generate, load_dataset, save_dataset, split
-from pixtext.tensor import read_dct1, write_dct1
+from pixtext.tensor import ContractError, read_dct1, write_dct1
 
 
 def pixel_in_box(box, r, c, h, w):
@@ -264,3 +268,57 @@ class TestDatasetIO:
         save_dataset(toy_spec, samples, tmp_path / "ds")
         for name in ("spec.json", "images.dct1", "masks.dct1", "boxes.json"):
             assert (tmp_path / "ds" / name).exists()
+
+
+# ---------------------------------------------------------------------------
+# Fuzz: cut, extend or retype the files of a saved dataset
+
+
+FILES = ("spec.json", "images.dct1", "masks.dct1", "boxes.json")
+# a value of each JSON type; bool and int count as two, as do int and float
+JSON_VALUES = st.one_of(st.none(), st.booleans(), st.integers(-9, 9), st.floats(),
+                        st.text(max_size=3), st.lists(st.integers(-9, 9), max_size=4),
+                        st.dictionaries(st.text(max_size=3), st.integers(-9, 9), max_size=2))
+
+
+def _value_paths(obj, prefix=()):
+    """The path of every value nested in a JSON object or list."""
+    for key, value in obj.items() if isinstance(obj, dict) else enumerate(obj):
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _value_paths(value, prefix + (key,))
+
+
+@pytest.fixture(scope="module")
+def saved_micro(tmp_path_factory, micro_spec):
+    path = tmp_path_factory.mktemp("micro")
+    save_dataset(micro_spec, generate(micro_spec, 2, seed=3), path)
+    return path, {name: (path / name).read_bytes() for name in FILES}
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.data())
+def test_load_dataset_fuzz(saved_micro, data):
+    """Cut any file at a drawn byte, append bytes to one, or retype any JSON
+    value: the dataset loads, or a package error names the file."""
+    path, files = saved_micro
+    name = data.draw(st.sampled_from(FILES))
+    raw = files[name]
+    op = data.draw(st.sampled_from(["cut", "append"] + ["retype"] * name.endswith(".json")))
+    if op == "cut":
+        raw = raw[:data.draw(st.integers(0, len(raw)))]
+    elif op == "append":
+        raw += data.draw(st.binary(min_size=1, max_size=16))
+    else:
+        obj = json.loads(raw)
+        *parents, key = data.draw(st.sampled_from(list(_value_paths(obj))))
+        parent = reduce(getitem, parents, obj)
+        old = type(parent[key])
+        parent[key] = data.draw(JSON_VALUES.filter(lambda v: type(v) is not old))
+        raw = json.dumps(obj).encode()
+    for other, pristine in files.items():
+        (path / other).write_bytes(raw if other == name else pristine)
+    try:
+        load_dataset(path)
+    except (ValueError, ContractError) as exc:  # a ShapeError is a ValueError
+        assert name in str(exc), (name, exc)

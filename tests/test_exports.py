@@ -69,6 +69,22 @@ def test_one_module_protocol():
     assert sorted(walkers) == ["nn.Module", "pipeline.DensePredPipeline", "prompting.TextPath"]
 
 
+def dtype_kind_readers(source: str) -> list[str]:
+    """Functions that read `<array>.dtype.kind`."""
+    return sorted(f.name for f in ast.walk(ast.parse(source)) if isinstance(f, ast.FunctionDef)
+                  and any(isinstance(n, ast.Attribute) and n.attr == "kind"
+                          and isinstance(n.value, ast.Attribute) and n.value.attr == "dtype"
+                          for n in ast.walk(f)))
+
+
+def test_one_integer_id_check():
+    """Integer ids are checked by `tensor.check_ids` alone. `nn._offsets`
+    reads a dtype too, for segment offsets, which are not ids."""
+    readers = [f"{path.stem}.{name}" for path in SOURCES
+               for name in dtype_kind_readers(path.read_text())]
+    assert sorted(readers) == ["nn._offsets", "tensor.check_ids"]
+
+
 def private_imports(source: str) -> list[str]:
     """Underscore names a module imports from another module."""
     return sorted(f"{alias.name} (line {node.lineno})" for node in ast.walk(ast.parse(source))

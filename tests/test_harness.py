@@ -1,3 +1,4 @@
+import csv
 import math
 import os
 import re
@@ -27,7 +28,7 @@ from pixtext.harness import (
     write_ablation_csv,
 )
 from pixtext.pipeline import build_pipeline, micro_config, toy_config
-from pixtext.tensor import ContractError, Tensor
+from pixtext.tensor import ContractError, ShapeError, Tensor
 
 
 def make_param(value, grad=None, requires_grad=True):
@@ -194,14 +195,19 @@ class TestMiou:
 
     @pytest.mark.parametrize("side", ["target", "prediction"])
     @pytest.mark.parametrize("shift, error, cause", [
-        (0.9, ContractError, "needs integer class ids, got dtype float64"),
-        (1, IndexError, r"class id out of range \[0, 3\)"),
+        (0.9, ContractError, "integer ids needed, got dtype float64"),
+        (1, IndexError, r"id 3 outside \[0, 3\)"),
     ], ids=["fraction", "out_of_range"])
     def test_bad_ids_named_by_side(self, side, shift, error, cause):
         ids = np.array([0, 1, 2])
         pair = (ids + shift, ids) if side == "target" else (ids, ids + shift)
-        with pytest.raises(error, match=rf"^{side} {cause}$"):
+        with pytest.raises(error, match=rf"^{side}: {cause}$"):
             miou_from_pairs([pair], k=3)
+
+    def test_prediction_shape_must_match_target(self):
+        # a one-id prediction would broadcast over every target pixel
+        with pytest.raises(ShapeError, match=r"^prediction: shape \(1,\), expected \(4,\)$"):
+            miou_from_pairs([(np.array([0, 1, 1, 0]), np.array([1]))], 2)
 
     @given(st.integers(min_value=1, max_value=2**31 - 1))
     @settings(max_examples=25, deadline=None)
@@ -542,7 +548,7 @@ class TestRunAblation:
         path = tmp_path / "table.csv"
         write_ablation_csv(rows, path)
         lines = path.read_text().strip().splitlines()
-        assert lines[0] == "config_name,miou,final_loss,params,text_fwd_train,text_fwd_infer"
+        assert lines[0] == "config_name,miou,final_loss,params,text_fwd_train,text_fwd_infer,error"
         assert len(lines) == 6
 
     def test_failed_run_marked_and_suite_continues(self, tiny_task):
@@ -561,6 +567,21 @@ class TestRunAblation:
             rows = run_ablation(dataset, spec.class_names, suite)
         assert rows[0]["miou"] == "" and "error" in rows[0]
         assert isinstance(rows[1]["miou"], float)
+
+    def test_csv_error_column(self, tmp_path):
+        # a diverged row shows its error; a trained row leaves it blank
+        bad = {"config_name": "bad", **dict.fromkeys(harness.CSV_COLUMNS[1:], ""),
+               "error": "TrainingDiverged: non-finite loss nan at step 9"}
+        good = {"config_name": "good", "miou": 0.5, "final_loss": 0.25, "params": 7,
+                "text_fwd_train": 1, "text_fwd_infer": 1}
+        path = tmp_path / "table.csv"
+        write_ablation_csv([bad, good], path)
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows == [bad, {**{k: str(v) for k, v in good.items()}, "error": ""}]
+        # a key the table has no column for is an error, not dropped
+        with pytest.raises(ValueError, match="typo"):
+            write_ablation_csv([{**good, "typo": 1}], path)
 
     def test_other_errors_end_the_suite_naming_the_row(self, tiny_task, monkeypatch):
         # only divergence marks a row; a broken run must not pass as a blank row

@@ -190,7 +190,7 @@ class TestStructuralOps:
                              ids=["float", "bool"])
     def test_take_rejects_non_integer_indices(self, indices):
         x = T.Tensor(np.arange(6.0).reshape(3, 2))
-        with pytest.raises(T.ShapeError, match=r"^take needs integer indices, got dtype"):
+        with pytest.raises(T.ContractError, match=r"^take: integer ids needed, got dtype"):
             T.take(x, indices)
 
     def test_take_accepts_an_empty_index_list(self):
