@@ -9,8 +9,8 @@ may be assigned later. Rules between fields and default-filling stay in
 each config's `__post_init__`. `from_json(cls, obj, where, partial=False)`
 parses a JSON section, and its nested sections the same way: a section
 that is not an object, unknown keys and (unless `partial`) missing keys
-are a `ContractError` naming `where`, "section in file" or a bare file for
-its top level.
+are a `ContractError` naming `where` ("section in file", or a bare file for
+its top level); a value that fails its check is a `ValueError` led by it.
 """
 
 from __future__ import annotations
@@ -163,7 +163,11 @@ def from_json(cls, obj, where: str, partial: bool = False):
     """The config `cls` of the JSON section `obj`; see the module docstring."""
     kinds = {f.name: f.metadata["kind"] for f in fields(cls)}
     check_keys(obj, kinds, where, () if partial else kinds)
-    return cls(**{k: _parse(kinds[k], v, where, k, partial) for k, v in obj.items()})
+    values = {k: _parse(kinds[k], v, where, k, partial) for k, v in obj.items()}
+    try:
+        return cls(**values)
+    except ValueError as exc:  # a field that fails its check
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def _parse(kind, value, where: str, key: str, partial: bool):

@@ -180,13 +180,14 @@ def load_dataset(data_dir):
     Each image's `boxes.json` entry is a list of objects with exactly a
     `class_id` and a `box` of 4 finite numbers, a `BoxAnnotation`."""
     spec_path = os.path.join(data_dir, "spec.json")
-    try:  # JSON that does not parse, or a spec field that fails its check
+    try:  # JSON that does not parse
         with open(spec_path) as fh:
-            spec = from_json(TaskSpec, json.load(fh), spec_path)
+            spec_json = json.load(fh)
         with open(os.path.join(data_dir, "boxes.json")) as fh:
             all_boxes = json.load(fh)
     except ValueError as exc:
         raise ValueError(f"{fh.name}: {exc}") from None  # fh: the file that failed
+    spec = from_json(TaskSpec, spec_json, spec_path)
     images = read_dct1(os.path.join(data_dir, "images.dct1"))
     masks = read_dct1(os.path.join(data_dir, "masks.dct1"))
     h, w = spec.height, spec.width

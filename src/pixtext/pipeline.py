@@ -26,11 +26,12 @@ import copy
 import json
 import os
 from dataclasses import asdict, dataclass, replace
+from itertools import zip_longest
 
 import numpy as np
 
-from .config import (ImageEncoderConfig, PipelineConfig, TextEncoderConfig, check, check_keys,
-                     from_json, subsection)
+from .config import (Count, ImageEncoderConfig, PipelineConfig, TextEncoderConfig, check,
+                     check_keys, from_json, subsection)
 from .encoders import FeatureMap, PooledFeatures, ToyImageEncoder
 from .matching import (
     ScoreMap,
@@ -328,9 +329,10 @@ class DensePredPipeline:
 
 def build_pipeline(cfg: PipelineConfig, class_names, seed: int) -> DensePredPipeline:
     """The pipeline of `cfg`, checked again here as a field may have been
-    assigned since it was built; `TextPath` builds the language path and
-    checks the prompt-mode settings."""
+    assigned since it was built, and of `seed`, the kind of a config seed;
+    `TextPath` builds the language path and checks the prompt-mode settings."""
     check(cfg)
+    Count(None).check("seed", seed)  # `rng_for` would run 2.7 as seed 2
     class_names = [str(n) for n in class_names]
     image_encoder = ToyImageEncoder(cfg.image, rng_for(seed, "image_encoder"))
     text_path = None if cfg.prompt_mode is None else TextPath(cfg, class_names, seed)
@@ -370,33 +372,35 @@ def swap_backbone(pipe: DensePredPipeline, new_encoder: ToyImageEncoder) -> Dens
 
 
 # ---------------------------------------------------------------------------
-# Checkpointing: JSON manifest + one DCT1 dump per parameter.
+# Checkpointing: params.dct1, every parameter flattened in `parameters()`
+# order into one 1-d DCT1 array, then manifest.json, which lists their names.
 
 
 def save_checkpoint(pipe: DensePredPipeline, out_dir):
     os.makedirs(out_dir, exist_ok=True)
-    entries = {}
-    for name, p, group in pipe.parameters():
-        write_dct1(os.path.join(out_dir, f"{name}.dct1"), p)
-        entries[name] = {"file": f"{name}.dct1", "group": group}
+    params = {name: p.data.reshape(-1) for name, p, _ in pipe.parameters()}
+    write_dct1(os.path.join(out_dir, "params.dct1"), np.concatenate(list(params.values())))
     manifest = {
         "config": pipe.cfg.to_dict(),
         "class_names": pipe.class_names,
         "seed": pipe.seed,
         "backbone": asdict(pipe.image_encoder.cfg),
-        "params": entries,
+        "params": list(params),
     }
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
 
 
 def load_checkpoint(ckpt_dir) -> DensePredPipeline:
-    """Rebuild the pipeline from the manifest and load its parameters. A
-    backbone other than `config.image` is put back with `swap_backbone`,
-    so a swapped pipeline restores with its adapter, if it has one."""
+    """Rebuild the pipeline from the manifest; each parameter becomes a view of
+    its slice of `params.dct1`. A backbone other than `config.image` is put
+    back with `swap_backbone`, so a swapped pipeline keeps its adapter."""
     manifest_path = os.path.join(ckpt_dir, "manifest.json")
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
+    try:  # JSON that does not parse, e.g. a manifest write that stopped part-way
+        with open(manifest_path) as fh:
+            manifest = json.load(fh)
+    except ValueError as exc:
+        raise ValueError(f"{manifest_path}: {exc}") from None
     keys = ("config", "class_names", "seed", "backbone", "params")
     check_keys(manifest, keys, manifest_path, required=keys)
     cfg = from_json(PipelineConfig, manifest["config"], subsection(manifest_path, "config"))
@@ -413,31 +417,21 @@ def load_checkpoint(ckpt_dir) -> DensePredPipeline:
     pipe = build_pipeline(cfg, names, seed)
     if backbone != cfg.image:
         pipe = swap_backbone(pipe, ToyImageEncoder(backbone, rng_for(seed, "swapped_backbone")))
-    if not isinstance(manifest["params"], dict):
-        raise ContractError(f"params in {manifest_path} must map parameter names to entries")
-    params = {name: (p, group) for name, p, group in pipe.parameters()}
-    for name in params:
-        if name not in manifest["params"]:
-            raise KeyError(f"checkpoint lacks parameter {name}")
-    for name, entry in manifest["params"].items():
-        if name not in params:
-            raise KeyError(f"checkpoint parameter {name} not in rebuilt pipeline")
-        param, group = params[name]
-        check_keys(entry, ("file", "group"), subsection(subsection(manifest_path, "params"), name),
-                   required=("file", "group"))
-        if entry["group"] != group:
-            raise ContractError(f"checkpoint parameter {name} in {manifest_path} is in group "
-                                f"{entry['group']!r}; the rebuilt pipeline puts it in {group!r}")
-        if entry["file"] != f"{name}.dct1":
-            raise ContractError(f"checkpoint parameter {name} in {manifest_path} names file "
-                                f"{entry['file']!r}; expected {name}.dct1 in the directory")
-        path = os.path.join(ckpt_dir, entry["file"])
-        arr = read_dct1(path)
-        if arr.shape != param.shape:
-            raise ShapeError(f"checkpoint shape mismatch on {name}")
-        if not np.all(np.isfinite(arr)):
+    params = {name: p for name, p, _ in pipe.parameters()}
+    if not isinstance(manifest["params"], list):
+        raise ContractError(f"params in {manifest_path} must be a list of parameter names")
+    for want, got in zip_longest(params, manifest["params"]):
+        if want != got:
+            raise KeyError(f"checkpoint lists {got!r} where the rebuilt pipeline has {want!r}")
+    path = os.path.join(ckpt_dir, "params.dct1")
+    flat = read_dct1(path)
+    sizes = [p.size for p in params.values()]
+    if flat.size != sum(sizes):
+        raise ShapeError(f"{path} holds {flat.size} values; the parameters need {sum(sizes)}")
+    for (name, param), values in zip(params.items(), np.split(flat.reshape(-1), np.cumsum(sizes))):
+        if not np.all(np.isfinite(values)):
             raise ContractError(f"checkpoint parameter {name} has non-finite values in {path}")
-        param.data = arr
+        param.data = values.reshape(param.shape)
     return pipe
 
 

@@ -184,7 +184,7 @@ class TestRunConfigBoundary:
         (lambda cfg: cfg["pipeline"].update(freeze_text=False), ContractError,
          r"^pipeline in \S*run\.json: unknown key\(s\) \['freeze_text'\]"),
         (lambda cfg: cfg["optim"].update(multipliers={"text": 0.1}), ValueError,
-         r"^OptimConfig\.multipliers must map some of .*'text'"),
+         r"^optim in \S*run\.json: OptimConfig\.multipliers must map some of .*'text'"),
     ], ids=["run.freeze_text", "pipeline.freeze_text", "optim.multipliers.text"])
     def test_unknown_key_named(self, tmp_path, micro_dataset_dir, edit, error, pattern):
         path = run_config(tmp_path)
@@ -221,7 +221,8 @@ class TestRunConfigBoundary:
 
     def test_zero_steps_rejected_before_training(self, tmp_path, micro_dataset_dir):
         path = run_config(tmp_path, steps=0)
-        with pytest.raises(ValueError, match="^OptimConfig.steps must be an integer of at least 1"):
+        with pytest.raises(ValueError, match=r"^optim in \S*run\.json: OptimConfig\.steps must be "
+                                             r"an integer of at least 1"):
             main(["train", "--data", str(micro_dataset_dir), "--config", str(path),
                   "--out", str(tmp_path / "ckpt"), "--report", str(tmp_path / "r.json")])
         assert not (tmp_path / "ckpt").exists()

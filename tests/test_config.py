@@ -6,8 +6,10 @@ import copy
 import json
 import math
 import re
+import struct
 from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -124,7 +126,8 @@ def test_pipeline_config_checked_when_built(field, value, pattern):
      r"^pipeline\.image in run config must be a JSON object, got list \[1\]$"),
     ({"optim": [1]}, ContractError, r"^optim in run config must be a JSON object, got list \[1\]$"),
     ({"pipeline": {"loss": {"temperature": "0.07"}}}, ValueError,
-     r"^LossConfig\.temperature must be a finite number in \(0, inf\), got '0\.07'$"),
+     r"^pipeline\.loss in run config: LossConfig\.temperature must be a finite number in "
+     r"\(0, inf\), got '0\.07'$"),
 ], ids=["unknown_nested_key", "nested_list", "optim_list", "nested_value"])
 def test_run_sections_named(run, error, pattern):
     with pytest.raises(error, match=pattern):
@@ -230,36 +233,73 @@ def test_run_config_fuzz(data):
 def checkpoint(tmp_path_factory, micro_spec):
     path = tmp_path_factory.mktemp("ckpt")
     save_checkpoint(build_pipeline(micro_config("post"), micro_spec.class_names, 2), path)
-    return path, json.loads((path / "manifest.json").read_text())
+    manifest = json.loads((path / "manifest.json").read_text())
+    return path, manifest, (path / "params.dct1").read_bytes()
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(st.data())
 def test_manifest_section_fuzz(checkpoint, data):
-    path, manifest = checkpoint
+    path, manifest, payload = checkpoint
     manifest = copy.deepcopy(manifest)
     name = _mutate(data, manifest, (("config",), ("backbone",)))
     (path / "manifest.json").write_text(json.dumps(manifest))
+    (path / "params.dct1").write_bytes(payload)
     # a valid setting that builds another pipeline (prompt_mode null) fails on
     # the parameter list, naming the parameter, as a KeyError
     _fails_named(lambda: load_checkpoint(path), name, also=KeyError)
 
 
-@settings(derandomize=True, max_examples=40, deadline=None)
+@settings(derandomize=True, max_examples=60, deadline=None)
 @given(st.data())
 def test_manifest_params_fuzz(checkpoint, data):
-    path, manifest = checkpoint
+    path, manifest, payload = checkpoint
     manifest = copy.deepcopy(manifest)
-    name = data.draw(st.sampled_from(sorted(manifest["params"])))
-    entry = manifest["params"][name]
-    if data.draw(st.booleans()):
-        _mutate(data, entry, ())  # drop, retype or rename file or group
-    else:
-        entry[data.draw(st.sampled_from(["shape", "dtype", "File"]))] = data.draw(VALUES)
+    names = manifest["params"]
+    i = data.draw(st.integers(0, len(names) - 1))
+    name = names[i]
+    op = data.draw(st.sampled_from(["drop", "swap", "rename", "retype", "cut", "extend", "resize"]))
+    if op == "drop":
+        names.pop(i)
+    elif op == "swap":
+        j = (i + data.draw(st.integers(1, len(names) - 1))) % len(names)
+        names[i], names[j] = names[j], names[i]
+    elif op == "rename":
+        names[i] = f"{name}_x"
+    elif op == "retype":
+        names[i] = data.draw(VALUES)
+    elif op == "cut":
+        payload, name = payload[:data.draw(st.integers(0, len(payload) - 1))], "params.dct1"
+    elif op == "extend":
+        payload, name = payload + data.draw(st.binary(min_size=1, max_size=24)), "params.dct1"
+    else:  # a whole DCT1 file of another size
+        flat = np.frombuffer(payload[12:], "<f8")
+        size = data.draw(st.integers(0, flat.size + 4).filter(lambda n: n != flat.size))
+        payload = struct.pack("<4sII", b"DCT1", 1, size) + np.resize(flat, size).tobytes()
+        name = "params.dct1"
     (path / "manifest.json").write_text(json.dumps(manifest))
-    # no mutation leaves an entry that loads: every one names the parameter
-    with pytest.raises((ContractError, KeyError), match=re.escape(name)):
+    (path / "params.dct1").write_bytes(payload)
+    # no mutation leaves a checkpoint that loads: every one names the parameter or the file
+    with pytest.raises((ContractError, KeyError, ValueError), match=re.escape(name)):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("section, edit", [
+    ("config.image", lambda m: m["config"]["image"].update(patch=0)),
+    ("backbone", lambda m: m["backbone"].update(patch=0)),
+])
+def test_field_that_fails_its_check_names_its_section(tmp_path, micro_spec, section, edit):
+    save_checkpoint(build_pipeline(micro_config("post"), micro_spec.class_names, 2), tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    edit(manifest)
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=rf"^{re.escape(section)} in \S*manifest\.json: "
+                                         r"ImageEncoderConfig\.patch must be an integer of at "
+                                         r"least 1, got 0$"):
+        load_checkpoint(tmp_path)
+    with pytest.raises(ValueError, match=r"^optim in run\.json: OptimConfig\.steps must be an "
+                                         r"integer of at least 1, got 0$"):
+        load_run({"optim": {"steps": 0}}, where="run.json")
 
 
 @pytest.fixture(scope="module")

@@ -691,15 +691,25 @@ class TestRunLoader:
     @pytest.mark.parametrize("seed", [2.7, True, "3"])
     def test_non_integer_seed_named(self, seed):
         # a cast would train 2.7 as seed 2 and true as seed 1
-        with pytest.raises(ValueError, match=r"^OptimConfig\.seed must be an integer"):
+        with pytest.raises(ValueError, match=r"^optim in run config: OptimConfig\.seed must be "
+                                             r"an integer"):
             load_run({"seed": seed})
 
     @pytest.mark.parametrize("seed", [2.7, True])
     def test_non_integer_suite_seed_named(self, tiny_task, monkeypatch, seed):
         spec, dataset = tiny_task
         monkeypatch.setattr(harness, "train", None)  # nothing may train
-        with pytest.raises(ValueError, match=r"^OptimConfig\.seed must be an integer"):
+        with pytest.raises(ValueError, match=r"^rows\[0\]\.optim in suite: OptimConfig\.seed must "
+                                             r"be an integer"):
             run_ablation(dataset, spec.class_names, {"seed": seed})
+
+    def test_non_integer_suite_seed_rejected_when_rows_have_their_own(self, tiny_task, monkeypatch):
+        # every row's optimizer seed is an integer; the suite seed still builds each pipeline
+        spec, dataset = tiny_task
+        monkeypatch.setattr(harness, "train", None)  # nothing may train
+        suite = {"seed": 2.7, "rows": [{"name": "a", "mode": "coop", "optim": {"seed": 5}}]}
+        with pytest.raises(ValueError, match=r"^seed must be an integer, got 2\.7$"):
+            run_ablation(dataset, spec.class_names, suite)
 
     @pytest.mark.parametrize("suite, message", [
         ({"optm": {"steps": 2}}, "suite: unknown key(s) ['optm'], missing key(s) []"),
